@@ -101,7 +101,6 @@ from .spaces import (
     describe,
     enumerate_points,
     extension,
-    extension_subset,
     extensionally_equal,
     from_ids,
     initial_segment,

@@ -4,15 +4,15 @@ Open sets are expression trees, never materialized extensions: the proof
 constructions build sets by transformation (cumulative unions, intersections
 of cofinite subfamilies) over infinite families, and only the finite models
 can be materialized at all. Membership is decidable for every expression and
-every point, and is memoized globally because the game drivers re-query the
-same nodes across innings.
+every point. Each composite expression memoizes its own answers, because the
+game drivers re-query the same nodes across innings; a memo lives exactly as
+long as its expression.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 from .errors import CrossSpaceError
 from .pairing import pair, unpair
@@ -190,6 +190,17 @@ class OpenSet:
     """Base class for symbolic open sets. Equality is object identity;
     structural comparison goes through :func:`describe`."""
 
+    # Per-expression state, written through vars(self) because the dataclass
+    # is frozen: `_space` is resolved once at construction, `_memo` maps point
+    # ids to membership (composites only; leaves are cheap to decide), and
+    # `_desc` caches the structural description.
+    _space = None
+    _memo = None
+    _desc = None
+
+    def __post_init__(self) -> None:
+        vars(self)["_space"] = getattr(self, "space", None)
+
     def _member(self, p: Point) -> bool:
         raise NotImplementedError
 
@@ -198,7 +209,7 @@ class OpenSet:
 
     def space_hint(self) -> SpaceModel | None:
         """The owning space, when the expression mentions one."""
-        return None
+        return self._space
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +229,6 @@ class Named(OpenSet):
     def _describe(self) -> tuple:
         return ("named", self.label)
 
-    def space_hint(self) -> SpaceModel | None:
-        return self.space
-
 
 @dataclass(frozen=True, eq=False)
 class Whole(OpenSet):
@@ -231,9 +239,6 @@ class Whole(OpenSet):
 
     def _describe(self) -> tuple:
         return ("whole",)
-
-    def space_hint(self) -> SpaceModel | None:
-        return self.space
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +251,13 @@ class Empty(OpenSet):
     def _describe(self) -> tuple:
         return ("empty",)
 
-    def space_hint(self) -> SpaceModel | None:
-        return self.space
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteUnion(OpenSet):
     parts: tuple[OpenSet, ...]
+
+    def __post_init__(self) -> None:
+        vars(self).update(_space=_first_space(self.parts), _memo={})
 
     def _member(self, p: Point) -> bool:
         return any(member(part, p) for part in self.parts)
@@ -260,30 +265,19 @@ class FiniteUnion(OpenSet):
     def _describe(self) -> tuple:
         return ("union", tuple(describe(part) for part in self.parts))
 
-    def space_hint(self) -> SpaceModel | None:
-        for part in self.parts:
-            hint = part.space_hint()
-            if hint is not None:
-                return hint
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteIntersection(OpenSet):
     parts: tuple[OpenSet, ...]
+
+    def __post_init__(self) -> None:
+        vars(self).update(_space=_first_space(self.parts), _memo={})
 
     def _member(self, p: Point) -> bool:
         return all(member(part, p) for part in self.parts)
 
     def _describe(self) -> tuple:
         return ("inter", tuple(describe(part) for part in self.parts))
-
-    def space_hint(self) -> SpaceModel | None:
-        for part in self.parts:
-            hint = part.space_hint()
-            if hint is not None:
-                return hint
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +287,9 @@ class CumulativeUnion(OpenSet):
 
     cover: "IndexedCover"
     upto: int
+
+    def __post_init__(self) -> None:
+        vars(self).update(_space=self.cover.space, _memo={})
 
     def _member(self, p: Point) -> bool:
         # scan from the top: on increasing sources the last set is the union
@@ -304,9 +301,6 @@ class CumulativeUnion(OpenSet):
     def _describe(self) -> tuple:
         return ("cum", tuple(describe(self.cover.sets(j)) for j in range(1, self.upto + 1)))
 
-    def space_hint(self) -> SpaceModel | None:
-        return self.cover.space
-
 
 @dataclass(frozen=True, eq=False)
 class Lifted(OpenSet):
@@ -316,6 +310,9 @@ class Lifted(OpenSet):
     base: OpenSet
     level: int
 
+    def __post_init__(self) -> None:
+        vars(self).update(_space=self.space, _memo={})
+
     def _member(self, p: Point) -> bool:
         base_point, level = self.space.split(p)
         return level == self.level and member(self.base, base_point)
@@ -323,15 +320,13 @@ class Lifted(OpenSet):
     def _describe(self) -> tuple:
         return ("lift", self.level, describe(self.base))
 
-    def space_hint(self) -> SpaceModel | None:
-        return self.space
 
-
-# Per-expression memo tables. Composite membership is re-queried heavily by
-# the play drivers; identity-keyed weak tables keep results without pinning
-# expression objects.
-_member_cache: "weakref.WeakKeyDictionary[OpenSet, dict[Point, bool]]" = weakref.WeakKeyDictionary()
-_describe_cache: "weakref.WeakKeyDictionary[OpenSet, tuple]" = weakref.WeakKeyDictionary()
+def _first_space(parts: tuple[OpenSet, ...]) -> SpaceModel | None:
+    for part in parts:
+        space = part.space_hint()
+        if space is not None:
+            return space
+    return None
 
 
 def member(s: OpenSet, p: Point) -> bool:
@@ -340,19 +335,21 @@ def member(s: OpenSet, p: Point) -> bool:
     The empty intersection is the whole space and the empty union is empty.
     Querying a set against a point from a different space model raises
     :class:`CrossSpaceError`.
+
+    A composite's memo is keyed by ``p.id`` alone. That is sound because the
+    space check runs before the lookup, and an expression with no space has
+    only space-less ``Whole``/``Empty`` leaves, so its membership is the same
+    for every point.
     """
-    hint = s.space_hint()
-    if hint is not None and hint is not p.space:
-        raise CrossSpaceError(f"set over {hint.tag} queried with point of {p.space.tag}")
-    if isinstance(s, (Named, Whole, Empty)):
-        return s._member(p)
-    table = _member_cache.get(s)
+    space = s._space
+    if space is not None and space is not p.space:
+        raise CrossSpaceError(f"set over {space.tag} queried with point of {p.space.tag}")
+    table = s._memo
     if table is None:
-        table = {}
-        _member_cache[s] = table
-    hit = table.get(p)
+        return s._member(p)
+    hit = table.get(p.id)
     if hit is None:
-        hit = table[p] = s._member(p)
+        hit = table[p.id] = s._member(p)
     return hit
 
 
@@ -362,9 +359,9 @@ def describe(s: OpenSet) -> tuple:
     Descriptions are the unit of structural equality and of serialization;
     two sets are the same move exactly when their descriptions agree.
     """
-    hit = _describe_cache.get(s)
+    hit = s._desc
     if hit is None:
-        hit = _describe_cache[s] = s._describe()
+        hit = vars(s)["_desc"] = s._describe()
     return hit
 
 
@@ -383,12 +380,6 @@ def extensionally_equal(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int 
     first `horizon` points on countable ones."""
     pts = space.all_points() if space.is_finite else space.points(horizon)
     return all(member(a, p) == member(b, p) for p in pts)
-
-
-def extension_subset(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int = 50) -> bool:
-    """Extensional containment a <= b, with the same sampling convention."""
-    pts = space.all_points() if space.is_finite else space.points(horizon)
-    return all(member(b, p) for p in pts if member(a, p))
 
 
 # -- standard named sets on countable models --------------------------------
@@ -419,18 +410,3 @@ def from_ids(space: FiniteTopological, ids: frozenset[int] | set[int], label: st
 
 def whole(space: SpaceModel) -> Whole:
     return Whole(space=space)
-
-
-def empty(space: SpaceModel) -> Empty:
-    return Empty(space=space)
-
-
-def points_iter(space: SpaceModel) -> Iterator[Point]:
-    """All points of a finite model, or an unbounded enumeration otherwise."""
-    if space.size is not None:
-        yield from space.all_points()
-        return
-    i = 0
-    while True:
-        yield space.point(i)
-        i += 1

@@ -6,10 +6,15 @@ from selectiongames.covers import CofiniteSpec, IndexedCover, increasing_form, i
 from selectiongames.errors import ResourceLimitError
 from selectiongames.spaces import (
     CountableDiscrete,
+    CumulativeUnion,
+    Empty,
     FiniteIntersection,
     FiniteUnion,
+    Lifted,
+    Named,
     ProductSpace,
     FiniteTopological,
+    Whole,
     initial_segment,
     member,
     singleton,
@@ -47,6 +52,89 @@ def test_boolean_structure_of_expressions(a, b, pid):
     p = N.point(pid)
     assert member(FiniteIntersection(parts=(a, b)), p) == (member(a, p) and member(b, p))
     assert member(FiniteUnion(parts=(a, b)), p) == (member(a, p) or member(b, p))
+
+
+def reference_member(s, p):
+    """Membership by plain recursion over the expression, with no memo."""
+    if isinstance(s, Named):
+        return bool(s.pred(p))
+    if isinstance(s, Whole):
+        return True
+    if isinstance(s, Empty):
+        return False
+    if isinstance(s, FiniteUnion):
+        return any(reference_member(part, p) for part in s.parts)
+    if isinstance(s, FiniteIntersection):
+        return all(reference_member(part, p) for part in s.parts)
+    if isinstance(s, CumulativeUnion):
+        return any(reference_member(s.cover.sets(j), p) for j in range(1, s.upto + 1))
+    if isinstance(s, Lifted):
+        base_point, level = s.space.split(p)
+        return level == s.level and reference_member(s.base, base_point)
+    raise TypeError(s)
+
+
+def _combine(draw, pool, kinds, space):
+    """One new node over a few nodes drawn from the pool, so subexpressions are shared."""
+    kind = draw(st.sampled_from(kinds))
+    parts = tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
+    if kind == "union":
+        return FiniteUnion(parts=parts)
+    if kind == "inter":
+        return FiniteIntersection(parts=parts)
+    cover = IndexedCover(space, sets=lambda j: parts[j - 1], witness=lambda p: 1)
+    return CumulativeUnion(cover=cover, upto=len(parts))
+
+
+@st.composite
+def shared_pools(draw):
+    """A base pool over N and a product pool over N x N+ built on top of it.
+
+    Space-less nodes of the base pool also enter product nodes, so their memo
+    sees ids of both spaces. The first base node is a composite and the first
+    product node is its lift.
+    """
+    leaves = st.one_of(
+        st.integers(min_value=0, max_value=8).map(lambda m: initial_segment(N, m)),
+        st.integers(min_value=0, max_value=8).map(lambda i: singleton(N, i)),
+        st.sampled_from([whole(N), Whole(), Empty(), Empty(space=N)]),
+    )
+    base = draw(st.lists(leaves, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        base.append(_combine(draw, base, ["union", "inter", "cum"], N))
+    base.reverse()
+    prod = ProductSpace(N)
+    levels = st.integers(min_value=1, max_value=3)
+    lifted = [prod.lift(base[0], draw(levels))]
+    lifted += [prod.lift(b, draw(levels)) for b in draw(st.lists(st.sampled_from(base), max_size=3))]
+    product = lifted + [b for b in base if b.space_hint() is None]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        product.append(_combine(draw, product, ["union", "inter"], prod))
+    return base, product, prod
+
+
+@given(shared_pools(), st.data())
+@settings(max_examples=60)
+def test_memoized_membership_matches_unmemoized_reference(pools, data):
+    base, product, prod = pools
+    sides = [(base, N, 12), (product, prod, 40)]
+    queries = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, 1]), st.integers(min_value=0), st.integers(min_value=0)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    for side, k, i in queries:
+        pool, space, horizon = sides[side]
+        s, p = pool[k % len(pool)], space.point(i % horizon)
+        assert member(s, p) == reference_member(s, p)
+    # the same composite, asked with base points and through its lift with
+    # product points whose ids collide with the base ids
+    lift = product[0]
+    for i in range(12):
+        for s, p in ((base[0], N.point(i)), (lift, prod.combine(N.point(i), lift.level)), (lift, prod.point(i))):
+            assert member(s, p) == reference_member(s, p)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=8))

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import pytest
 
+import selectiongames.spaces as spaces
+from selectiongames.covers import IndexedCover
 from selectiongames.errors import CrossSpaceError
 from selectiongames.spaces import (
     CountableDiscrete,
+    CumulativeUnion,
     Empty,
     FiniteIntersection,
     FiniteTopological,
@@ -72,11 +78,44 @@ def test_membership_is_pure():
     assert member(s, p) == member(s, p)
 
 
+def _segment_cover(space):
+    return IndexedCover(space, sets=lambda j: initial_segment(space, j), witness=lambda p: p.id + 1)
+
+
 def test_cross_space_query_raises():
     other = CountableDiscrete(tag="M")
-    seg = initial_segment(N, 3)
-    with pytest.raises(CrossSpaceError):
-        member(seg, other.point(1))
+    for s in (
+        initial_segment(N, 3),
+        FiniteUnion(parts=(Whole(), initial_segment(N, 3))),  # space from a later part
+        FiniteIntersection(parts=(FiniteUnion(parts=(Empty(), singleton(N, 1))), whole(N))),
+        CumulativeUnion(cover=_segment_cover(N), upto=3),
+        ProductSpace(N).lift(initial_segment(N, 3), 1),
+    ):
+        space = s.space_hint()
+        inside = space.combine(N.point(1), 1) if isinstance(space, ProductSpace) else space.point(1)
+        assert member(s, inside)
+        # a memoized answer for the same id must not bypass the space check
+        with pytest.raises(CrossSpaceError):
+            member(s, other.point(inside.id))
+
+
+def test_memo_is_freed_with_its_expression():
+    inner = FiniteIntersection(parts=(initial_segment(N, 5), whole(N)))
+    s = FiniteUnion(parts=(CumulativeUnion(cover=_segment_cover(N), upto=2), inner))
+    for i in range(8):
+        member(s, N.point(i))
+    describe(s)
+    refs = [weakref.ref(s), weakref.ref(inner)]
+    del s, inner
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    tables = [
+        name
+        for name, value in vars(spaces).items()
+        if not name.startswith("__")
+        and isinstance(value, (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary))
+    ]
+    assert tables == []
 
 
 def test_finite_topology_closure_checked():
