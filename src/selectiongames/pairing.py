@@ -34,12 +34,14 @@ def unpair(n: int) -> tuple[int, int]:
     return s - b, b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def decode_tuple(index: int, length: int) -> tuple[int, ...]:
     """Map a 1-based index to the tuple of positive naturals it encodes.
 
     Length-1 tuples are the identity (index j encodes (j,)); longer tuples
-    split off the first entry with :func:`unpair` on the 0-based code.
+    split off the first entry with :func:`unpair` on the 0-based code. The
+    memo is bounded (least recently used entries go first), so a long
+    process keeps at most ``1 << 16`` decoded tuples.
     """
     if index < 1:
         raise ValueError("tuple indices are 1-based")

@@ -86,36 +86,76 @@ def solve_finite_game(
     single-selection games) leads to a covered space or to a winning deeper
     position. The decision table maps second-player states (position, option
     faced, covered set) to a winning selection, and first-player states to a
-    refuting option index.
+    refuting option index; covered sets appear in keys as sorted id tuples.
+
+    Positions hold the covered set as a bitmask over point ids. Each distinct
+    cover met during the solve gets one table of its selections, in order,
+    with the mask each one adds; building it raises `ValueError` if a member
+    names an id outside ``range(n_points)``. `nodes` counts every position
+    visited, the root included; `ResourceLimitError` is raised as soon as the
+    count exceeds `node_limit`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    counter = {"nodes": 0}
+    n_points = instance.space.n_points
+    full = (1 << n_points) - 1
+    tables: dict[Cover, list[tuple[tuple[int, ...], int]]] = {}
+    keys: dict[int, tuple[int, ...]] = {}
     strategy: dict[tuple, object] = {}
+    nodes = 1  # the root
 
-    def bob_wins(history: OracleHistory, covered: frozenset[int], d: int) -> bool:
-        counter["nodes"] += 1
-        if counter["nodes"] > node_limit:
-            raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
-        if len(covered) == instance.space.n_points:
-            return True
-        if d == 0:
-            return False
+    def table(cover: Cover, opt_idx: int) -> list[tuple[tuple[int, ...], int]]:
+        masks = []
+        for member in cover:
+            mask = 0
+            for i in member:
+                if not (isinstance(i, int) and 0 <= i < n_points):
+                    raise ValueError(
+                        f"{instance.name}: option {opt_idx} member {set(member)} "
+                        f"names point {i!r} outside the {n_points}-point space"
+                    )
+                mask |= 1 << i
+            masks.append(mask)
+        out = []
+        for sel in _selections(cover, selection_cap, game.arity):
+            gain = 0
+            for i in sel:
+                gain |= masks[i - 1]
+            out.append((sel, gain))
+        tables[cover] = out
+        return out
+
+    def key(covered: int) -> tuple[int, ...]:
+        hit = keys.get(covered)
+        if hit is None:
+            hit = keys[covered] = tuple(i for i in range(n_points) if covered >> i & 1)
+        return hit
+
+    def bob_wins(history: OracleHistory, covered: int, d: int) -> bool:
+        # An uncovered position with d >= 1 innings left, already counted;
+        # each child is counted here, and only non-terminal ones are entered.
+        nonlocal nodes
         for opt_idx, cover in enumerate(instance.options_at(history)):
-            won = False
-            for sel in _selections(cover, selection_cap, game.arity):
-                new_covered = covered.union(*(cover[i - 1] for i in sel))
-                if bob_wins(history + ((opt_idx, sel),), new_covered, d - 1):
-                    strategy[("bob", history, opt_idx, tuple(sorted(covered)))] = sel
-                    won = True
+            choices = tables.get(cover)
+            if choices is None:
+                choices = table(cover, opt_idx)
+            for sel, gain in choices:
+                nodes += 1
+                if nodes > node_limit:
+                    raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+                new_covered = covered | gain
+                if new_covered == full or (d > 1 and bob_wins(history + ((opt_idx, sel),), new_covered, d - 1)):
+                    strategy[("bob", history, opt_idx, key(covered))] = sel
                     break
-            if not won:
-                strategy[("alice", history, tuple(sorted(covered)))] = opt_idx
+            else:
+                strategy[("alice", history, key(covered))] = opt_idx
                 return False
         return True
 
-    winner = "bob" if bob_wins((), frozenset(), depth) else "alice"
-    return SolveResult(winner=winner, depth=depth, strategy=dict(strategy), nodes=counter["nodes"])
+    if nodes > node_limit:
+        raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+    winner = "bob" if full == 0 or bob_wins((), 0, depth) else "alice"
+    return SolveResult(winner=winner, depth=depth, strategy=strategy, nodes=nodes)
 
 
 def minimal_winning_depth(

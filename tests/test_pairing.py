@@ -40,6 +40,17 @@ def test_tuple_codec_is_bijective_on_indices(index, length):
     assert encode_tuple(decode_tuple(index, length)) == index
 
 
+def test_decode_cache_is_bounded():
+    maxsize = decode_tuple.cache_info().maxsize
+    assert maxsize is not None
+    decode_tuple.cache_clear()
+    for index in range(1, maxsize + 1000):
+        assert encode_tuple(decode_tuple(index, 2)) == index
+    assert decode_tuple.cache_info().currsize <= maxsize
+    for index in (1, 2, maxsize // 2, maxsize + 999):
+        assert encode_tuple(decode_tuple(index, 3)) == index
+
+
 def test_tuple_codec_level_one_is_identity():
     assert [decode_tuple(j, 1) for j in range(1, 5)] == [(1,), (2,), (3,), (4,)]
 

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selectiongames.corpus import bundled_instances
 from selectiongames.covers import FiniteSelection
 from selectiongames.engine import GameKind
 from selectiongames.errors import ResourceLimitError
 from selectiongames.solver import (
+    FiniteGameInstance,
+    SolveResult,
+    _selections,
     counterplay_bob_strategy,
     cross_check,
     deterministic_strategy,
@@ -21,6 +25,67 @@ GFIN = GameKind("finite")
 
 def two_point():
     return bundled_instances()["two_point_singletons"]
+
+
+def reference_solve(instance, game, depth, selection_cap, node_limit=200_000):
+    """The frozenset backward induction the bitmask solver replaced, kept as
+    the reference it must match exactly (winner, nodes, ordered table)."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    counter = {"nodes": 0}
+    strategy: dict[tuple, object] = {}
+
+    def bob_wins(history, covered: frozenset[int], d: int) -> bool:
+        counter["nodes"] += 1
+        if counter["nodes"] > node_limit:
+            raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+        if len(covered) == instance.space.n_points:
+            return True
+        if d == 0:
+            return False
+        for opt_idx, cover in enumerate(instance.options_at(history)):
+            won = False
+            for sel in _selections(cover, selection_cap, game.arity):
+                new_covered = covered.union(*(cover[i - 1] for i in sel))
+                if bob_wins(history + ((opt_idx, sel),), new_covered, d - 1):
+                    strategy[("bob", history, opt_idx, tuple(sorted(covered)))] = sel
+                    won = True
+                    break
+            if not won:
+                strategy[("alice", history, tuple(sorted(covered)))] = opt_idx
+                return False
+        return True
+
+    winner = "bob" if bob_wins((), frozenset(), depth) else "alice"
+    return SolveResult(winner=winner, depth=depth, strategy=dict(strategy), nodes=counter["nodes"])
+
+
+@st.composite
+def generated_instances(draw):
+    """Instances on 1-5 points: stationary, or history-dependent with
+    options rebuilt as fresh tuples on every call. Covers may miss points."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    member = st.frozensets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    cover = st.lists(member, min_size=1, max_size=4).map(tuple)
+    families = draw(st.lists(st.lists(cover, min_size=1, max_size=2), min_size=1, max_size=3))
+    space = FiniteTopological.discrete(n)
+    if len(families) == 1 and draw(st.booleans()):
+        return stationary_instance(space, families[0], name="generated")
+    r = len(families)
+
+    def options_at(history):
+        fam = families[sum(o + sum(sel) for o, sel in history) % r]
+        return tuple(tuple(frozenset(m) for m in c) for c in fam)
+
+    return FiniteGameInstance(space, options_at, name="generated-history")
+
+
+def raises_at(solve, instance, game, depth, cap, node_limit):
+    try:
+        solve(instance, game, depth, cap, node_limit=node_limit)
+    except ResourceLimitError:
+        return True
+    return False
 
 
 class TestSolve:
@@ -59,6 +124,44 @@ class TestSolve:
         inst = bundled_instances()["three_point_singletons"]
         with pytest.raises(ResourceLimitError):
             solve_finite_game(inst, GFIN, 4, 3, node_limit=5)
+        cases = [
+            ("three_point_singletons", G1, 3, 1),
+            ("three_point_singletons", G1, 2, 1),
+            ("two_point_options", G1, 2, 1),
+            ("chain_game", GFIN, 2, 2),
+            ("one_point", G1, 1, 1),
+        ]
+        for name, game, depth, cap in cases:
+            inst = bundled_instances()[name]
+            r = solve_finite_game(inst, game, depth, cap)
+            assert solve_finite_game(inst, game, depth, cap, node_limit=r.nodes).nodes == r.nodes, name
+            with pytest.raises(ResourceLimitError):
+                solve_finite_game(inst, game, depth, cap, node_limit=r.nodes - 1)
+
+    def test_out_of_space_point_ids_rejected(self):
+        space = FiniteTopological.discrete(2)
+        for covers in ([[[0, 5], [1]]], [[[0, 1]], [[-1], [0, 1]]]):
+            inst = stationary_instance(space, covers, name="stray")
+            with pytest.raises(ValueError, match="stray: option"):
+                solve_finite_game(inst, G1, 1, 1)
+
+    @given(
+        generated_instances(),
+        st.sampled_from(["single", "finite"]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_solver(self, inst, arity, cap, depth):
+        game = GameKind(arity)
+        want = reference_solve(inst, game, depth, cap)
+        got = solve_finite_game(inst, game, depth, cap)
+        assert (got.winner, got.nodes) == (want.winner, want.nodes)
+        assert list(got.strategy.items()) == list(want.strategy.items())
+        for limit in (want.nodes, want.nodes - 1):
+            assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
+                reference_solve, inst, game, depth, cap, limit
+            )
 
     def test_strategy_table_produced_for_winner(self):
         result = solve_finite_game(two_point(), G1, 2, 1)
