@@ -7,6 +7,8 @@ second player always wins at sufficient depth; the interesting output is how
 deep, and whether a constructed strategy matches it.
 """
 
+import sys
+
 from selectiongames import GameKind, cross_check, minimal_winning_depth, solve_finite_game
 from selectiongames.corpus import bundled_instances
 from selectiongames.covers import FiniteSelection
@@ -15,6 +17,7 @@ from selectiongames.solver import counterplay_bob_strategy, restrict_option
 G1 = GameKind("single")
 GFIN = GameKind("finite")
 instances = bundled_instances()
+failures: list[str] = []
 
 print("minimal winning depths (exact):")
 two = instances["two_point_singletons"]
@@ -27,6 +30,8 @@ print()
 print("depth-1 losses are real: the solver returns the refuting option")
 result = solve_finite_game(two, G1, 1, 1)
 print(f"  two-point singleton game at depth 1: winner = {result.winner}")
+if result.winner != "alice":
+    failures.append("two-point singleton game won by bob at depth 1")
 
 print()
 print("constructed counterplays vs the oracle, on every line:")
@@ -37,9 +42,16 @@ for name, inst in instances.items():
         cap = max(len(c) for c in line.options_at(()))
         verdict = cross_check(counterplay_bob_strategy(line), line, GFIN, selection_cap=cap)
         print(f"  {name:24s} option {opt}: {'pass' if verdict else 'FAIL ' + verdict.reason}")
+        if not verdict:
+            failures.append(f"{name} option {opt}: {verdict.reason}")
 
 print()
 print("and a deliberately bad second player is refuted:")
 bad = lambda cover, inning, history: FiniteSelection(cover, (1,))
 verdict = cross_check(bad, two, GFIN, selection_cap=2)
 print(f"  always-pick-first on the two-point game: pass={bool(verdict)} ({verdict.reason})")
+if verdict:
+    failures.append("always-pick-first was not refuted")
+
+if failures:
+    sys.exit("failed: " + "; ".join(failures))

@@ -11,6 +11,8 @@ traces — including the traces pinned to g's own prefixes, which is what makes
 the grabbing repeat forever.
 """
 
+import sys
+
 from selectiongames import CountableDiscrete, check_legal, counterplay_large
 from selectiongames.corpus import appendix_tree_corpus
 from selectiongames.evasion import greedy_index_function, wedge_tree
@@ -18,6 +20,7 @@ from selectiongames.trees import strategy_from_tree
 
 space = CountableDiscrete()
 corpus = appendix_tree_corpus(space)
+failures: list[str] = []
 
 print("greedy traces through the wedged depth-shifted tree:")
 wedged = wedge_tree(corpus["depth_shifted"])
@@ -37,3 +40,10 @@ for name in ("depth_shifted", "max_shifted", "whole_tree"):
     print(f"  selections pairwise distinct: {result.report.distinct_selections} "
           f"(stripped play: {result.stripped_play}); legal: {bool(legal)}")
     print()
+    if result.stripped_play and not result.report.distinct_selections:
+        failures.append(f"{name}: stripped play repeats a selection")
+    if not legal:
+        failures.append(f"{name}: play illegal")
+
+if failures:
+    sys.exit("failed: " + "; ".join(failures))

@@ -7,6 +7,8 @@ play for Bob, and verifies two things: the play is legal for the original
 strategy, and Bob's selections cover the space up to the working horizon.
 """
 
+import sys
+
 from selectiongames import (
     CountableDiscrete,
     bob_counterplay_menger,
@@ -18,6 +20,7 @@ from selectiongames.corpus import named_strategies
 
 space = CountableDiscrete()
 strategies = named_strategies(space)
+failures: list[str] = []
 
 print("=== strategy: history-shifted segment covers ===")
 alice = strategies["shifted_seg"]
@@ -42,6 +45,10 @@ win = evaluate_win(result.transcript, horizon=10)
 legal = check_legal(result.transcript, alice)
 print(f"winner up to horizon 10: {win.winner}")
 print(f"play is legal for the raw strategy: {bool(legal)}")
+if win.winner != "bob":
+    failures.append(f"shifted_seg: winner {win.winner}")
+if not legal:
+    failures.append("shifted_seg: play illegal")
 
 print()
 print("=== strategy with a one-set subcover: the finite-win escape ===")
@@ -49,4 +56,10 @@ alice = strategies["whole_head"]
 tree = normalize_strategy(alice, space, finite_win_horizon=10)
 result = bob_counterplay_menger(tree, raw=alice, innings=10)
 print(f"finite win: {result.finite_win}, innings actually needed: {result.transcript.truncated_at}")
-print(f"winner up to horizon 10: {evaluate_win(result.transcript, 10).winner}")
+win = evaluate_win(result.transcript, 10)
+print(f"winner up to horizon 10: {win.winner}")
+if not result.finite_win or win.winner != "bob":
+    failures.append(f"whole_head: finite win {result.finite_win}, winner {win.winner}")
+
+if failures:
+    sys.exit("failed: " + "; ".join(failures))

@@ -9,6 +9,8 @@ its factor records — the move of the original single-selection game it
 refines. The reconstructed play is legal and winning.
 """
 
+import sys
+
 from selectiongames import check_legal, CountableDiscrete, evaluate_win, select_sone
 from selectiongames.corpus import rothberger_tree_corpus
 from selectiongames.rothberger import rothberger_counterplay
@@ -16,6 +18,7 @@ from selectiongames.trees import strategy_from_tree
 
 space = CountableDiscrete()
 corpus = rothberger_tree_corpus(space)
+failures: list[str] = []
 
 for name in ("seg_tower", "shifted_seg", "singletons"):
     tree = corpus[name]
@@ -26,7 +29,12 @@ for name in ("seg_tower", "shifted_seg", "singletons"):
     print(f"  innings played: {result.transcript.truncated_at}")
     print(f"  bound sequence (m per inning): {result.bounds[:10]}...")
     print(f"  picked indices (k per inning): {result.picked_path[:10]}...")
-    print(f"  every pick within its bound: "
-          f"{all(r.audit_dict()['pick'] <= r.audit_dict()['bound'] for r in result.transcript.innings)}")
+    within = all(r.audit_dict()['pick'] <= r.audit_dict()['bound'] for r in result.transcript.innings)
+    print(f"  every pick within its bound: {within}")
     print(f"  winner at horizon 5: {win.winner}; legal: {bool(legal)}")
     print()
+    if not within or win.winner != "bob" or not legal:
+        failures.append(f"{name}: picks within bounds {within}, winner {win.winner}, legal {bool(legal)}")
+
+if failures:
+    sys.exit("failed: " + "; ".join(failures))

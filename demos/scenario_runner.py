@@ -8,12 +8,14 @@ seed, same bytes: transcripts are reproducible bit for bit.
 
 import json
 import os
+import sys
 import tempfile
 
 from selectiongames import parse_transcript, run_scenario
 
 HERE = os.path.dirname(__file__)
 out_root = tempfile.mkdtemp(prefix="scenario-demo-")
+failures: list[str] = []
 
 for config_name in (
     "hurewicz_segments.json",
@@ -28,6 +30,8 @@ for config_name in (
     report = json.load(open(os.path.join(out, "report.json")))
     checks = ", ".join(f"{v['check']}={'ok' if v['pass'] else 'FAIL'}" for v in report["verdicts"])
     print(f"{config_name:28s} exit={status}  {checks}")
+    if status != 0:
+        failures.append(f"{config_name} exit={status}")
     transcript_path = os.path.join(out, "transcript.jsonl")
     if os.path.exists(transcript_path):
         records = parse_transcript(transcript_path)
@@ -35,3 +39,6 @@ for config_name in (
               f"first selection {records[1]['selection']}")
 
 print(f"\nreports and transcripts under {out_root}")
+
+if failures:
+    sys.exit("failed: " + "; ".join(failures))

@@ -9,6 +9,8 @@ family; it reduces each intersection to a finite expression and cross-checks
 it against a brute-force scan.
 """
 
+import sys
+
 from selectiongames import (
     CofiniteSpec,
     CountableDiscrete,
@@ -48,4 +50,7 @@ print()
 print("the family of all such intersections is itself a cover, with a")
 print("constructive witness (the set of depth-2 nodes omitting the point):")
 derived = tail_derived_cover(fam2)
-print(f"  is_cover_up_to(30): {bool(is_cover_up_to(derived, 30))}")
+verdict = is_cover_up_to(derived, 30)
+print(f"  is_cover_up_to(30): {bool(verdict)}")
+if not verdict:
+    sys.exit(f"failed: tail-derived cover misses {verdict.failing_point!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import IntegrityError
+from .errors import CrossSpaceError, IntegrityError
 from .spaces import (
     CumulativeUnion,
     FiniteIntersection,
@@ -35,6 +35,8 @@ class IndexedCover:
     `sets` is 1-based and memoized; `witness` maps a point to some index of a
     member containing it; `provenance` back-maps each index to the indices of
     an ancestor cover it translates to (identity for primitive covers).
+    `first_hit` answers "which member contains p first" for every cumulative
+    union over this cover from one resumable scan per point.
     """
 
     def __init__(
@@ -49,6 +51,7 @@ class IndexedCover:
         self.space = space
         self._sets = sets
         self._memo: dict[int, OpenSet] = {}
+        self._first_hit: dict[int, int] = {}
         self._witness = witness
         self._provenance = provenance
         self.increasing = increasing
@@ -61,6 +64,32 @@ class IndexedCover:
         if hit is None:
             hit = self._memo[j] = self._sets(j)
         return hit
+
+    def first_hit(self, p: Point, upto: int) -> int:
+        """The least index j <= upto whose member contains p, or an index
+        above upto when no member up to there does.
+
+        Members are scanned in increasing index order, and the scan resumes
+        where the last query for p stopped: the table maps ``p.id`` to the
+        least hit once found, and to minus the number of members scanned
+        without a hit before that. Keying by ``p.id`` is sound because a
+        point of another space is refused first. A member that raises (a
+        set over another space, say) raises when the scan reaches it.
+        """
+        if p.space is not self.space:
+            raise CrossSpaceError(f"cover over {self.space.tag} queried with point of {p.space.tag}")
+        table = self._first_hit
+        known = table.get(p.id, 0)
+        if known > 0:
+            return known
+        j = -known
+        while j < upto:
+            j += 1
+            if member(self.sets(j), p):
+                table[p.id] = j
+                return j
+        table[p.id] = -j
+        return j + 1
 
     def witness(self, p: Point) -> int:
         return self._witness(p)

@@ -185,38 +185,52 @@ def level_family(tree: TreeStrategy, n: int) -> LevelFamily:
 
 
 def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
-    """The intersection of the cofinite subfamily of a level family, as a
-    finite expression.
+    """The intersection of the cofinite subfamily of a level family, as one
+    flat finite intersection.
 
-    At level one the family is an increasing cover, so the intersection is
-    its minimum surviving member. One level up, group the excluded indices by
-    parent node: within a parent's (increasing, head-normalized) cover the
-    surviving members intersect to the minimum surviving child; parents whose
-    child 1 survives contribute their own node set, which regroups as a
-    level-(n-1) cofinite intersection because the head condition identifies
-    child 1 with the parent.
+    The excluded nodes are walked level by level from the family's depth up
+    to the root. At each depth they are grouped by parent node: within a
+    parent's (increasing, head-normalized) cover the surviving members
+    intersect to the minimum surviving child. When that is child 1 it is the
+    parent's own set (the head condition), which the family one level up
+    already contributes; otherwise the child becomes a named part and the
+    parent counts as excluded one level up. At depth one the root cover is
+    increasing, so what is left is its minimum surviving member, the base.
+
+    The result is ``FiniteIntersection((base, level-2 parts..., level-n
+    parts...))`` with the parts of each level in ascending parent order, or
+    the base itself when no level names a part. Every part is a tree node,
+    so its membership memo is shared by all specs over the same tree.
     """
-    if fam.level == 1:
-        return fam.sets(spec.min_surviving())
-    by_parent: dict[Path, set[int]] = {}
-    for idx in spec.excluded:
-        node = decode_tuple(idx, fam.level)
-        by_parent.setdefault(node[:-1], set()).add(node[-1])
-    named_parts: list[OpenSet] = []
-    excluded_parents: set[int] = set()
-    for parent, gone in sorted(by_parent.items()):
-        m = 1
-        while m in gone:
-            m += 1
-        if m > 1:
-            named_parts.append(fam.tree.set_at(parent + (m,)))
-            excluded_parents.add(encode_tuple(parent))
-    lower = cofinite_intersection(
-        level_family(fam.tree, fam.level - 1), CofiniteSpec(frozenset(excluded_parents))
-    )
-    if not named_parts:
-        return lower
-    return FiniteIntersection(parts=(lower, *named_parts))
+    tree = fam.tree
+    parts: list[OpenSet] = []
+    gone = spec.excluded  # at level 1, index j is the node (j,)
+    if fam.level > 1:
+        nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
+        for _ in range(fam.level - 1):
+            by_parent: dict[Path, set[int]] = {}
+            for node in nodes:
+                by_parent.setdefault(node[:-1], set()).add(node[-1])
+            named: list[OpenSet] = []
+            nodes = []
+            for parent, children_gone in sorted(by_parent.items()):
+                m = _least_absent(children_gone)
+                if m > 1:
+                    named.append(tree.set_at(parent + (m,)))
+                    nodes.append(parent)
+            parts[:0] = named  # lower levels go first
+        gone = {node[0] for node in nodes}
+    base = tree.set_at((_least_absent(gone),))
+    if not parts:
+        return base
+    return FiniteIntersection(parts=(base, *parts))
+
+
+def _least_absent(gone: set[int] | frozenset[int]) -> int:
+    m = 1
+    while m in gone:
+        m += 1
+    return m
 
 
 class ExclusionOracle:

@@ -7,6 +7,12 @@ can be materialized at all. Membership is decidable for every expression and
 every point. Each composite expression memoizes its own answers, because the
 game drivers re-query the same nodes across innings; a memo lives exactly as
 long as its expression.
+
+A cumulative union asks its source cover for the point's first hit (the
+least member index containing it), and the cover keeps one resumable scan
+per point for every union over it (:meth:`IndexedCover.first_hit`), so
+walking unions of growing length costs one pass over the members, not one
+per union. That table lives exactly as long as its cover.
 """
 
 from __future__ import annotations
@@ -124,6 +130,9 @@ class FiniteTopological(SpaceModel):
         if not 0 <= index < self.n_points:
             raise ValueError(f"point index {index} out of range for {self.tag}")
         return self._points[index]
+
+    def all_points(self) -> list[Point]:
+        return list(self._points)
 
     def is_open(self, ids: frozenset[int]) -> bool:
         return frozenset(ids) in self.topology
@@ -260,7 +269,10 @@ class FiniteUnion(OpenSet):
         vars(self).update(_space=_first_space(self.parts), _memo={})
 
     def _member(self, p: Point) -> bool:
-        return any(member(part, p) for part in self.parts)
+        for part in self.parts:
+            if member(part, p):
+                return True
+        return False
 
     def _describe(self) -> tuple:
         return ("union", tuple(describe(part) for part in self.parts))
@@ -274,7 +286,10 @@ class FiniteIntersection(OpenSet):
         vars(self).update(_space=_first_space(self.parts), _memo={})
 
     def _member(self, p: Point) -> bool:
-        return all(member(part, p) for part in self.parts)
+        for part in self.parts:
+            if not member(part, p):
+                return False
+        return True
 
     def _describe(self) -> tuple:
         return ("inter", tuple(describe(part) for part in self.parts))
@@ -292,11 +307,7 @@ class CumulativeUnion(OpenSet):
         vars(self).update(_space=self.cover.space, _memo={})
 
     def _member(self, p: Point) -> bool:
-        # scan from the top: on increasing sources the last set is the union
-        for j in range(self.upto, 0, -1):
-            if member(self.cover.sets(j), p):
-                return True
-        return False
+        return self.cover.first_hit(p, self.upto) <= self.upto
 
     def _describe(self) -> tuple:
         return ("cum", tuple(describe(self.cover.sets(j)) for j in range(1, self.upto + 1)))
@@ -339,7 +350,10 @@ def member(s: OpenSet, p: Point) -> bool:
     A composite's memo is keyed by ``p.id`` alone. That is sound because the
     space check runs before the lookup, and an expression with no space has
     only space-less ``Whole``/``Empty`` leaves, so its membership is the same
-    for every point.
+    for every point. A ``CumulativeUnion`` is in ``p`` exactly when its
+    cover's first hit for ``p`` is at most ``upto``; the cover's first-hit
+    table is keyed by ``p.id`` on the same grounds, since the union has the
+    cover's space and the cover refuses points of any other space.
     """
     space = s._space
     if space is not None and space is not p.space:

@@ -2,11 +2,12 @@
 counterplay. Derived expectations are computed by brute force (membership
 scans over explicit enumerations), never by the code path under test."""
 
+import itertools
 import random
 
 import pytest
 
-from selectiongames.corpus import named_strategies, seeded_strategy
+from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy
 from selectiongames.covers import CofiniteSpec, is_cover_up_to, witness_of
 from selectiongames.engine import check_legal, evaluate_win
 from selectiongames.hurewicz import (
@@ -20,7 +21,8 @@ from selectiongames.hurewicz import (
 )
 from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index
 from selectiongames.selectors import select_sfin
-from selectiongames.spaces import CountableDiscrete, describe, extensionally_equal, member
+from selectiongames.solver import deterministic_strategy
+from selectiongames.spaces import CountableDiscrete, FiniteIntersection, describe, extensionally_equal, member
 
 N = CountableDiscrete()
 
@@ -146,6 +148,58 @@ class TestCofiniteIntersection:
                     for i in range(0, 20, 3):
                         p = N.point(i)
                         assert member(sym, p) == brute_force_surviving_intersection(fam, excluded, 25, p)
+
+
+def reference_cofinite_intersection(fam, spec):
+    """The level recursion cofinite_intersection used to be: one nested
+    FiniteIntersection per level, through a fresh lower-level spec."""
+    if fam.level == 1:
+        return fam.sets(spec.min_surviving())
+    by_parent = {}
+    for idx in spec.excluded:
+        node = decode_tuple(idx, fam.level)
+        by_parent.setdefault(node[:-1], set()).add(node[-1])
+    named_parts = []
+    excluded_parents = set()
+    for parent, gone in sorted(by_parent.items()):
+        m = 1
+        while m in gone:
+            m += 1
+        if m > 1:
+            named_parts.append(fam.tree.set_at(parent + (m,)))
+            excluded_parents.add(encode_tuple(parent))
+    lower = reference_cofinite_intersection(
+        level_family(fam.tree, fam.level - 1), CofiniteSpec(frozenset(excluded_parents))
+    )
+    if not named_parts:
+        return lower
+    return FiniteIntersection(parts=(lower, *named_parts))
+
+
+def unnested_parts(s):
+    """The parts of a left-nested intersection, in evaluation order."""
+    if isinstance(s, FiniteIntersection):
+        return unnested_parts(s.parts[0]) + list(s.parts[1:])
+    return [s]
+
+
+def test_flat_cofinite_intersection_matches_the_level_recursion():
+    inst = bundled_instances()["valley_game"]
+    trees = [(seg_tree(), N.points(20)), (normalize_strategy(named_strategies(N)["shifted_seg"], N), N.points(20))]
+    trees.append((normalize_strategy(deterministic_strategy(inst), inst.space), inst.space.all_points()))
+    specs = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 9), k)]
+    specs += [frozenset({1, 5, 13}), frozenset({2, 3, 4}), frozenset({7, 20, 26})]
+    for tree, pts in trees:
+        for level in (1, 2, 3):
+            fam = level_family(tree, level)
+            for excluded in specs:
+                flat = cofinite_intersection(fam, CofiniteSpec(excluded))
+                nested = reference_cofinite_intersection(fam, CofiniteSpec(excluded))
+                # the same tree nodes in the same order, so the same short circuits
+                assert [id(x) for x in unnested_parts(flat)] == [id(x) for x in unnested_parts(nested)]
+                assert all(not isinstance(part, FiniteIntersection) for part in getattr(flat, "parts", ()))
+                for p in pts:
+                    assert member(flat, p) == member(nested, p)
 
 
 class TestTailDerivedCover:

@@ -137,6 +137,39 @@ def test_memoized_membership_matches_unmemoized_reference(pools, data):
             assert member(s, p) == reference_member(s, p)
 
 
+def reference_cumulative_member(cover, upto, p):
+    """Cumulative-union membership as a top-down scan of its own, with no
+    table shared between unions."""
+    for j in range(upto, 0, -1):
+        if reference_member(cover.sets(j), p):
+            return True
+    return False
+
+
+@given(
+    st.lists(expressions(), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=12), st.booleans()),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=80)
+def test_cumulative_unions_over_one_source_match_a_top_down_scan(members, queries):
+    # members are arbitrary, so the source is in general not increasing
+    cover = IndexedCover(N, sets=lambda j: members[(j - 1) % len(members)], witness=lambda p: 1)
+    kept = {}
+    for upto, i, fresh in queries:
+        p = N.point(i)
+        union = kept.setdefault(upto, CumulativeUnion(cover=cover, upto=upto))
+        if fresh:
+            union = CumulativeUnion(cover=cover, upto=upto)
+        assert member(union, p) == reference_cumulative_member(cover, upto, p)
+        first = next((j for j in range(1, upto + 1) if reference_member(cover.sets(j), p)), None)
+        hit = cover.first_hit(p, upto)
+        assert hit == first if first is not None else hit > upto
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=8))
 @settings(max_examples=40)
 def test_increasing_form_is_monotone_and_covers(bounds):

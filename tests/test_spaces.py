@@ -13,6 +13,7 @@ from selectiongames.spaces import (
     FiniteIntersection,
     FiniteTopological,
     FiniteUnion,
+    Named,
     ProductSpace,
     Whole,
     describe,
@@ -97,6 +98,43 @@ def test_cross_space_query_raises():
         # a memoized answer for the same id must not bypass the space check
         with pytest.raises(CrossSpaceError):
             member(s, other.point(inside.id))
+
+
+def test_cumulative_scan_raises_once_it_reaches_a_foreign_member():
+    other = CountableDiscrete(tag="M")
+    members = [initial_segment(N, 0), initial_segment(other, 5), whole(N)]
+    cover = IndexedCover(N, sets=lambda j: members[j - 1], witness=lambda p: 3)
+    # the scan stops below the foreign member: at the hit, or at upto
+    assert member(CumulativeUnion(cover=cover, upto=3), N.point(0))
+    assert not member(CumulativeUnion(cover=cover, upto=1), N.point(2))
+    for _ in range(2):  # a failed scan leaves nothing behind that hides the error
+        with pytest.raises(CrossSpaceError):
+            member(CumulativeUnion(cover=cover, upto=3), N.point(2))
+    with pytest.raises(CrossSpaceError):
+        cover.first_hit(other.point(0), 1)
+
+
+def test_cumulative_unions_ask_each_member_once_per_point():
+    asked: list[tuple[int, int]] = []
+
+    def sets(j):
+        return Named(space=N, label=f"odd:{j}", pred=lambda p: asked.append((j, p.id)) or p.id == 2 * j + 1)
+
+    cover = IndexedCover(N, sets=sets, witness=lambda p: max(1, p.id // 2))
+    for upto in (5, 2, 7, 7, 3, 9, 1):
+        for i in range(12):
+            hit = (i - 1) // 2 if i % 2 else None
+            assert member(CumulativeUnion(cover=cover, upto=upto), N.point(i)) == (hit is not None and 1 <= hit <= upto)
+    assert len(asked) == len(set(asked))
+
+
+def test_all_points_of_a_finite_model_is_a_fresh_list():
+    space = FiniteTopological.discrete(3)
+    pts = space.all_points()
+    pts.pop()
+    pts[0] = pts[1]
+    assert space.all_points() == [space.point(i) for i in range(3)]
+    assert [p.id for p in space.all_points()] == [0, 1, 2]
 
 
 def test_memo_is_freed_with_its_expression():
