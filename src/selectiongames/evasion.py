@@ -5,9 +5,13 @@ Preprocessing: `strip_chosen_tree` removes from each node's cover the sets
 chosen on the way to that node (largeness of the covers survives the removal
 of finitely many sets, and the stripped play can never re-select an earlier
 choice, so covering a point at k innings means k distinct sets).
-`wedge_tree` then intersects, at each node, the members of all node covers on
-the box below it, indexwise; the wedged tree's covers are increasing, refine
-the originals, and get finer as the node sequence grows coordinatewise.
+Nodes with the same original cover and the same removed sets share one
+stripped cover. `wedge_tree` then replaces each node's cover by the joint
+refinement of the node covers on the box below it
+(`rothberger.joint_refinement_cover`: member n intersects the n-th members
+of the distinct covers on the box); on increasing covers the wedged covers
+are increasing, refine the originals, and get finer as the node sequence
+grows coordinatewise.
 
 For a point x, the greedy index trace follows the tree downward, always
 taking the least child index whose set contains x; a node-relative variant is
@@ -32,8 +36,9 @@ from .covers import IndexedCover, witness_of
 from .engine import GameKind, Transcript, large_menger_game, make_inning
 from .errors import BudgetError
 from .pairing import finseq_from_index
-from .spaces import FiniteIntersection, OpenSet, Point, describe, member
-from .trees import Path, TreeStrategy, box_paths
+from .rothberger import joint_refinement_cover
+from .spaces import OpenSet, Point, describe, member
+from .trees import Path, TreeStrategy
 
 
 @dataclass(eq=False)
@@ -50,9 +55,10 @@ class BaireFunction:
             raise ValueError("arguments are 1-based")
         hit = self._memo.get(n)
         if hit is None:
-            hit = self._memo[n] = int(self.eval_raw(n))
+            hit = int(self.eval_raw(n))
             if hit < 1:
                 raise ValueError(f"{self.description or 'function'} returned {hit} < 1")
+            self._memo[n] = hit
         return hit
 
     def prefix(self, n: int) -> Path:
@@ -72,13 +78,15 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
 
     def original_index(j: int) -> int:
         while len(surviving) < j:
-            nxt = surviving[-1] + 1 if surviving else 1
+            start = nxt = surviving[-1] + 1 if surviving else 1
             if gone:
                 limit = nxt + scan_budget
                 while nxt < limit and describe(cover.sets(nxt)) in gone:
                     nxt += 1
                 if nxt >= limit:
-                    raise BudgetError(f"no surviving member within {scan_budget} of index {nxt}")
+                    raise BudgetError(
+                        f"no member of cover {cover.label!r} survives within {scan_budget} of index {start}"
+                    )
             surviving.append(nxt)
         return surviving[j - 1]
 
@@ -109,9 +117,14 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
 def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
     """Remove, from each node's cover, the sets chosen on the way to that
     node. Node sequences of the result are indices into the stripped covers;
-    `back_map` translates them to original single-index selections."""
+    `back_map` translates them to original single-index selections.
+
+    A stripped cover depends only on the original cover and on the removed
+    sets' descriptions, so nodes that agree on both share one cover object
+    (and its member, witness and first-hit memos)."""
 
     state: dict[Path, tuple[Path, tuple[OpenSet, ...]]] = {(): ((), ())}
+    shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
     def resolve(path: Path) -> tuple[Path, tuple[OpenSet, ...]]:
         hit = state.get(path)
@@ -125,7 +138,12 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
 
     def cover_at(path: Path) -> IndexedCover:
         orig_path, chosen = resolve(path)
-        return strip_history(tree.cover_at(orig_path), chosen)
+        cover = tree.cover_at(orig_path)
+        key = (cover, frozenset(describe(s) for s in chosen))
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = strip_history(cover, chosen)
+        return hit
 
     def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
         orig_path, _ = resolve(path)
@@ -141,54 +159,24 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
 
 
 def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
-    """Intersect, indexwise, the covers at all nodes coordinatewise below
-    each node.
+    """Replace each node's cover by the joint refinement of the covers at all
+    nodes coordinatewise below it.
 
     The new set at node sigma + (n,) is the intersection of the n-th members
-    of the covers at all nodes tau <= sigma, with structurally duplicate
-    factors collapsed. Covers stay increasing, each new cover refines the
+    of the distinct covers at the nodes tau <= sigma, and the witness is the
+    max of their witnesses (see `rothberger.joint_refinement_cover`). On
+    increasing covers the new covers stay increasing, each refines the
     original at the same node, and the finer-with-larger-nodes monotonicity
     holds: for tau <= sigma and m <= n the new set at sigma + (m,) is
     contained in the new set at tau + (n,).
+
+    The distinct covers come from the tree's `box_covers` hook when it has
+    one, at any box size; otherwise the box is walked, and a box of more than
+    `box_limit` nodes raises :class:`ResourceLimitError`.
     """
-
-    def factor_sets(bound: Path, n: int) -> list[OpenSet]:
-        out: list[OpenSet] = []
-        seen: set[tuple] = set()
-        for tau in box_paths(bound, box_limit):
-            s = tree.cover_at(tau).sets(n)
-            d = describe(s)
-            if d not in seen:
-                seen.add(d)
-                out.append(s)
-        return out
-
-    def cover_at(path: Path) -> IndexedCover:
-        base = tree.cover_at(path)
-
-        def sets(n: int) -> OpenSet:
-            parts = factor_sets(path, n)
-            if len(parts) == 1:
-                return parts[0]
-            return FiniteIntersection(parts=tuple(parts))
-
-        def witness(p: Point) -> int:
-            w = 0
-            for tau in box_paths(path, box_limit):
-                w = max(w, witness_of(tree.cover_at(tau), p))
-            return w
-
-        return IndexedCover(
-            space=tree.space,
-            sets=sets,
-            witness=witness,
-            increasing=base.increasing,
-            label=f"wedged{path}",
-        )
-
     return TreeStrategy(
         space=tree.space,
-        cover_at_raw=cover_at,
+        cover_at_raw=lambda path: joint_refinement_cover(tree, path, box_limit=box_limit),
         back_map=tree.back_map,
         label=f"wedge({tree.label})",
     )
@@ -211,13 +199,9 @@ def greedy_index_function(
         while len(entries) < n:
             at = tuple(entries)
             cover = tree.cover_at(at)
-            w = witness_of(cover, point)
-            pick = None
-            for m in range(1, min(w, scan_budget) + 1):
-                if member(tree.set_at(at + (m,)), point):
-                    pick = m
-                    break
-            if pick is None:
+            bound = min(witness_of(cover, point), scan_budget)
+            pick = cover.first_hit(point, bound)
+            if pick > bound:
                 raise BudgetError(f"no covering child within {scan_budget} at node {at}")
             entries.append(pick)
         return entries[n - 1]

@@ -9,14 +9,10 @@ and transcript indices must be stable across runs and platforms:
   covers),
 * finite sets of positive naturals via the binary-subset bijection (used to
   index cofinite-exclusion specs).
-
-A fourth, graded codec enumerates fixed-length tuples of positive naturals
-by total excess over the all-ones tuple; it keeps indices small for
-near-diagonal tuples of large length and backs joint-refinement covers.
 """
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
 
 def pair(a: int, b: int) -> int:
@@ -116,65 +112,3 @@ def excluded_set_from_index(index: int) -> frozenset[int]:
             if byte & (1 << bit):
                 out.append(base + bit + 1)
     return frozenset(out)
-
-
-def _grade_size(length: int, excess: int) -> int:
-    # number of length-tuples of positive naturals with sum == length + excess
-    if length == 0:
-        return 1 if excess == 0 else 0
-    return comb(length + excess - 1, excess)
-
-
-def diag_decode(index: int, length: int) -> tuple[int, ...]:
-    """Graded codec: 1-based index -> length-tuple of positive naturals.
-
-    Tuples are ordered by excess (sum minus length), then within a grade by
-    the combinatorial number system on the excess distribution. The all-ones
-    tuple is index 1; indices stay polynomial in length for small excess.
-    """
-    if index < 1:
-        raise ValueError("indices are 1-based")
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    rest = index - 1
-    excess = 0
-    while True:
-        size = _grade_size(length, excess)
-        if rest < size:
-            break
-        rest -= size
-        excess += 1
-    # rank `rest` within compositions of `excess` into `length` nonneg parts
-    entries = []
-    remaining = excess
-    for pos in range(length):
-        if pos == length - 1:
-            entries.append(remaining + 1)
-            break
-        part = 0
-        while True:
-            block = _grade_size(length - pos - 1, remaining - part)
-            if rest < block:
-                break
-            rest -= block
-            part += 1
-        entries.append(part + 1)
-        remaining -= part
-    return tuple(entries)
-
-
-def diag_encode(entries: tuple[int, ...]) -> int:
-    """Inverse of :func:`diag_decode`."""
-    if not entries or any(e < 1 for e in entries):
-        raise ValueError("entries must be positive naturals")
-    length = len(entries)
-    excess = sum(entries) - length
-    index = sum(_grade_size(length, e) for e in range(excess))
-    remaining = excess
-    rest = 0
-    for pos, entry in enumerate(entries):
-        part = entry - 1
-        for lower in range(part):
-            rest += _grade_size(length - pos - 1, remaining - lower)
-        remaining -= part
-    return index + rest + 1

@@ -308,7 +308,9 @@ def joint_refinement_cover(
     Every member refines each node cover by construction and records factor
     index n at every node. The witness starts at the max of the factor
     witnesses (exact when all factors are increasing) and rescans forward a
-    little otherwise.
+    little otherwise. The distinct covers are collected once, from the
+    tree's `box_covers` hook when it has one, else by walking the box under
+    `box_limit`.
     """
     factors = distinct_covers_on_box(tree, bound, limit=box_limit)
 

@@ -1,30 +1,271 @@
+import math
 import random
 
+import pytest
+
+from selectiongames import evasion
 from selectiongames.corpus import appendix_tree_corpus, segment_cover, strategy_corpus
-from selectiongames.covers import is_cover_up_to, is_large_up_to
+from selectiongames.covers import IndexedCover, is_cover_up_to, is_large_up_to, witness_of
 from selectiongames.engine import check_legal
+from selectiongames.errors import BudgetError, ResourceLimitError
 from selectiongames.evasion import (
     BaireFunction,
     counterplay_large,
     evasion_function,
     greedy_index_function,
+    strip_chosen_tree,
     strip_history,
     wedge_tree,
 )
 from selectiongames.hurewicz import normalize_strategy
 from selectiongames.spaces import (
     CountableDiscrete,
+    FiniteIntersection,
+    OpenSet,
+    Point,
     describe,
     extensionally_equal,
     initial_segment,
     member,
 )
-from selectiongames.trees import strategy_from_tree, subtree
+from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree, subtree
 
 N = CountableDiscrete()
 
 
+# ---------------------------------------------------------------------------
+# The large-cover pipeline as it was before stripped covers were shared and
+# wedged covers became joint refinements: one fresh stripped cover per node,
+# a box walk per member index and per witness query, and a hand-written
+# least-child loop in the greedy trace. Kept verbatim as the reference the
+# current pipeline must agree with.
+
+
+def reference_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
+    state: dict[Path, tuple[Path, tuple[OpenSet, ...]]] = {(): ((), ())}
+
+    def resolve(path: Path) -> tuple[Path, tuple[OpenSet, ...]]:
+        hit = state.get(path)
+        if hit is None:
+            parent_orig, parent_chosen = resolve(path[:-1])
+            stripped_parent = stripped.cover_at(path[:-1])
+            orig_idx = stripped_parent.provenance(path[-1])[0]
+            chosen_set = tree.set_at(parent_orig + (orig_idx,))
+            hit = state[path] = (parent_orig + (orig_idx,), parent_chosen + (chosen_set,))
+        return hit
+
+    def cover_at(path: Path) -> IndexedCover:
+        orig_path, chosen = resolve(path)
+        return strip_history(tree.cover_at(orig_path), chosen)
+
+    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
+        orig_path, _ = resolve(path)
+        return tuple((i,) for i in orig_path)
+
+    stripped = TreeStrategy(
+        space=tree.space,
+        cover_at_raw=cover_at,
+        back_map=back_map,
+        label=f"stripped({tree.label})",
+    )
+    return stripped
+
+
+def reference_wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
+    def factor_sets(bound: Path, n: int) -> list[OpenSet]:
+        out: list[OpenSet] = []
+        seen: set[tuple] = set()
+        for tau in box_paths(bound, box_limit):
+            s = tree.cover_at(tau).sets(n)
+            d = describe(s)
+            if d not in seen:
+                seen.add(d)
+                out.append(s)
+        return out
+
+    def cover_at(path: Path) -> IndexedCover:
+        base = tree.cover_at(path)
+
+        def sets(n: int) -> OpenSet:
+            parts = factor_sets(path, n)
+            if len(parts) == 1:
+                return parts[0]
+            return FiniteIntersection(parts=tuple(parts))
+
+        def witness(p: Point) -> int:
+            w = 0
+            for tau in box_paths(path, box_limit):
+                w = max(w, witness_of(tree.cover_at(tau), p))
+            return w
+
+        return IndexedCover(
+            space=tree.space,
+            sets=sets,
+            witness=witness,
+            increasing=base.increasing,
+            label=f"wedged{path}",
+        )
+
+    return TreeStrategy(
+        space=tree.space,
+        cover_at_raw=cover_at,
+        back_map=tree.back_map,
+        label=f"wedge({tree.label})",
+    )
+
+
+def reference_greedy_index_function(
+    tree: TreeStrategy,
+    point: Point,
+    prefix: Path = (),
+    scan_budget: int = 10_000,
+) -> BaireFunction:
+    entries: list[int] = list(prefix)
+
+    def eval_raw(n: int) -> int:
+        while len(entries) < n:
+            at = tuple(entries)
+            cover = tree.cover_at(at)
+            w = witness_of(cover, point)
+            pick = None
+            for m in range(1, min(w, scan_budget) + 1):
+                if member(tree.set_at(at + (m,)), point):
+                    pick = m
+                    break
+            if pick is None:
+                raise BudgetError(f"no covering child within {scan_budget} at node {at}")
+            entries.append(pick)
+        return entries[n - 1]
+
+    tag = f"trace(p{point.id}" + (f", prefix={prefix})" if prefix else ")")
+    return BaireFunction(eval_raw=eval_raw, description=tag)
+
+
+BOX = 200  # largest node box the comparisons walk
+POINTS = [N.point(i) for i in range(16)]
+
+
+def _outcome(fn):
+    """A value, or the type of the library error computing it raised."""
+    try:
+        return fn()
+    except (BudgetError, ResourceLimitError) as exc:
+        return type(exc)
+
+
+def _pipelines():
+    """(name, current tree, reference tree) for every appendix corpus tree,
+    unstripped and stripped, each side wedged by its own pipeline.
+
+    Corpus trees carry a box hook, which the current wedge answers from at
+    any box size; the reference walks their boxes under a larger limit.
+    Stripped trees have no hook, so both sides walk under the same limit.
+    """
+    for name, tree in appendix_tree_corpus(N, n_random=2, seed=5).items():
+        yield name, wedge_tree(tree), reference_wedge_tree(tree, box_limit=100_000)
+        yield (
+            f"stripped {name}",
+            wedge_tree(strip_chosen_tree(tree)),
+            reference_wedge_tree(reference_strip_chosen_tree(tree)),
+        )
+
+
+def _nodes_on_small_boxes():
+    rng = random.Random(41)
+    nodes = {(), (1,), (2,), (5,), (1, 1), (3, 2), (2, 1, 3), (4, 5, 6), (12, 16)}
+    while len(nodes) < 24:
+        node = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 3)))
+        if math.prod(node) <= BOX:
+            nodes.add(node)
+    return sorted(nodes)
+
+
+class TestAgainstTheReferencePipeline:
+    def test_same_wedged_members_and_witnesses(self):
+        for name, new, ref in _pipelines():
+            for node in _nodes_on_small_boxes():
+                new_w = [_outcome(lambda: witness_of(new.cover_at(node), p)) for p in POINTS]
+                ref_w = [_outcome(lambda: witness_of(ref.cover_at(node), p)) for p in POINTS]
+                assert new_w == ref_w, (name, node)
+                for n in range(1, 7):
+                    new_m = _outcome(lambda: [member(new.set_at(node + (n,)), p) for p in POINTS])
+                    ref_m = _outcome(lambda: [member(ref.set_at(node + (n,)), p) for p in POINTS])
+                    assert new_m == ref_m, (name, node, n)
+
+    def test_same_stripped_members_and_back_maps(self):
+        for name, tree in appendix_tree_corpus(N, n_random=2, seed=5).items():
+            new, ref = strip_chosen_tree(tree), reference_strip_chosen_tree(tree)
+            for node in _nodes_on_small_boxes():
+                if not node:
+                    continue
+                assert _outcome(lambda: describe(new.set_at(node))) == _outcome(
+                    lambda: describe(ref.set_at(node))
+                ), (name, node)
+                assert _outcome(lambda: new.back_map(node)) == _outcome(lambda: ref.back_map(node)), (name, node)
+
+    def test_same_greedy_traces(self):
+        for name, new, ref in _pipelines():
+            for prefix in [(), (1,), (3,), (2, 2)]:
+                for p in POINTS:
+                    f = greedy_index_function(new, p, prefix)
+                    r = reference_greedy_index_function(ref, p, prefix)
+                    # stop before the next node's box exceeds BOX nodes
+                    for n in range(1, 6):
+                        expect = _outcome(lambda: r(n))
+                        assert _outcome(lambda: f(n)) == expect, (name, prefix, p.id, n)
+                        if not isinstance(expect, int) or math.prod(r.prefix(n)) > BOX:
+                            break
+
+    def test_same_evasion_prefixes(self, monkeypatch):
+        samples = [[POINTS[3], POINTS[1], POINTS[5], POINTS[0]], [POINTS[2], POINTS[4], POINTS[7]], POINTS[:6]]
+        played = 0
+        for name, new, ref in _pipelines():
+            if "uniform_segments" in name:
+                continue  # depth-independent covers: evasion boxes grow exponentially
+            for sample in samples:
+                got = _outcome(lambda: evasion_function(new, sample, node_budget=6).prefix(6))
+                with monkeypatch.context() as m:
+                    m.setattr(evasion, "greedy_index_function", reference_greedy_index_function)
+                    expect = _outcome(lambda: evasion_function(ref, sample, node_budget=6).prefix(6))
+                assert got == expect, (name, [p.id for p in sample])
+                played += isinstance(got, tuple) and max(got) > 1
+        assert played >= 20  # most comparisons are of nontrivial prefixes
+
+
+def test_stripped_covers_are_shared():
+    """Nodes with the same original cover and the same removed sets (by
+    description) get one stripped cover object; any difference in either
+    gives another object."""
+    for name in ("depth_shifted", "max_shifted"):
+        tree = appendix_tree_corpus(N)[name]
+        stripped = strip_chosen_tree(tree)
+        groups: dict[tuple, list] = {}
+        for node in box_paths((6, 6, 6), 1000):
+            orig = tuple(m[0] for m in stripped.back_map(node))
+            removed = frozenset(describe(tree.set_at(orig[:k])) for k in range(1, len(orig) + 1))
+            groups.setdefault((id(tree.cover_at(orig)), removed), []).append(stripped.cover_at(node))
+        assert any(len(covers) > 1 for covers in groups.values()), name
+        for covers in groups.values():
+            assert all(c is covers[0] for c in covers), name
+        assert len({id(covers[0]) for covers in groups.values()}) == len(groups), name
+
+
+def test_invalid_values_raise_on_every_call():
+    f = BaireFunction(eval_raw=lambda n: 0, description="zero")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            f(1)
+
+
 class TestStripHistory:
+    def test_budget_error_names_the_scan_start_and_the_cover(self):
+        cover = segment_cover(N)
+        chosen = [initial_segment(N, j) for j in range(2, 10)]
+        stripped = strip_history(cover, chosen, scan_budget=5)
+        assert stripped.provenance(2) == (2,)
+        with pytest.raises(BudgetError, match=r"cover 'segments' survives within 5 of index 3$"):
+            stripped.sets(3)
+
     def test_removes_named_sets_and_reindexes(self):
         cover = segment_cover(N)
         stripped = strip_history(cover, [initial_segment(N, 0)])
@@ -117,6 +358,21 @@ class TestWedgeTree:
                 p = N.point(i)
                 if member(wedged.set_at(sigma + (m,)), p):
                     assert member(wedged.set_at(tau + (n,)), p)
+
+
+    def test_hook_answers_past_the_box_limit(self):
+        tree = appendix_tree_corpus(N)["uniform_segments"]
+        wedged = wedge_tree(tree, box_limit=10)  # the box below (5, 5) has 25 nodes
+        assert witness_of(wedged.cover_at((5, 5)), N.point(3)) == 4
+
+    def test_box_walk_past_the_limit_raises(self):
+        tree = appendix_tree_corpus(N)["uniform_segments"]
+        hookless = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
+        for walked in (hookless, strip_chosen_tree(tree)):
+            wedged = wedge_tree(walked, box_limit=10)
+            assert member(wedged.set_at((2, 5, 1)), N.point(0))  # a box of 10 nodes
+            with pytest.raises(ResourceLimitError):
+                wedged.set_at((5, 5, 1))
 
 
 class TestGreedyTrace:

@@ -2,8 +2,6 @@ from hypothesis import given, strategies as st
 
 from selectiongames.pairing import (
     decode_tuple,
-    diag_decode,
-    diag_encode,
     encode_tuple,
     excluded_set_from_index,
     excluded_set_index,
@@ -72,22 +70,3 @@ def test_excluded_set_round_trip(excluded):
 def test_excluded_set_empty_is_one():
     assert excluded_set_index(frozenset()) == 1
     assert excluded_set_from_index(1) == frozenset()
-
-
-@given(st.integers(min_value=1, max_value=20000), st.integers(min_value=1, max_value=40))
-def test_diag_codec_round_trip(index, length):
-    assert diag_encode(diag_decode(index, length)) == index
-
-
-def test_diag_codec_all_ones_first():
-    for length in (1, 3, 10):
-        assert diag_decode(1, length) == (1,) * length
-
-
-def test_diag_codec_orders_by_excess():
-    prev_excess = -1
-    for j in range(1, 200):
-        t = diag_decode(j, 4)
-        excess = sum(t) - 4
-        assert excess >= prev_excess
-        prev_excess = excess

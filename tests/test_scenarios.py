@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -163,3 +165,50 @@ class TestTranscriptSerialization:
         t = bob_counterplay_menger(normalize_strategy(alice, N), raw=alice, innings=2).transcript
         with pytest.raises(OSError, match="/nonexistent"):
             emit_transcript(t, "/nonexistent/dir/t.jsonl")
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+
+# SHA-256 of (transcript.jsonl, report.json) for each bundled config; the
+# oracle scenario writes no transcript. Same seed, same bytes: a change that
+# moves any of these changes what the library emits.
+PINNED_DIGESTS = {
+    "appendix_depth.json": (
+        "aef5051d0593194d99e7e8e41892e270b06249947384f3f4b4bfaad8df09acbc",
+        "7a9eaae263189dd8bf81d52779807d9ad8fe90c060642b2920338f0035c3a608",
+    ),
+    "hurewicz_segments.json": (
+        "208121df98595828b2081de1aea82f2bf04d5f9cb65b115c41c05098bbd9b7a1",
+        "c30f2fa8cf89fa827bf0a0f879e5c91a08edd159175d7ab6144f3c12b66c4cc1",
+    ),
+    "often_seeded.json": (
+        "39bb0130c842b02538bd1ef104e9fd2c0692f6fa29b4bfd84c0cc12ddce4d128",
+        "fc8708c37b5524d4d6c424ddb8938c31eebd5d245feee22b9798167272a0fb23",
+    ),
+    "oracle_two_point.json": (
+        None,
+        "1193d69123d5206f110237e7f80081a8b67c42121fbdc0c079b16382081f40cd",
+    ),
+    "rothberger_shifted.json": (
+        "0ba260756a9877fc358728f16e381c255cc97476aad93ddaa23610ec7c5313b8",
+        "6266061154799e5d25c93b2b4991fd19e766b0fb7883c4c618f58573fb291323",
+    ),
+}
+
+
+def _digest(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def test_every_bundled_config_is_pinned():
+    assert sorted(os.listdir(CONFIGS)) == sorted(PINNED_DIGESTS)
+
+
+@pytest.mark.parametrize("config_name", sorted(PINNED_DIGESTS))
+def test_bundled_scenarios_emit_pinned_bytes(config_name, tmp_path):
+    assert run_scenario(os.path.join(CONFIGS, config_name), output_dir=str(tmp_path)) == 0
+    got = (_digest(str(tmp_path / "transcript.jsonl")), _digest(str(tmp_path / "report.json")))
+    assert got == PINNED_DIGESTS[config_name]
