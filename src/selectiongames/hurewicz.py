@@ -24,16 +24,17 @@ Three pieces live here:
    subfamily protecting the enumerated points seen so far. The chosen set
    then contains the intersection of the protected subfamily, so the play
    covers every horizon once the inning count reaches it, and the
-   back-translated play is legal for the raw strategy.
+   back-translated play is legal for the raw strategy. In a normalized tree
+   that member is the max of the newly protected points' first hits.
 
 Key computational fact used throughout: in a normalized tree the set at a
 child node contains the set at its parent, so the nodes at depth n whose sets
 omit a given point are exactly the descendants of omitting nodes, and their
 exclusion set can be generated level by level from per-node scan thresholds.
 Its size grows like the product of the thresholds, which is exponential in
-the depth; the counterplay therefore queries the exclusion structure as a
-predicate, and materializes excluded index sets only where tests need literal
-cofinite specs (small depths).
+the depth; the counterplay therefore reads a point's omitting children off
+its first hit, and excluded index sets are materialized only where tests
+need literal cofinite specs (small depths).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .engine import (
     Transcript,
     make_inning,
 )
-from .errors import BudgetError, GameError
+from .errors import BudgetError, GameError, IntegrityError
 from .pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
 from .trees import Path, TreeStrategy
@@ -162,11 +163,6 @@ class LevelFamily:
 
     def node(self, j: int) -> Path:
         return decode_tuple(j, self.level)
-
-    def index_of(self, path: Path) -> int:
-        if len(path) != self.level:
-            raise ValueError(f"path {path} is not at level {self.level}")
-        return encode_tuple(path)
 
     def sets(self, j: int) -> OpenSet:
         return self.tree.set_at(self.node(j))
@@ -346,6 +342,34 @@ def protection_plan(space: SpaceModel) -> Callable[[int], list[Point]]:
     return plan
 
 
+def least_admissible_child(cover: IndexedCover, points: Sequence[Point], probe_limit: int) -> int:
+    """The least index whose member contains every point, or an index above
+    `probe_limit` if none up to there does. In an increasing cover a member
+    contains a point from its first hit on, so this is the max of the first
+    hits (1 for no points); a cover not flagged increasing raises ValueError."""
+    if not cover.increasing:
+        raise ValueError(f"least_admissible_child expects an increasing cover, got {cover!r}")
+    return max((cover.first_hit(p, probe_limit) for p in points), default=1)
+
+
+def secure_child(tree: TreeStrategy, path: Path, protected: list[Point], secured: set[int], probe_limit: int | None) -> int:
+    """The counterplay's move at a node: its least child containing every
+    protected point. Points not in `secured` (ids) are searched, up to
+    `probe_limit` (BudgetError past it) or, for None, their witnesses, and then
+    join it; a chosen child omitting a protected point raises IntegrityError."""
+    cover = tree.cover_at(path)
+    fresh = [p for p in protected if p.id not in secured]
+    limit = max((cover.witness(p) for p in fresh), default=1) if probe_limit is None else probe_limit
+    chosen = least_admissible_child(cover, fresh, limit)
+    if chosen > limit and probe_limit is not None:
+        raise BudgetError(f"no admissible child within {probe_limit} probes at inning {len(path) + 1}")
+    for p in protected:
+        if ExclusionOracle(tree, len(path) + 1, p).omits(path + (chosen,)):
+            raise IntegrityError(f"child {chosen} of node {path} omits protected point {p!r}")
+    secured.update(p.id for p in fresh)
+    return chosen
+
+
 def bob_counterplay_menger(
     tree: TreeStrategy,
     raw: AliceStrategy | None = None,
@@ -363,6 +387,11 @@ def bob_counterplay_menger(
     is a member of each point's protecting cofinite subfamily, hence contains
     that subfamily's intersection), so the play wins every horizon h once n
     and the plan reach it.
+
+    The tree must be normalized (increasing node covers, each headed by its
+    node's set). Then every child holds the points earlier moves secured, and
+    the move is the max of the new points' first hits (`secure_child`); on a
+    tree that is not, a move omitting a protected point raises IntegrityError.
 
     The transcript is emitted in terms of the raw strategy when one is given
     (covers and finite selections reconstructed through the tree's back-map),
@@ -392,24 +421,14 @@ def _drive_counterplay(
     if innings < 1:
         raise ValueError("a play needs at least one inning")
     path: Path = ()
+    secured: set[int] = set()
     moves: list[tuple[int, list[int]]] = []  # (chosen child, skipped children)
     for n in range(1, innings + 1):
         if forced_path is not None:
             chosen, skipped = forced_path[n - 1], []
         else:
-            protected = plan(n)
-            oracles = [ExclusionOracle(tree, len(path) + 1, p) for p in protected]
-            chosen = None
-            skipped = []
-            for m in range(1, probe_limit + 1):
-                child = path + (m,)
-                if any(o.omits(child) for o in oracles):
-                    skipped.append(m)
-                    continue
-                chosen = m
-                break
-            if chosen is None:
-                raise BudgetError(f"no admissible child within {probe_limit} probes at inning {n}")
+            chosen = secure_child(tree, path, plan(n), secured, probe_limit)
+            skipped = list(range(1, chosen))
         moves.append((chosen, skipped))
         path = path + (chosen,)
     transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan, game)

@@ -236,29 +236,25 @@ def counterplay_bob_strategy(instance: FiniteGameInstance, option: int = 0) -> B
     """The constructed tree counterplay, packaged as a plain second-player
     move function against one deterministic line of an instance.
 
-    The move is reconstructed from the inning number alone (the underlying
-    play is deterministic): walk the normalized tree taking, at each step,
-    the least child whose set contains every point of the finite space, and
-    back-translate the tree choice into the instance's selection.
+    The move depends on the inning number alone (the underlying play is
+    deterministic): walk the normalized tree taking, at each step, the least
+    child whose set contains every point of the finite space, and
+    back-translate the tree choice into the instance's selection. The walked
+    path is kept; scans stop at the covers' witnesses, which raise on a point
+    no member contains.
     """
-    from .hurewicz import ExclusionOracle, normalize_strategy, protection_plan
+    from .hurewicz import normalize_strategy, protection_plan, secure_child
 
     alice = deterministic_strategy(instance, option)
     tree = normalize_strategy(alice, instance.space)
     plan = protection_plan(instance.space)
-
-    def advance(path: tuple[int, ...], inning: int) -> int:
-        oracles = [ExclusionOracle(tree, len(path) + 1, p) for p in plan(inning)]
-        m = 1
-        while any(o.omits(path + (m,)) for o in oracles):
-            m += 1
-        return m
+    walked: list[int] = []
+    secured: set[int] = set()
 
     def move(cover: IndexedCover, inning: int, history: History) -> FiniteSelection:
-        path: tuple[int, ...] = ()
-        for k in range(1, inning):
-            path = path + (advance(path, k),)
-        m = advance(path, inning)
+        while len(walked) < inning:
+            walked.append(secure_child(tree, tuple(walked), plan(len(walked) + 1), secured, None))
+        m = walked[inning - 1]
         u = m if inning == 1 else max(1, m - 1)
         return FiniteSelection(cover, tuple(range(1, u + 1)))
 

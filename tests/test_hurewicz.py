@@ -6,23 +6,30 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy
-from selectiongames.covers import CofiniteSpec, is_cover_up_to, witness_of
-from selectiongames.engine import check_legal, evaluate_win
+from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy, singleton_cover
+from selectiongames.covers import CofiniteSpec, IndexedCover, is_cover_up_to, witness_of
+from selectiongames.engine import MENGER_GAME, check_legal, evaluate_win
+from selectiongames.errors import BudgetError, IntegrityError
 from selectiongames.hurewicz import (
+    CounterplayResult,
     ExclusionOracle,
     FiniteWinFound,
+    _emit_counterplay_transcript,
     bob_counterplay_menger,
     cofinite_intersection,
+    least_admissible_child,
     level_family,
     normalize_strategy,
+    protection_plan,
     tail_derived_cover,
 )
 from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index
 from selectiongames.selectors import select_sfin
 from selectiongames.solver import deterministic_strategy
-from selectiongames.spaces import CountableDiscrete, FiniteIntersection, describe, extensionally_equal, member
+from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, extensionally_equal, member
+from selectiongames.trees import TreeStrategy
 
 N = CountableDiscrete()
 
@@ -311,3 +318,133 @@ class TestCounterplay:
             chosen = tree.set_at(path[:n])
             for i in range(n):
                 assert member(chosen, N.point(i))
+
+
+def reference_drive(tree, raw, innings, plan, probe_limit, game, forced_path):
+    """The probe search the max-of-first-hits move replaced, kept verbatim as
+    the reference it must match (paths, audits, finite wins, budget errors)."""
+    if innings < 1:
+        raise ValueError("a play needs at least one inning")
+    path = ()
+    moves = []  # (chosen child, skipped children)
+    for n in range(1, innings + 1):
+        if forced_path is not None:
+            chosen, skipped = forced_path[n - 1], []
+        else:
+            protected = plan(n)
+            oracles = [ExclusionOracle(tree, len(path) + 1, p) for p in protected]
+            chosen = None
+            skipped = []
+            for m in range(1, probe_limit + 1):
+                child = path + (m,)
+                if any(o.omits(child) for o in oracles):
+                    skipped.append(m)
+                    continue
+                chosen = m
+                break
+            if chosen is None:
+                raise BudgetError(f"no admissible child within {probe_limit} probes at inning {n}")
+        moves.append((chosen, skipped))
+        path = path + (chosen,)
+    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan, game)
+    return CounterplayResult(tree_path=path, transcript=transcript, finite_win=forced_path is not None)
+
+
+def reference_menger(tree, raw, innings, probe_limit):
+    plan = protection_plan(tree.space)
+    try:
+        return reference_drive(tree, raw, innings, plan, probe_limit, MENGER_GAME, None)
+    except FiniteWinFound as fw:
+        return reference_drive(tree, raw, len(fw.path), plan, probe_limit, MENGER_GAME, fw.path)
+
+
+def play_outcome(play, key, horizon, innings, probe_limit, with_raw):
+    """A play on a fresh strategy and tree, reduced to what its transcript
+    carries, or the budget error's message."""
+    alice = corpus_strategy(key)
+    tree = normalize_strategy(alice, alice.space, finite_win_horizon=horizon)
+    try:
+        result = play(tree, alice if with_raw else None, innings, probe_limit)
+    except BudgetError as exc:
+        return str(exc)
+    records = [(r.number, r.cover_prefix, r.selection, r.audit) for r in result.transcript.innings]
+    return result.tree_path, result.finite_win, records
+
+
+def current_menger(tree, raw, innings, probe_limit):
+    return bob_counterplay_menger(tree, raw=raw, innings=innings, probe_limit=probe_limit)
+
+
+def corpus_strategy(key):
+    if isinstance(key, int):
+        return seeded_strategy(N, key)
+    if key.startswith("finite:"):
+        return deterministic_strategy(bundled_instances()[key[7:]])
+    return named_strategies(N)[key]
+
+
+STRATEGY_KEYS = [
+    *named_strategies(N),
+    "finite:three_point_singletons",
+    "finite:chain_game",
+    "finite:valley_game",
+]
+
+
+class TestLeastAdmissibleChild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.one_of(st.sampled_from(STRATEGY_KEYS), st.integers(min_value=0, max_value=40)),
+        horizon=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+        innings=st.integers(min_value=1, max_value=12),
+        with_raw=st.booleans(),
+    )
+    def test_matches_the_probe_search(self, key, horizon, innings, with_raw):
+        args = (key, horizon, innings)
+        want = play_outcome(reference_menger, *args, 10_000, with_raw)
+        assert play_outcome(current_menger, *args, 10_000, with_raw) == want
+        top = max(want[0])
+        for limit in (top, top - 1):
+            got = play_outcome(current_menger, *args, limit, with_raw)
+            assert got == play_outcome(reference_menger, *args, limit, with_raw)
+            assert isinstance(got, str) == (limit < top)
+
+    def test_counterplay_path_satisfies_the_precondition(self):
+        corpus = {**named_strategies(N), **{k: seeded_strategy(N, k) for k in (0, 1, 2)}}
+        for name, alice in corpus.items():
+            tree = normalize_strategy(alice, N)
+            path = bob_counterplay_menger(tree, innings=10).tree_path
+            for depth in range(len(path)):
+                node = path[:depth]
+                cover = tree.cover_at(node)
+                assert cover.increasing, (name, node)
+                if node:
+                    assert describe(cover.sets(1)) == describe(tree.set_at(node)), (name, node)
+
+    def test_non_increasing_cover_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            least_admissible_child(singleton_cover(N), [N.point(0)], 10)
+
+    def test_max_of_first_hits(self):
+        cover = seg_tree().cover_at(())  # member j is the segment {0..j-1}
+        assert least_admissible_child(cover, [N.point(3), N.point(1)], 100) == 4
+        assert least_admissible_child(cover, [], 100) == 1
+        assert least_admissible_child(cover, [N.point(5)], 5) > 5
+
+    def test_broken_head_condition_raises_instead_of_playing(self):
+        """Every cover is increasing, but below the root member 1 is {1}, not
+        the node's set: the chosen child drops point 0."""
+
+        def cover_at(path):
+            lo = 1 if path else 0
+            return IndexedCover(
+                space=N,
+                sets=lambda j: Named(N, f"[{lo},{lo + j})", lambda p: lo <= p.id < lo + j),
+                witness=lambda p: p.id + 1,
+                increasing=True,
+                label=f"from{lo}",
+            )
+
+        tree = TreeStrategy(space=N, cover_at_raw=cover_at, label="broken-head")
+        with pytest.raises(IntegrityError, match=r"child 1 of node \(1,\) omits protected point .*0"):
+            bob_counterplay_menger(tree, innings=3)

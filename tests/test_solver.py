@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from selectiongames.corpus import bundled_instances
 from selectiongames.covers import FiniteSelection
 from selectiongames.engine import GameKind
 from selectiongames.errors import ResourceLimitError
+from selectiongames.hurewicz import ExclusionOracle, normalize_strategy, protection_plan
 from selectiongames.solver import (
     FiniteGameInstance,
     SolveResult,
@@ -12,6 +13,7 @@ from selectiongames.solver import (
     counterplay_bob_strategy,
     cross_check,
     deterministic_strategy,
+    instance_cover,
     minimal_winning_depth,
     restrict_option,
     solve_finite_game,
@@ -187,6 +189,78 @@ class TestCrossCheck:
     def test_any_strategy_wins_on_one_point(self):
         bob = lambda cover, inning, history: FiniteSelection(cover, (1,))
         assert cross_check(bob, bundled_instances()["one_point"], GFIN, selection_cap=1)
+
+
+def reference_counterplay_bob_strategy(instance, option=0):
+    """The replay-from-the-root counterplay the path-keeping one replaced,
+    kept verbatim as the reference its moves must match."""
+    alice = deterministic_strategy(instance, option)
+    tree = normalize_strategy(alice, instance.space)
+    plan = protection_plan(instance.space)
+
+    def advance(path, inning):
+        oracles = [ExclusionOracle(tree, len(path) + 1, p) for p in plan(inning)]
+        m = 1
+        while any(o.omits(path + (m,)) for o in oracles):
+            m += 1
+        return m
+
+    def move(cover, inning, history):
+        path = ()
+        for k in range(1, inning):
+            path = path + (advance(path, k),)
+        m = advance(path, inning)
+        u = m if inning == 1 else max(1, m - 1)
+        return FiniteSelection(cover, tuple(range(1, u + 1)))
+
+    return move
+
+
+INNING_ORDERS = ([1, 2, 3, 4, 5], [1, 1, 2, 2, 3, 3], [3, 1, 2, 5, 4, 1], [4])
+
+
+def bundled_lines():
+    for name, inst in bundled_instances().items():
+        n_options = len(inst.options_at(()))
+        for opt in range(n_options):
+            yield (name, opt), restrict_option(inst, opt) if n_options > 1 else inst
+
+
+def assert_same_moves(instance, option):
+    cover = instance_cover(instance.space, instance.options_at(())[option], f"{instance.name}@0")
+    for order in INNING_ORDERS:
+        bob = counterplay_bob_strategy(instance, option)
+        ref = reference_counterplay_bob_strategy(instance, option)
+        got = [bob(cover, k, ()).indices for k in order]
+        assert got == [ref(cover, k, ()).indices for k in order], (instance.name, order)
+
+
+class TestCounterplayBobStrategy:
+    def test_moves_match_the_replay_on_bundled_instances(self):
+        for inst in bundled_instances().values():
+            for opt in range(len(inst.options_at(()))):
+                assert_same_moves(inst, opt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=generated_instances())
+    def test_moves_match_the_replay_on_generated_instances(self, inst):
+        # the replay hangs on a first cover that misses a point
+        assume(frozenset().union(*inst.options_at(())[0]) == frozenset(range(inst.space.n_points)))
+        assert_same_moves(inst, 0)
+
+    def test_cross_check_verdicts_match_the_replay(self):
+        for key, line in bundled_lines():
+            cap = max(len(c) for c in line.options_at(()))
+            got = cross_check(counterplay_bob_strategy(line), line, GFIN, selection_cap=cap)
+            want = cross_check(reference_counterplay_bob_strategy(line), line, GFIN, selection_cap=cap)
+            assert (got.ok, got.reason) == (want.ok, want.reason), key
+
+    def test_cover_missing_a_point_raises_instead_of_hanging(self):
+        space = FiniteTopological(2, [[], [0], [0, 1]])
+        inst = stationary_instance(space, [[[0]]], name="gap")
+        bob = counterplay_bob_strategy(inst)
+        with pytest.raises(ValueError, match="does not cover point 1"):
+            bob(instance_cover(space, inst.options_at(())[0], "gap@0"), 1, ())
 
 
 class TestInstanceValidation:
