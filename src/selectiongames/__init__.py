@@ -15,8 +15,6 @@ from .covers import (
     increasing_form,
     is_cover_up_to,
     is_large_up_to,
-    wedge_finite,
-    wedge_increasing,
     witness_of,
 )
 from .engine import (
@@ -108,6 +106,6 @@ from .spaces import (
     singleton,
     whole,
 )
-from .trees import TreeStrategy, strategy_from_tree, subtree, tree_from_strategy
+from .trees import TreeStrategy, strategy_from_tree, subtree
 
 __version__ = "0.1.0"

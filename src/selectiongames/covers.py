@@ -15,12 +15,11 @@ is a test parameter, never a truncation of the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import CrossSpaceError, IntegrityError
 from .spaces import (
     CumulativeUnion,
-    FiniteIntersection,
     FiniteUnion,
     OpenSet,
     Point,
@@ -130,7 +129,7 @@ class CofiniteSpec:
     excluded: frozenset[int]
 
     def __post_init__(self):
-        if any(i < 1 for i in self.excluded):
+        if self.excluded and min(self.excluded) < 1:
             raise ValueError("excluded indices are 1-based")
 
     def min_surviving(self) -> int:
@@ -220,53 +219,6 @@ def head_normalize(chosen: OpenSet, reply: IndexedCover) -> IndexedCover:
         provenance=lambda j: (1,) if j == 1 else (j - 1,),
         increasing=True,
         label=f"headed({reply.label})" if reply.label else "headed",
-    )
-
-
-def wedge_finite(families: Sequence[Sequence[OpenSet]]) -> list[OpenSet]:
-    """All cross intersections of finitely many finite families.
-
-    One set is taken from each family; results are listed in lexicographic
-    order of the source index tuples, so the output size is the product of
-    the input sizes.
-    """
-    if not families:
-        raise ValueError("the wedge of no families is undefined")
-    for fam in families:
-        if not fam:
-            raise ValueError("wedge families must be nonempty")
-    out: list[OpenSet] = []
-    counters = [0] * len(families)
-    total = 1
-    for fam in families:
-        total *= len(fam)
-    for _ in range(total):
-        out.append(FiniteIntersection(parts=tuple(fam[c] for fam, c in zip(families, counters))))
-        for pos in range(len(families) - 1, -1, -1):
-            counters[pos] += 1
-            if counters[pos] < len(families[pos]):
-                break
-            counters[pos] = 0
-    return out
-
-
-def wedge_increasing(c1: IndexedCover, c2: IndexedCover) -> IndexedCover:
-    """Indexwise intersection of two increasing covers.
-
-    The result is increasing and refines both inputs; the witness is the max
-    of the factor witnesses, which is valid exactly because the factors are
-    increasing.
-    """
-    if not (c1.increasing and c2.increasing):
-        raise ValueError("wedge_increasing expects increasing covers")
-    if c1.space is not c2.space:
-        raise ValueError("cannot wedge covers over different spaces")
-    return IndexedCover(
-        space=c1.space,
-        sets=lambda j: FiniteIntersection(parts=(c1.sets(j), c2.sets(j))),
-        witness=lambda p: max(c1.witness(p), c2.witness(p)),
-        increasing=True,
-        label="wedge",
     )
 
 

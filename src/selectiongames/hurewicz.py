@@ -17,7 +17,9 @@ Three pieces live here:
    cofinite intersection is its minimum surviving member; one level up it is
    a finite intersection of a lower-level instance with finitely many node
    sets), and `tail_derived_cover` packages the intersections as an indexed
-   cover with a constructive witness.
+   cover with a constructive witness. Many specs reduce to the same node
+   sets, so each level family keeps one expression per distinct
+   intersection, keyed by the node paths it intersects.
 
 3. `bob_counterplay_menger` plays against the normalized tree: selecting, at
    each inning, a member of the current cover that stays inside a cofinite
@@ -39,7 +41,7 @@ need literal cofinite specs (small depths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .covers import (
@@ -156,10 +158,16 @@ def raw_covers_along(raw: AliceStrategy, tree: TreeStrategy, path: Path) -> list
 class LevelFamily:
     """The family of node sets at a fixed depth of a normalized tree,
     enumerated through the iterated-pairing bijection between positive
-    naturals and fixed-length index sequences."""
+    naturals and fixed-length index sequences.
+
+    `_intersections` is the family's table of cofinite intersections, keyed
+    by the node paths each one intersects and written only by
+    `cofinite_intersection`: one expression (and so one membership memo) per
+    distinct intersection asked of the family, freed with it."""
 
     tree: TreeStrategy
     level: int
+    _intersections: dict[tuple[Path, ...], OpenSet] = field(default_factory=dict, repr=False)
 
     def node(self, j: int) -> Path:
         return decode_tuple(j, self.level)
@@ -182,7 +190,7 @@ def level_family(tree: TreeStrategy, n: int) -> LevelFamily:
 
 def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     """The intersection of the cofinite subfamily of a level family, as one
-    flat finite intersection.
+    flat finite intersection, shared by every spec that reduces to it.
 
     The excluded nodes are walked level by level from the family's depth up
     to the root. At each depth they are grouped by parent node: within a
@@ -193,13 +201,15 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     parent counts as excluded one level up. At depth one the root cover is
     increasing, so what is left is its minimum surviving member, the base.
 
-    The result is ``FiniteIntersection((base, level-2 parts..., level-n
-    parts...))`` with the parts of each level in ascending parent order, or
-    the base itself when no level names a part. Every part is a tree node,
-    so its membership memo is shared by all specs over the same tree.
+    The walk yields node paths only; the key ``((m,), level-2 paths...,
+    level-n paths...)`` names the base, then the parts of each level in
+    ascending parent order. The family's table maps each key to the base
+    node itself (no named part) or ``FiniteIntersection((base, parts...))``
+    in key order. Only a key not yet in the table materializes its nodes,
+    deepest level first and base last, so a tree that raises while
+    materializing raises at the same node as an unshared walk would.
     """
-    tree = fam.tree
-    parts: list[OpenSet] = []
+    paths: list[Path] = []
     gone = spec.excluded  # at level 1, index j is the node (j,)
     if fam.level > 1:
         nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
@@ -207,19 +217,23 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
             by_parent: dict[Path, set[int]] = {}
             for node in nodes:
                 by_parent.setdefault(node[:-1], set()).add(node[-1])
-            named: list[OpenSet] = []
+            named: list[Path] = []
             nodes = []
             for parent, children_gone in sorted(by_parent.items()):
                 m = _least_absent(children_gone)
                 if m > 1:
-                    named.append(tree.set_at(parent + (m,)))
+                    named.append(parent + (m,))
                     nodes.append(parent)
-            parts[:0] = named  # lower levels go first
+            paths[:0] = named  # lower levels go first
         gone = {node[0] for node in nodes}
-    base = tree.set_at((_least_absent(gone),))
-    if not parts:
-        return base
-    return FiniteIntersection(parts=(base, *parts))
+    key = ((_least_absent(gone),), *paths)
+    hit = fam._intersections.get(key)
+    if hit is None:
+        # a stable sort by decreasing length is the walk's order, base last
+        sets = {path: fam.tree.set_at(path) for path in sorted(key, key=len, reverse=True)}
+        parts = tuple(sets[path] for path in key)
+        hit = fam._intersections[key] = parts[0] if len(parts) == 1 else FiniteIntersection(parts=parts)
+    return hit
 
 
 def _least_absent(gone: set[int] | frozenset[int]) -> int:

@@ -196,14 +196,23 @@ def instance_cover(space: FiniteTopological, cover: Cover, label: str) -> Indexe
     )
 
 
+def option_at(instance: FiniteGameInstance, history: OracleHistory, option: int) -> Cover:
+    """The cover an instance offers as `option` after `history`; ValueError
+    naming the instance, option, history and option count if there is none."""
+    options = tuple(instance.options_at(history))
+    if not 0 <= option < len(options):
+        raise ValueError(
+            f"{instance.name or 'instance'} has no option {option} after oracle history {history!r}: "
+            f"{len(options)} offered"
+        )
+    return options[option]
+
+
 def deterministic_strategy(instance: FiniteGameInstance, option: int = 0) -> AliceStrategy:
     """View a single line of an instance (the same option at every position)
     as a lazy-cover strategy for the construction pipeline."""
 
     memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
-
-    def explicit_at(oracle_history: OracleHistory) -> Cover:
-        return tuple(instance.options_at(oracle_history))[option]
 
     def move(history: History) -> IndexedCover:
         key = tuple(sel.indices for sel in history)
@@ -211,10 +220,10 @@ def deterministic_strategy(instance: FiniteGameInstance, option: int = 0) -> Ali
         if hit is None:
             oracle_history: OracleHistory = ()
             for indices in key:
-                cover = explicit_at(oracle_history)
+                cover = option_at(instance, oracle_history, option)
                 clamped = tuple(sorted({min(i, len(cover)) for i in indices}))
                 oracle_history = oracle_history + ((option, clamped),)
-            cover = explicit_at(oracle_history)
+            cover = option_at(instance, oracle_history, option)
             hit = memo[key] = instance_cover(
                 instance.space, cover, f"{instance.name}@{len(key)}"
             )
@@ -227,7 +236,7 @@ def restrict_option(instance: FiniteGameInstance, option: int) -> FiniteGameInst
     """The deterministic line of an instance that always plays one option."""
     return FiniteGameInstance(
         space=instance.space,
-        options_at=lambda history: (tuple(instance.options_at(history))[option],),
+        options_at=lambda history: (option_at(instance, history, option),),
         name=f"{instance.name}#opt{option}",
     )
 

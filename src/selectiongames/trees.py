@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .covers import FiniteSelection, IndexedCover
+from .covers import IndexedCover
 from .engine import AliceStrategy, History
 from .errors import ResourceLimitError
 from .spaces import OpenSet, SpaceModel
@@ -55,26 +55,6 @@ class TreeStrategy:
         if not path:
             raise ValueError("the root carries a cover, not a set")
         return self.cover_at(path[:-1]).sets(path[-1])
-
-
-def tree_from_strategy(alice: AliceStrategy, label: str = "") -> TreeStrategy:
-    """View a single-selection strategy as a tree: the node sequence is the
-    history of picked indices."""
-
-    tree = TreeStrategy(
-        space=alice.space,
-        cover_at_raw=lambda path: alice.move(_history_for(tree, path)),
-        label=label or f"tree({alice.name})",
-    )
-    return tree
-
-
-def _history_for(tree: TreeStrategy, path: Path) -> History:
-    history: History = ()
-    for depth, idx in enumerate(path):
-        prev = tree.cover_at(path[:depth])
-        history = history + (FiniteSelection(prev, (idx,)),)
-    return history
 
 
 def strategy_from_tree(tree: TreeStrategy) -> AliceStrategy:

@@ -2,14 +2,13 @@ import pytest
 
 from selectiongames.corpus import segment_cover, singleton_cover
 from selectiongames.covers import (
+    CofiniteSpec,
     FiniteSelection,
     IndexedCover,
     head_normalize,
     increasing_form,
     is_cover_up_to,
     is_large_up_to,
-    wedge_finite,
-    wedge_increasing,
     witness_of,
 )
 from selectiongames.errors import IntegrityError
@@ -136,75 +135,6 @@ class TestHeadNormalize:
             head_normalize(whole(N), sing_cover())
 
 
-class TestWedgeFinite:
-    def test_two_by_one(self):
-        a, b, c = initial_segment(N, 1), initial_segment(N, 3), initial_segment(N, 2)
-        out = wedge_finite([[a, b], [c]])
-        assert len(out) == 2
-        # lexicographic source order: (a&c), (b&c)
-        assert extensionally_equal(out[0], initial_segment(N, 1), N, horizon=10)
-        assert extensionally_equal(out[1], initial_segment(N, 2), N, horizon=10)
-
-    def test_singleton_family_is_identity(self):
-        a = initial_segment(N, 2)
-        out = wedge_finite([[a]])
-        assert len(out) == 1
-        assert extensionally_equal(out[0], a, N, horizon=10)
-
-    def test_size_is_product(self):
-        fams = [[initial_segment(N, i) for i in range(3)], [whole(N)] * 2, [initial_segment(N, 9)]]
-        assert len(wedge_finite(fams)) == 6
-
-    def test_associative_extensionally(self):
-        f1 = [initial_segment(N, 1), initial_segment(N, 4)]
-        f2 = [initial_segment(N, 2)]
-        f3 = [initial_segment(N, 3), whole(N)]
-        left = wedge_finite([wedge_finite([f1, f2]), f3])
-        flat = wedge_finite([f1, f2, f3])
-        assert len(left) == len(flat)
-        for x, y in zip(left, flat):
-            assert extensionally_equal(x, y, N, horizon=12)
-
-    def test_empty_family_list_rejected(self):
-        with pytest.raises(ValueError):
-            wedge_finite([])
-
-
-class TestWedgeIncreasing:
-    def test_idempotent(self):
-        c = seg_cover()
-        w = wedge_increasing(c, c)
-        for j in (1, 2, 5):
-            assert extensionally_equal(w.sets(j), c.sets(j), N, horizon=20)
-
-    def test_indexwise_minimum_of_segment_covers(self):
-        c1 = seg_cover()  # Seg(j-1)
-        c2 = IndexedCover(
-            N, sets=lambda j: initial_segment(N, 2 * j - 1), witness=lambda p: max(1, (p.id + 2) // 2),
-            increasing=True,
-        )
-        w = wedge_increasing(c1, c2)
-        for j in (1, 2, 4):
-            assert extensionally_equal(w.sets(j), initial_segment(N, j - 1), N, horizon=20)
-
-    def test_whole_cover_is_identity_element(self):
-        wholes = IndexedCover(N, sets=lambda j: whole(N), witness=lambda p: 1, increasing=True)
-        c = seg_cover()
-        w = wedge_increasing(c, wholes)
-        for j in (1, 3):
-            assert extensionally_equal(w.sets(j), c.sets(j), N, horizon=20)
-
-    def test_witness_is_max_and_output_refines_inputs(self):
-        c1, c2 = seg_cover(), increasing_form(sing_cover())
-        w = wedge_increasing(c1, c2)
-        assert is_cover_up_to(w, 30)
-        for j in (2, 4):
-            for i in range(10):
-                p = N.point(i)
-                if member(w.sets(j), p):
-                    assert member(c1.sets(j), p) and member(c2.sets(j), p)
-
-
 class TestIsLarge:
     def test_segments_are_large(self):
         sets = [initial_segment(N, m) for m in range(10)]
@@ -229,3 +159,15 @@ class TestFiniteSelection:
             FiniteSelection(cover, (1, 1))
         with pytest.raises(ValueError):
             FiniteSelection(cover, (0,))
+
+
+class TestCofiniteSpec:
+    def test_zero_and_negative_indices_rejected(self):
+        for bad in ({0}, {-3}, {2, 0, 5}, {4, -1}):
+            with pytest.raises(ValueError, match="excluded indices are 1-based"):
+                CofiniteSpec(frozenset(bad))
+
+    def test_empty_and_wide_specs_accepted(self):
+        assert CofiniteSpec(frozenset()).min_surviving() == 1
+        wide = CofiniteSpec(frozenset(range(1, 30_001)))
+        assert wide.min_surviving() == 30_001

@@ -2,8 +2,10 @@
 counterplay. Derived expectations are computed by brute force (membership
 scans over explicit enumerations), never by the code path under test."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,23 +192,139 @@ def unnested_parts(s):
     return [s]
 
 
-def test_flat_cofinite_intersection_matches_the_level_recursion():
-    inst = bundled_instances()["valley_game"]
-    trees = [(seg_tree(), N.points(20)), (normalize_strategy(named_strategies(N)["shifted_seg"], N), N.points(20))]
-    trees.append((normalize_strategy(deterministic_strategy(inst), inst.space), inst.space.all_points()))
+def reference_cofinite_intersection_fresh(fam, spec):
+    """The flat level walk before the family's table: it materializes its
+    nodes during the walk and builds a fresh expression for every spec."""
+    tree = fam.tree
+    parts: list = []
+    gone = spec.excluded  # at level 1, index j is the node (j,)
+    if fam.level > 1:
+        nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
+        for _ in range(fam.level - 1):
+            by_parent: dict = {}
+            for node in nodes:
+                by_parent.setdefault(node[:-1], set()).add(node[-1])
+            named: list = []
+            nodes = []
+            for parent, children_gone in sorted(by_parent.items()):
+                m = _least_absent(children_gone)
+                if m > 1:
+                    named.append(tree.set_at(parent + (m,)))
+                    nodes.append(parent)
+            parts[:0] = named  # lower levels go first
+        gone = {node[0] for node in nodes}
+    base = tree.set_at((_least_absent(gone),))
+    if not parts:
+        return base
+    return FiniteIntersection(parts=(base, *parts))
+
+
+def _least_absent(gone):
+    m = 1
+    while m in gone:
+        m += 1
+    return m
+
+
+def small_specs():
     specs = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 9), k)]
-    specs += [frozenset({1, 5, 13}), frozenset({2, 3, 4}), frozenset({7, 20, 26})]
+    return specs + [frozenset({1, 5, 13}), frozenset({2, 3, 4}), frozenset({7, 20, 26})]
+
+
+def test_flat_cofinite_intersection_matches_the_level_recursion():
+    """The shared flat intersection against both references: the nested level
+    recursion and the flat walk that built a fresh expression per spec."""
+    inst = bundled_instances()["valley_game"]
+    trees = [(seg_tree(), N.points(50)), (normalize_strategy(named_strategies(N)["shifted_seg"], N), N.points(50))]
+    trees.append((normalize_strategy(deterministic_strategy(inst), inst.space), inst.space.all_points()))
     for tree, pts in trees:
         for level in (1, 2, 3):
             fam = level_family(tree, level)
-            for excluded in specs:
+            for excluded in small_specs():
                 flat = cofinite_intersection(fam, CofiniteSpec(excluded))
                 nested = reference_cofinite_intersection(fam, CofiniteSpec(excluded))
+                fresh = reference_cofinite_intersection_fresh(fam, CofiniteSpec(excluded))
                 # the same tree nodes in the same order, so the same short circuits
                 assert [id(x) for x in unnested_parts(flat)] == [id(x) for x in unnested_parts(nested)]
+                assert [id(x) for x in unnested_parts(flat)] == [id(x) for x in unnested_parts(fresh)]
+                assert type(flat) is type(fresh)
                 assert all(not isinstance(part, FiniteIntersection) for part in getattr(flat, "parts", ()))
+                assert describe(flat) == describe(fresh)
                 for p in pts:
-                    assert member(flat, p) == member(nested, p)
+                    assert member(flat, p) == member(nested, p) == member(fresh, p)
+            assert len(fam._intersections) < len(small_specs())  # specs that reduce alike share
+
+
+def test_equal_reductions_share_one_expression():
+    fam = level_family(seg_tree(), 2)
+    # {1} excludes node (1, 1), and {1, 5} also (2, 2), whose parent keeps
+    # child 1: both reduce to base (2,) and part (1, 2); {1, 3} also
+    # excludes (1, 2), so its part is (1, 3)
+    one = cofinite_intersection(fam, CofiniteSpec(frozenset({1})))
+    assert cofinite_intersection(fam, CofiniteSpec(frozenset({1, 5}))) is one
+    assert cofinite_intersection(fam, CofiniteSpec(frozenset({1}))) is one
+    other = cofinite_intersection(fam, CofiniteSpec(frozenset({1, 3})))
+    assert other is not one
+    assert describe(other) != describe(one)
+    # the same reduction in another family of the same tree is its own expression
+    again = level_family(fam.tree, 2)
+    assert cofinite_intersection(again, CofiniteSpec(frozenset({1}))) is not one
+
+
+def test_intersection_table_is_freed_with_its_family():
+    tree = seg_tree()
+    fam = level_family(tree, 2)
+    specs = [CofiniteSpec(frozenset({1})), CofiniteSpec(frozenset({1, 5}))]
+    out = cofinite_intersection(fam, specs[0])
+    assert isinstance(out, FiniteIntersection)
+    ref = weakref.ref(out)
+    member(out, N.point(3))
+    del out
+    gc.collect()
+    assert ref() is not None  # the family's table holds it
+    assert cofinite_intersection(fam, specs[1]) is ref()
+    del fam, tree, specs
+    gc.collect()
+    assert ref() is None
+
+
+def raising_tree():
+    """A tree whose every non-root cover raises an error naming its node, so
+    the first node materialized decides the error."""
+    inner = seg_tree()
+
+    def cover_at(path):
+        if path:
+            raise FiniteWinFound(path)
+        return inner.cover_at(path)
+
+    return TreeStrategy(space=N, cover_at_raw=cover_at, label="raising")
+
+
+def test_materialization_errors_match_the_fresh_walk():
+    raised = 0
+    for level in (1, 2, 3):
+        fam = level_family(raising_tree(), level)
+        ref_fam = level_family(raising_tree(), level)
+        for excluded in small_specs():
+            spec = CofiniteSpec(excluded)
+            try:
+                expect = ("ok", describe(reference_cofinite_intersection_fresh(ref_fam, spec)))
+            except FiniteWinFound as exc:
+                expect = ("raise", exc.path)
+            for _ in range(2):  # a raise leaves nothing in the table
+                try:
+                    got = ("ok", describe(cofinite_intersection(fam, spec)))
+                except FiniteWinFound as exc:
+                    got = ("raise", exc.path)
+                assert got == expect, (level, sorted(excluded))
+            raised += expect[0] == "raise"
+    assert raised > 100
+    # a level-3 spec with parts at levels 2 and 3 raises at the deeper node first
+    fam = level_family(raising_tree(), 3)
+    with pytest.raises(FiniteWinFound) as exc:
+        cofinite_intersection(fam, CofiniteSpec(frozenset({1, 2, 4})))
+    assert len(exc.value.path) == 2
 
 
 class TestTailDerivedCover:

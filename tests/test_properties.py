@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from selectiongames.covers import CofiniteSpec, IndexedCover, increasing_form, is_cover_up_to, wedge_finite
+from selectiongames.covers import CofiniteSpec, IndexedCover, increasing_form, is_cover_up_to
 from selectiongames.errors import ResourceLimitError
 from selectiongames.spaces import (
     CountableDiscrete,
@@ -193,22 +193,6 @@ def test_increasing_form_is_monotone_and_covers(bounds):
             if member(inc.sets(j), p):
                 assert member(inc.sets(j + 1), p)
     assert is_cover_up_to(inc, top + 1)
-
-
-@given(
-    st.lists(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3), min_size=1, max_size=3)
-)
-@settings(max_examples=40)
-def test_wedge_finite_size_and_membership(shape):
-    families = [[initial_segment(N, m) for m in fam] for fam in shape]
-    out = wedge_finite(families)
-    expected = 1
-    for fam in families:
-        expected *= len(fam)
-    assert len(out) == expected
-    # each member is the intersection of one set per family: check the first
-    p = N.point(min(min(fam) for fam in shape))
-    assert member(out[0], p) == all(member(fam[0], p) for fam in families)
 
 
 @given(st.integers(min_value=0, max_value=400))

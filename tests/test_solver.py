@@ -291,3 +291,21 @@ class TestDeterministicStrategy:
         sel = FiniteSelection(root, (1, 5))  # 5 clamps to the last member
         reply = alice.move((sel,))
         assert reply is alice.move((sel,))
+
+    def test_missing_option_raises_a_value_error_naming_the_position(self):
+        space = FiniteTopological.discrete(2)
+        both = (frozenset({0}), frozenset({1}))
+        whole = (frozenset({0, 1}),)
+        inst = FiniteGameInstance(
+            space=space,
+            options_at=lambda history: (both, whole) if not history else (whole,),
+            name="shrinking",
+        )
+        alice = deterministic_strategy(inst, 1)
+        root = alice.move(())
+        with pytest.raises(ValueError, match=r"shrinking has no option 1 after oracle history \(\(1, \(1,\)\),\): 1 offered"):
+            alice.move((FiniteSelection(root, (1,)),))
+        line = restrict_option(inst, 1)
+        assert line.options_at(()) == (whole,)
+        with pytest.raises(ValueError, match=r"shrinking has no option 1 after oracle history \(\(0, \(1,\)\),\): 1 offered"):
+            line.options_at(((0, (1,)),))
