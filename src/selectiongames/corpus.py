@@ -45,6 +45,7 @@ def segment_cover(space: SpaceModel, shift: int = 0, label: str | None = None) -
         witness=lambda p: max(1, p.id - shift + 1),
         increasing=True,
         label=label or (f"segments+{shift}" if shift else "segments"),
+        first_hit=lambda p, upto: max(1, p.id - shift + 1),
     )
 
 
@@ -56,6 +57,7 @@ def singleton_cover(space: SpaceModel, label: str | None = None) -> IndexedCover
         witness=lambda p: p.id + 1,
         increasing=False,
         label=label or "singletons",
+        first_hit=lambda p, upto: p.id + 1,
     )
 
 
@@ -67,6 +69,7 @@ def whole_head_cover(space: SpaceModel, label: str | None = None) -> IndexedCove
         witness=lambda p: 1,
         increasing=False,
         label=label or "whole-head",
+        first_hit=lambda p, upto: 1,
     )
 
 

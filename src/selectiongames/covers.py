@@ -35,7 +35,8 @@ class IndexedCover:
     member containing it; `provenance` back-maps each index to the indices of
     an ancestor cover it translates to (identity for primitive covers).
     `first_hit` answers "which member contains p first" for every cumulative
-    union over this cover from one resumable scan per point.
+    union over this cover: from the constructor's `first_hit` rule when one
+    is given, else from one resumable scan per point.
     """
 
     def __init__(
@@ -46,11 +47,13 @@ class IndexedCover:
         provenance: Callable[[int], tuple[int, ...]] | None = None,
         increasing: bool = False,
         label: str = "",
+        first_hit: Callable[[Point, int], int] | None = None,
     ):
         self.space = space
         self._sets = sets
         self._memo: dict[int, OpenSet] = {}
         self._first_hit: dict[int, int] = {}
+        self._first_hit_rule = first_hit
         self._witness = witness
         self._provenance = provenance
         self.increasing = increasing
@@ -68,12 +71,15 @@ class IndexedCover:
         """The least index j <= upto whose member contains p, or an index
         above upto when no member up to there does.
 
-        Members are scanned in increasing index order, and the scan resumes
-        where the last query for p stopped: the table maps ``p.id`` to the
-        least hit once found, and to minus the number of members scanned
-        without a hit before that. Keying by ``p.id`` is sound because a
-        point of another space is refused first. A member that raises (a
-        set over another space, say) raises when the scan reaches it.
+        A point of another space is refused first, so the table is keyed by
+        ``p.id``. A `first_hit` rule derives the least hit exactly from the
+        cover's source without reading members; a hit <= upto is stored, and
+        above it upto + 1 is returned. Otherwise members are scanned in
+        increasing index order, resuming where the last query for p stopped:
+        the table maps ``p.id`` to the least hit once found, and to minus the
+        number of members scanned without a hit before that. Only the scan
+        reads members, so a member that raises (a set over another space,
+        say) raises only when the scan reaches it.
         """
         if p.space is not self.space:
             raise CrossSpaceError(f"cover over {self.space.tag} queried with point of {p.space.tag}")
@@ -81,6 +87,12 @@ class IndexedCover:
         known = table.get(p.id, 0)
         if known > 0:
             return known
+        if self._first_hit_rule is not None:
+            j = self._first_hit_rule(p, upto)
+            if j > upto:
+                return upto + 1
+            table[p.id] = j
+            return j
         j = -known
         while j < upto:
             j += 1
@@ -193,6 +205,7 @@ def increasing_form(cover: IndexedCover) -> IndexedCover:
         provenance=lambda j: tuple(range(1, j + 1)),
         increasing=True,
         label=f"increasing({cover.label})" if cover.label else "increasing",
+        first_hit=cover.first_hit,
     )
 
 
@@ -219,6 +232,7 @@ def head_normalize(chosen: OpenSet, reply: IndexedCover) -> IndexedCover:
         provenance=lambda j: (1,) if j == 1 else (j - 1,),
         increasing=True,
         label=f"headed({reply.label})" if reply.label else "headed",
+        first_hit=lambda p, upto: 1 if member(chosen, p) else reply.first_hit(p, upto - 1) + 1,
     )
 
 

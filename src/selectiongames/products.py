@@ -18,6 +18,7 @@ countable unions is subsumed by that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Mapping
 
 from .covers import FiniteSelection, IndexedCover
@@ -32,7 +33,9 @@ def lifted_cover(product: ProductSpace, base_cover: IndexedCover) -> IndexedCove
     """Place every member of a base cover at every level of the product.
 
     Index j encodes (base member index, level) through the Cantor pairing;
-    provenance back-maps a lifted index to its base member.
+    provenance back-maps a lifted index to its base member. A point at level
+    l first hits the lift at l of its base point's first hit, since the
+    pairing increases in the member index.
     """
 
     def decompose(j: int) -> tuple[int, int]:
@@ -47,12 +50,23 @@ def lifted_cover(product: ProductSpace, base_cover: IndexedCover) -> IndexedCove
         base_point, level = product.split(p)
         return pair(base_cover.witness(base_point) - 1, level - 1) + 1
 
+    def first_hit(p: Point, upto: int) -> int:
+        base_point, level = product.split(p)
+        # the largest base index a with pair(a - 1, level - 1) + 1 <= upto,
+        # i.e. with s * (s + 1) / 2 <= upto - level for s = a + level - 2
+        room = upto - level
+        bound = (isqrt(8 * room + 1) - 1) // 2 - level + 2 if room >= 0 else 0
+        if bound < 1:
+            return upto + 1
+        return pair(base_cover.first_hit(base_point, bound) - 1, level - 1) + 1
+
     return IndexedCover(
         space=product,
         sets=sets,
         witness=witness,
         provenance=lambda j: (decompose(j)[0],),
         label=f"lift({base_cover.label})" if base_cover.label else "lift",
+        first_hit=first_hit,
     )
 
 
@@ -70,7 +84,8 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
     """The strategy on the product space that mirrors a base strategy.
 
     Each lifted reply is computed by projecting the opponent's lifted
-    selections to base moves and re-querying the base strategy.
+    selections to base moves and re-querying the base strategy. Projections
+    are kept per selected index tuple for as long as the strategy lives.
     """
     product = ProductSpace(alice.space)
     base_cover_memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
@@ -86,9 +101,13 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
         return hit
 
     lifted_memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
+    projections: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def move(history: History) -> IndexedCover:
-        projected = tuple(project_selection(product, sel) for sel in history)
+        for sel in history:
+            if sel.indices not in projections:
+                projections[sel.indices] = project_selection(product, sel)
+        projected = tuple(projections[sel.indices] for sel in history)
         hit = lifted_memo.get(projected)
         if hit is None:
             hit = lifted_memo[projected] = lifted_cover(product, base_cover_for(projected))

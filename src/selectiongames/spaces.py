@@ -9,10 +9,11 @@ game drivers re-query the same nodes across innings; a memo lives exactly as
 long as its expression.
 
 A cumulative union asks its source cover for the point's first hit (the
-least member index containing it), and the cover keeps one resumable scan
-per point for every union over it (:meth:`IndexedCover.first_hit`), so
-walking unions of growing length costs one pass over the members, not one
-per union. That table lives exactly as long as its cover.
+least member index containing it). A cover built with a first-hit rule
+derives it from its source; any other keeps one resumable scan per point
+for every union over it (:meth:`IndexedCover.first_hit`), so walking unions
+of growing length costs at most one pass over the members, not one per
+union. The cover's table lives exactly as long as the cover.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ enumerating the box.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -88,24 +89,7 @@ def box_paths(bound: Path, limit: int) -> Iterable[Path]:
         total *= b
     if total > limit:
         raise ResourceLimitError(f"node box of size {total} exceeds limit {limit}")
-    if not bound:
-        return [()]
-
-    def gen() -> Iterable[Path]:
-        counters = [1] * len(bound)
-        while True:
-            yield tuple(counters)
-            pos = len(bound) - 1
-            while pos >= 0:
-                counters[pos] += 1
-                if counters[pos] <= bound[pos]:
-                    break
-                counters[pos] = 1
-                pos -= 1
-            if pos < 0:
-                return
-
-    return gen()
+    return itertools.product(*(range(1, b + 1) for b in bound))
 
 
 def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) -> list[IndexedCover]:
@@ -117,11 +101,9 @@ def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) 
     """
     if tree.box_covers is not None:
         return list(tree.box_covers(bound))
-    covers: list[IndexedCover] = []
-    seen: set[int] = set()
+    cover_at = tree.cover_at
+    covers: dict[int, IndexedCover] = {}
     for path in box_paths(bound, limit):
-        cover = tree.cover_at(path)
-        if id(cover) not in seen:
-            seen.add(id(cover))
-            covers.append(cover)
-    return covers
+        cover = cover_at(path)
+        covers.setdefault(id(cover), cover)
+    return list(covers.values())

@@ -2,6 +2,7 @@ from selectiongames.corpus import named_strategies, seeded_strategy, segment_cov
 from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import check_legal
 from selectiongames.pairing import pair
+from selectiongames import products
 from selectiongames.products import (
     infinitely_often_play,
     lift_strategy,
@@ -46,6 +47,16 @@ class TestLiftedCover:
         j = pair(2, 5) + 1  # base member 3 at level 6
         assert lifted.provenance(j) == (3,)
 
+    def test_first_hit_reads_no_lifted_member(self):
+        prod = ProductSpace(N)
+        lifted = lifted_cover(prod, segment_cover(N))
+        target = prod.combine(N.point(4), 3)
+        # base first hit of p4 in segments is 5, so the lift of member 5 at level 3
+        expected = pair(5 - 1, 3 - 1) + 1
+        assert lifted.first_hit(target, expected) == expected
+        assert lifted.first_hit(target, expected - 1) == expected
+        assert lifted._memo == {}  # a scan would have read members 1..expected
+
 
 class TestProjectSelection:
     def test_same_member_at_two_levels_deduplicates(self):
@@ -81,6 +92,45 @@ class TestLiftStrategy:
         target = prod.combine(N.point(0), 1)
         base_target = N.point(0)
         assert member(reply.sets(1), target) == member(base_reply.sets(1), base_target)
+
+
+def reference_projection_key(product, history):
+    """The projection key lift_strategy.move computed on every call before
+    projections were kept per selection."""
+    projected = tuple(project_selection(product, sel) for sel in history)
+    return projected
+
+
+class TestLiftStrategyMemo:
+    def test_repeated_moves_return_one_cover_and_project_once(self, monkeypatch):
+        calls = []
+
+        def counted(product, sel):
+            calls.append(sel.indices)
+            return project_selection(product, sel)
+
+        monkeypatch.setattr(products, "project_selection", counted)
+        alice = named_strategies(N)["shifted_seg"]
+        prod, lifted = lift_strategy(alice)
+        root = lifted.move(())
+        first = FiniteSelection(root, (pair(2, 1) + 1, pair(0, 4) + 1))  # members 3 and 1
+        reply = lifted.move((first,))
+        second = FiniteSelection(reply, (pair(1, 0) + 1,))  # member 2
+        history = (first, second)
+        cover = lifted.move(history)
+        projected_calls = len(calls)
+        assert projected_calls == 2  # one projection per distinct selection
+        for _ in range(3):
+            assert lifted.move(history) is cover
+        assert len(calls) == projected_calls
+        # another lifted history with the same reference key gives the same cover
+        same = FiniteSelection(root, (pair(0, 0) + 1, pair(2, 5) + 1))
+        assert reference_projection_key(prod, (same, second)) == reference_projection_key(prod, history)
+        assert lifted.move((same, second)) is cover
+        # and a different key a different one
+        other = FiniteSelection(root, (pair(3, 0) + 1,))
+        assert reference_projection_key(prod, (other,)) != reference_projection_key(prod, (first,))
+        assert lifted.move((other,)) is not reply
 
 
 class TestInfinitelyOften:

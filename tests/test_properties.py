@@ -1,9 +1,13 @@
 """Property tests over randomly generated expressions, covers, and boxes."""
 
+from typing import Iterable
+
 from hypothesis import given, settings, strategies as st
 
-from selectiongames.covers import CofiniteSpec, IndexedCover, increasing_form, is_cover_up_to
-from selectiongames.errors import ResourceLimitError
+from selectiongames.corpus import segment_cover, singleton_cover, whole_head_cover
+from selectiongames.covers import CofiniteSpec, IndexedCover, head_normalize, increasing_form, is_cover_up_to
+from selectiongames.errors import CrossSpaceError, ResourceLimitError
+from selectiongames.products import lifted_cover
 from selectiongames.spaces import (
     CountableDiscrete,
     CumulativeUnion,
@@ -15,12 +19,13 @@ from selectiongames.spaces import (
     ProductSpace,
     FiniteTopological,
     Whole,
+    from_ids,
     initial_segment,
     member,
     singleton,
     whole,
 )
-from selectiongames.trees import box_paths
+from selectiongames.trees import Path, box_paths
 
 import pytest
 
@@ -216,6 +221,128 @@ def test_product_space_over_finite_base(idx):
 def test_box_paths_resource_guard():
     with pytest.raises(ResourceLimitError):
         list(box_paths((10, 10, 10), limit=100))
+
+
+def reference_box_paths(bound: Path, limit: int) -> Iterable[Path]:
+    """All node sequences coordinatewise between the all-ones sequence and
+    `bound`, in lexicographic order. Raises when the box exceeds `limit`."""
+    total = 1
+    for b in bound:
+        if b < 1:
+            raise ValueError("box bounds must be positive")
+        total *= b
+    if total > limit:
+        raise ResourceLimitError(f"node box of size {total} exceeds limit {limit}")
+    if not bound:
+        return [()]
+
+    def gen() -> Iterable[Path]:
+        counters = [1] * len(bound)
+        while True:
+            yield tuple(counters)
+            pos = len(bound) - 1
+            while pos >= 0:
+                counters[pos] += 1
+                if counters[pos] <= bound[pos]:
+                    break
+                counters[pos] = 1
+                pos -= 1
+            if pos < 0:
+                return
+
+    return gen()
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=80)
+def test_box_paths_match_the_counter_walk(core, ones_before, ones_after):
+    bound = (1,) * ones_before + tuple(core) + (1,) * ones_after
+    assert list(box_paths(bound, 256)) == list(reference_box_paths(bound, 256))
+
+
+def test_box_paths_guards_raise_before_iteration():
+    # the calls raise themselves; nothing is iterated
+    with pytest.raises(ResourceLimitError):
+        box_paths((10, 10, 10), limit=100)
+    with pytest.raises(ValueError):
+        box_paths((3, 0, 2), limit=100)
+    assert list(box_paths((), 1)) == [()]
+
+
+F = FiniteTopological.discrete(3)
+
+
+def unhooked(cover):
+    """The same cover rebuilt without its first-hit rule, so the resumable
+    scan over its members answers."""
+    return IndexedCover(cover.space, cover.sets, cover.witness, increasing=cover.increasing, label=cover.label)
+
+
+def finite_sets():
+    return st.one_of(
+        st.frozensets(st.integers(min_value=0, max_value=2)).map(lambda ids: from_ids(F, ids)),
+        st.just(whole(F)),
+    )
+
+
+@st.composite
+def hooked_covers(draw):
+    """A cover whose first hit the library derives from its source: a corpus
+    cover or an arbitrary (not increasing, possibly missing points) one over
+    N or a three-point space, put through increasing forms, headings and at
+    most one product lift."""
+    space = draw(st.sampled_from([N, F]))
+    kind = draw(st.sampled_from(["members", "segments", "singletons", "whole_head"]))
+    if kind == "members":
+        members = draw(st.lists(expressions() if space is N else finite_sets(), min_size=1, max_size=5))
+        cover = IndexedCover(space, sets=lambda j: members[(j - 1) % len(members)], witness=lambda p: 1)
+    elif kind == "segments":
+        cover = segment_cover(space, shift=draw(st.integers(min_value=0, max_value=4)))
+    else:
+        cover = singleton_cover(space) if kind == "singletons" else whole_head_cover(space)
+    # an arbitrary cover has no rule of its own, so it is transformed at least once
+    steps = draw(st.lists(st.sampled_from(["inc", "head", "lift"]), min_size=kind == "members", max_size=3))
+    if steps.count("lift") > 1:
+        steps.remove("lift")
+    for step in steps:
+        if step == "inc":
+            cover = increasing_form(cover)
+        elif step == "head":
+            chosen = cover.sets(draw(st.integers(min_value=1, max_value=4)))
+            cover = head_normalize(chosen, cover if cover.increasing else increasing_form(cover))
+        else:
+            cover = lifted_cover(ProductSpace(cover.space), cover)
+    return cover
+
+
+REACH = 60  # every bound asked stays below this
+
+
+@given(hooked_covers(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_first_hit_rules_match_the_scan(cover, data):
+    scan = unhooked(cover)
+    assert cover._first_hit_rule is not None
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6))
+    for i in ids:
+        p = cover.space.point(i % (cover.space.size or REACH))
+        least = next((j for j in range(1, REACH + 1) if reference_member(scan.sets(j), p)), None)
+        uptos = [0, data.draw(st.integers(min_value=0, max_value=REACH))]
+        if least is not None:
+            uptos += [least - 1, least, least + 1]
+        for upto in data.draw(st.permutations(uptos)):
+            upto = min(upto, REACH)
+            expected = least if least is not None and least <= upto else None
+            for asked in (cover, scan):
+                got = asked.first_hit(p, upto)
+                assert (got if got <= upto else None) == expected
+    other = N.point(0) if isinstance(cover.space, ProductSpace) else ProductSpace(N).point(0)
+    with pytest.raises(CrossSpaceError):
+        cover.first_hit(other, REACH)
 
 
 def test_cofinite_spec_rejects_nonpositive():
