@@ -202,29 +202,29 @@ def evaluate_win(t: Transcript, horizon: int) -> WinReport:
     below the horizon lies in some selected set; for multiplicity k it must
     lie in at least k structurally distinct selected sets. The report carries
     the per-point count of distinct covering sets and the failing points.
+
+    Each distinct description is tested once, through its first selected set.
+    That is exact: two sets are the same move exactly when their descriptions
+    agree, so every set with a given description covers the same points, and
+    a point's count is the number of distinct descriptions covering it.
     """
-    chosen: list[OpenSet] = []
+    distinct: dict[tuple, OpenSet] = {}
+    space = None
     for rec in t.innings:
         if rec.selected_sets is None:
             raise ValueError("transcript was parsed from records and has no live sets")
-        chosen.extend(rec.selected_sets)
-    space = None
-    for s in chosen:
-        space = s.space_hint()
-        if space is not None:
-            break
+        for s in rec.selected_sets:
+            distinct.setdefault(describe(s), s)
+            if space is None:
+                space = s.space_hint()
     if space is None and horizon > 0:
         raise ValueError("cannot infer the space from the transcript")
     need = t.game.multiplicity
     uncovered: list[int] = []
     coverage: dict[int, int] = {}
     for p in space.points(horizon) if space is not None else []:
-        distinct: set[tuple] = set()
-        for s in chosen:
-            if member(s, p):
-                distinct.add(describe(s))
-        coverage[p.id] = len(distinct)
-        if len(distinct) < need:
+        coverage[p.id] = count = sum(1 for s in distinct.values() if member(s, p))
+        if count < need:
             uncovered.append(p.id)
     winner = "bob" if not uncovered else "alice"
     return WinReport(winner=winner, horizon=horizon, uncovered=tuple(uncovered), coverage=coverage)

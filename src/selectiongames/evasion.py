@@ -36,7 +36,7 @@ from .covers import IndexedCover, witness_of
 from .engine import GameKind, Transcript, large_menger_game, make_inning
 from .errors import BudgetError
 from .pairing import finseq_from_index
-from .rothberger import joint_refinement_cover
+from .rothberger import joint_refinement_cover, witness_once
 from .spaces import OpenSet, Point, describe, member
 from .trees import Path, TreeStrategy
 
@@ -69,9 +69,10 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
     """The subfamily excluding the given sets (matched structurally),
     reindexed order-preservingly.
 
-    The witness is repaired by scanning forward from the old witness; a large
-    cover guarantees the scan succeeds, and running past the budget raises
-    :class:`BudgetError`. Provenance maps each new index to the original one.
+    The witness is repaired by scanning forward from the old witness, once
+    per point; a large cover guarantees the scan succeeds, and running past
+    the budget raises :class:`BudgetError`. Provenance maps each new index to
+    the original one.
     """
     gone = {describe(s) for s in chosen}
     surviving: list[int] = []  # original indices, in order
@@ -107,7 +108,7 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
     return IndexedCover(
         space=cover.space,
         sets=lambda j: cover.sets(original_index(j)),
-        witness=witness,
+        witness=witness_once(cover.space, witness),
         provenance=lambda j: (original_index(j),),
         increasing=cover.increasing,
         label=f"stripped({cover.label})" if cover.label else "stripped",
@@ -121,28 +122,36 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
 
     A stripped cover depends only on the original cover and on the removed
     sets' descriptions, so nodes that agree on both share one cover object
-    (and its member, witness and first-hit memos)."""
+    (and its member, witness and first-hit memos). Each node keeps its
+    original path and an interned entry: the frozenset of the removed sets'
+    descriptions, extended from its parent's by one, and the chosen sets of
+    the first node that reached it."""
 
-    state: dict[Path, tuple[Path, tuple[OpenSet, ...]]] = {(): ((), ())}
+    Removed = tuple[frozenset, tuple[OpenSet, ...]]
+    state: dict[Path, tuple[Path, Removed]] = {(): ((), (frozenset(), ()))}
+    interned: dict[frozenset, Removed] = {}
     shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
-    def resolve(path: Path) -> tuple[Path, tuple[OpenSet, ...]]:
+    def resolve(path: Path) -> tuple[Path, Removed]:
         hit = state.get(path)
         if hit is None:
-            parent_orig, parent_chosen = resolve(path[:-1])
+            parent_orig, (parent_removed, parent_chosen) = resolve(path[:-1])
             stripped_parent = stripped.cover_at(path[:-1])
-            orig_idx = stripped_parent.provenance(path[-1])[0]
-            chosen_set = tree.set_at(parent_orig + (orig_idx,))
-            hit = state[path] = (parent_orig + (orig_idx,), parent_chosen + (chosen_set,))
+            orig_path = parent_orig + (stripped_parent.provenance(path[-1])[0],)
+            chosen_set = tree.set_at(orig_path)
+            removed = parent_removed | {describe(chosen_set)}
+            entry = interned.get(removed)
+            if entry is None:
+                entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
+            hit = state[path] = (orig_path, entry)
         return hit
 
     def cover_at(path: Path) -> IndexedCover:
-        orig_path, chosen = resolve(path)
+        orig_path, (removed, chosen) = resolve(path)
         cover = tree.cover_at(orig_path)
-        key = (cover, frozenset(describe(s) for s in chosen))
-        hit = shared.get(key)
+        hit = shared.get((cover, removed))
         if hit is None:
-            hit = shared[key] = strip_history(cover, chosen)
+            hit = shared[(cover, removed)] = strip_history(cover, chosen)
         return hit
 
     def back_map(path: Path) -> tuple[tuple[int, ...], ...]:

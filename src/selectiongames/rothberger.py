@@ -40,7 +40,7 @@ from .engine import (
     Transcript,
     make_inning,
 )
-from .errors import BudgetError, GameError, IntegrityError
+from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
 from .trees import Path, TreeStrategy, distinct_covers_on_box
 
@@ -295,6 +295,26 @@ def _assigned_cover(
 # Joint refinements and the derived finite-selection strategy
 
 
+def witness_once(space: SpaceModel, scan: Callable[[Point], int]) -> Callable[[Point], int]:
+    """The witness `scan`, run at most once per point id.
+
+    A point of another space is refused before the lookup, as in
+    `IndexedCover.first_hit`, so the memo is keyed by ``p.id``; a scan that
+    raises stores nothing and runs again when asked again.
+    """
+    known: dict[int, int] = {}
+
+    def witness(p: Point) -> int:
+        if p.space is not space:
+            raise CrossSpaceError(f"cover over {space.tag} queried with point of {p.space.tag}")
+        hit = known.get(p.id)
+        if hit is None:
+            hit = known[p.id] = scan(p)
+        return hit
+
+    return witness
+
+
 def joint_refinement_cover(
     tree: TreeStrategy,
     bound: Path,
@@ -307,10 +327,10 @@ def joint_refinement_cover(
 
     Every member refines each node cover by construction and records factor
     index n at every node. The witness starts at the max of the factor
-    witnesses (exact when all factors are increasing) and rescans forward a
-    little otherwise. The distinct covers are collected once, from the
-    tree's `box_covers` hook when it has one, else by walking the box under
-    `box_limit`.
+    witnesses (exact when all factors are increasing), rescans forward a
+    little otherwise, and runs once per point. The distinct covers are
+    collected once, from the tree's `box_covers` hook when it has one, else
+    by walking the box under `box_limit`.
     """
     factors = distinct_covers_on_box(tree, bound, limit=box_limit)
 
@@ -331,7 +351,7 @@ def joint_refinement_cover(
     return IndexedCover(
         space=tree.space,
         sets=sets,
-        witness=witness,
+        witness=witness_once(tree.space, witness),
         increasing=all(c.increasing for c in factors),
         label=f"refine{bound}",
     )

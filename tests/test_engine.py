@@ -1,19 +1,35 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selectiongames import engine
 from selectiongames.corpus import segment_cover, whole_head_cover
 from selectiongames.covers import FiniteSelection
 from selectiongames.engine import (
     AliceStrategy,
     BobStrategy,
     GameKind,
+    Inning,
     MENGER_GAME,
     ROTHBERGER_GAME,
+    Transcript,
+    WinReport,
     check_legal,
     evaluate_win,
     run_play,
 )
 from selectiongames.errors import LegalityError
-from selectiongames.spaces import CountableDiscrete
+from selectiongames.spaces import (
+    CountableDiscrete,
+    FiniteUnion,
+    OpenSet,
+    describe,
+    initial_segment,
+    member,
+    singleton,
+    whole,
+)
 
 N = CountableDiscrete()
 
@@ -135,3 +151,96 @@ class TestEvaluateWin:
         win = evaluate_win(t, 3)
         assert win.bob_wins
         assert win.coverage[0] == 4
+
+
+# ---------------------------------------------------------------------------
+# `evaluate_win` as it was before it counted each description once: every
+# horizon point against every selected set. Kept verbatim as the reference.
+
+
+def reference_evaluate_win(t: Transcript, horizon: int) -> WinReport:
+    chosen: list[OpenSet] = []
+    for rec in t.innings:
+        if rec.selected_sets is None:
+            raise ValueError("transcript was parsed from records and has no live sets")
+        chosen.extend(rec.selected_sets)
+    space = None
+    for s in chosen:
+        space = s.space_hint()
+        if space is not None:
+            break
+    if space is None and horizon > 0:
+        raise ValueError("cannot infer the space from the transcript")
+    need = t.game.multiplicity
+    uncovered: list[int] = []
+    coverage: dict[int, int] = {}
+    for p in space.points(horizon) if space is not None else []:
+        distinct: set[tuple] = set()
+        for s in chosen:
+            if member(s, p):
+                distinct.add(describe(s))
+        coverage[p.id] = len(distinct)
+        if len(distinct) < need:
+            uncovered.append(p.id)
+    winner = "bob" if not uncovered else "alice"
+    return WinReport(winner=winner, horizon=horizon, uncovered=tuple(uncovered), coverage=coverage)
+
+
+def fresh_sets():
+    """Sets built anew on every draw, so equal descriptions come from
+    distinct objects."""
+    small = st.integers(min_value=0, max_value=6)
+    leaf = st.one_of(
+        small.map(lambda m: initial_segment(N, m)),
+        small.map(lambda i: singleton(N, i)),
+        st.just(None).map(lambda _: whole(N)),
+    )
+    return st.one_of(leaf, st.tuples(small, small).map(lambda ij: FiniteUnion(parts=(singleton(N, ij[0]), singleton(N, ij[1])))))
+
+
+@st.composite
+def transcripts(draw):
+    innings = draw(st.lists(st.lists(fresh_sets(), min_size=1, max_size=4), min_size=1, max_size=6))
+    records = tuple(
+        Inning(number=n, cover_prefix=(), selection=tuple(range(1, len(sets) + 1)), selected_sets=tuple(sets))
+        for n, sets in enumerate(innings, start=1)
+    )
+    return Transcript(game=GameKind("finite", draw(st.integers(min_value=1, max_value=3))), innings=records)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEvaluateWinAgainstTheReference:
+    @settings(max_examples=150, deadline=None)
+    @given(transcripts(), st.integers(min_value=0, max_value=9))
+    def test_same_report(self, t, horizon):
+        assert evaluate_win(t, horizon) == reference_evaluate_win(t, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(transcripts(), st.integers(min_value=0, max_value=9), st.data())
+    def test_parsed_transcript_raises(self, t, horizon, data):
+        k = data.draw(st.integers(min_value=0, max_value=len(t.innings) - 1))
+        parsed = dataclasses.replace(
+            t, innings=t.innings[:k] + (dataclasses.replace(t.innings[k], selected_sets=None),) + t.innings[k + 1 :]
+        )
+        with pytest.raises(ValueError, match="no live sets"):
+            evaluate_win(parsed, horizon)
+        assert _outcome(lambda: evaluate_win(parsed, horizon)) == _outcome(lambda: reference_evaluate_win(parsed, horizon))
+
+    def test_members_tested_once_per_description(self, monkeypatch):
+        # selections {1..n} of the segment cover repeat every earlier segment
+        bob = BobStrategy(move=lambda cover, n, hist: FiniteSelection(cover, tuple(range(1, n + 1))))
+        t = run_play(GameKind("finite", 3), always_segments(), bob, 8)
+        calls = []
+        real = engine.member
+        monkeypatch.setattr(engine, "member", lambda s, p: calls.append(p.id) or real(s, p))
+        win = evaluate_win(t, 6)
+        distinct = {describe(s) for rec in t.innings for s in rec.selected_sets}
+        assert len(distinct) == 8 and sum(len(rec.selected_sets) for rec in t.innings) == 36
+        assert len(calls) <= len(distinct) * 6
+        assert win == reference_evaluate_win(t, 6)

@@ -1,13 +1,15 @@
 import math
 import random
+from collections import Counter
+from typing import Sequence
 
 import pytest
 
-from selectiongames import evasion
+from selectiongames import engine, evasion
 from selectiongames.corpus import appendix_tree_corpus, segment_cover, strategy_corpus
 from selectiongames.covers import IndexedCover, is_cover_up_to, is_large_up_to, witness_of
-from selectiongames.engine import check_legal
-from selectiongames.errors import BudgetError, ResourceLimitError
+from selectiongames.engine import check_legal, evaluate_win
+from selectiongames.errors import BudgetError, CrossSpaceError, ResourceLimitError
 from selectiongames.evasion import (
     BaireFunction,
     counterplay_large,
@@ -21,6 +23,7 @@ from selectiongames.hurewicz import normalize_strategy
 from selectiongames.spaces import (
     CountableDiscrete,
     FiniteIntersection,
+    Named,
     OpenSet,
     Point,
     describe,
@@ -141,6 +144,91 @@ def reference_greedy_index_function(
     return BaireFunction(eval_raw=eval_raw, description=tag)
 
 
+# ---------------------------------------------------------------------------
+# Stripping as it was before witnesses were memoized and strip keys interned:
+# the witness scan runs on every query, and every node keeps its chosen-set
+# tuple and rebuilds the frozenset of their descriptions as its sharing key.
+# Kept verbatim as the reference.
+
+
+def reference_strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: int = 200) -> IndexedCover:
+    gone = {describe(s) for s in chosen}
+    surviving: list[int] = []  # original indices, in order
+
+    def original_index(j: int) -> int:
+        while len(surviving) < j:
+            start = nxt = surviving[-1] + 1 if surviving else 1
+            if gone:
+                limit = nxt + scan_budget
+                while nxt < limit and describe(cover.sets(nxt)) in gone:
+                    nxt += 1
+                if nxt >= limit:
+                    raise BudgetError(
+                        f"no member of cover {cover.label!r} survives within {scan_budget} of index {start}"
+                    )
+            surviving.append(nxt)
+        return surviving[j - 1]
+
+    def witness(p: Point) -> int:
+        old = cover.witness(p)
+        k = 1
+        limit = None
+        while True:
+            oj = original_index(k)
+            if member(cover.sets(oj), p):
+                return k
+            if limit is None and oj >= old:
+                limit = k + scan_budget
+            if limit is not None and k >= limit:
+                raise BudgetError(f"witness repair exhausted budget {scan_budget} for {p!r}")
+            k += 1
+
+    return IndexedCover(
+        space=cover.space,
+        sets=lambda j: cover.sets(original_index(j)),
+        witness=witness,
+        provenance=lambda j: (original_index(j),),
+        increasing=cover.increasing,
+        label=f"stripped({cover.label})" if cover.label else "stripped",
+    )
+
+
+def reference_shared_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
+    state: dict[Path, tuple[Path, tuple[OpenSet, ...]]] = {(): ((), ())}
+    shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
+
+    def resolve(path: Path) -> tuple[Path, tuple[OpenSet, ...]]:
+        hit = state.get(path)
+        if hit is None:
+            parent_orig, parent_chosen = resolve(path[:-1])
+            stripped_parent = stripped.cover_at(path[:-1])
+            orig_idx = stripped_parent.provenance(path[-1])[0]
+            chosen_set = tree.set_at(parent_orig + (orig_idx,))
+            hit = state[path] = (parent_orig + (orig_idx,), parent_chosen + (chosen_set,))
+        return hit
+
+    def cover_at(path: Path) -> IndexedCover:
+        orig_path, chosen = resolve(path)
+        cover = tree.cover_at(orig_path)
+        key = (cover, frozenset(describe(s) for s in chosen))
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = reference_strip_history(cover, chosen)
+        return hit
+
+    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
+        orig_path, _ = resolve(path)
+        return tuple((i,) for i in orig_path)
+
+    stripped = TreeStrategy(
+        space=tree.space,
+        cover_at_raw=cover_at,
+        back_map=back_map,
+        label=f"stripped({tree.label})",
+    )
+    return stripped
+
+
 BOX = 200  # largest node box the comparisons walk
 POINTS = [N.point(i) for i in range(16)]
 
@@ -230,6 +318,98 @@ class TestAgainstTheReferencePipeline:
                 assert got == expect, (name, [p.id for p in sample])
                 played += isinstance(got, tuple) and max(got) > 1
         assert played >= 20  # most comparisons are of nontrivial prefixes
+
+
+class TestAgainstTheReferenceStrip:
+    def test_same_members_witnesses_back_maps_and_sharing(self):
+        for name, tree in appendix_tree_corpus(N, n_random=2, seed=5).items():
+            new, ref = strip_chosen_tree(tree), reference_shared_strip_chosen_tree(tree)
+            new_ids: dict[int, Path] = {}
+            ref_ids: dict[int, Path] = {}
+            for node in [()] + _nodes_on_small_boxes():
+                got = _outcome(lambda: new.cover_at(node))
+                expect = _outcome(lambda: ref.cover_at(node))
+                if not isinstance(expect, IndexedCover):
+                    assert got == expect, (name, node)
+                    continue
+                # the same nodes share a cover on both sides
+                assert new_ids.setdefault(id(got), node) == ref_ids.setdefault(id(expect), node), (name, node)
+                for _ in range(2):  # the second round reads the witness memo
+                    new_w = [_outcome(lambda: got.witness(p)) for p in POINTS]
+                    assert new_w == [_outcome(lambda: expect.witness(p)) for p in POINTS], (name, node)
+                assert _outcome(lambda: new.back_map(node)) == _outcome(lambda: ref.back_map(node)), (name, node)
+                for j in range(1, 5):
+                    assert _outcome(lambda: describe(got.sets(j))) == _outcome(lambda: describe(expect.sets(j)))
+
+    def test_same_witnesses_under_a_small_budget(self):
+        cover = segment_cover(N)
+        chosen = [initial_segment(N, j) for j in (1, 2, 4, 5, 6)]
+        new, ref = strip_history(cover, chosen, scan_budget=3), reference_strip_history(cover, chosen, scan_budget=3)
+        for p in POINTS:
+            assert _outcome(lambda: new.witness(p)) == _outcome(lambda: ref.witness(p)), p
+
+
+def _lonely_cover() -> IndexedCover:
+    """Member j contains only point j - 1 below index 30, everything above;
+    removing member 3 leaves point 2 uncovered until index 30."""
+    return IndexedCover(
+        space=N,
+        sets=lambda j: Named(space=N, label=f"lonely:{j}", pred=lambda p, j=j: p.id == j - 1 or j > 30),
+        witness=lambda p: p.id + 1,
+        label="lonely",
+    )
+
+
+class TestStripWitnessMemo:
+    def test_point_of_another_space_is_refused_before_the_lookup(self):
+        stripped = strip_history(segment_cover(N), [initial_segment(N, 1)])
+        assert stripped.witness(N.point(2)) == 2
+        with pytest.raises(CrossSpaceError):
+            stripped.witness(CountableDiscrete("M").point(2))
+
+    def test_a_scan_that_raises_stores_nothing(self):
+        cover = _lonely_cover()
+        stripped = strip_history(cover, [cover.sets(3)], scan_budget=5)
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="witness repair exhausted budget 5"):
+                stripped.witness(N.point(2))
+        assert stripped.witness(N.point(4)) == 4
+
+
+def test_each_witness_scan_runs_once_per_point(monkeypatch):
+    """A large-cover play runs each stripped cover's witness scan at most
+    once per point (every scan starts by asking the original cover's witness,
+    which a proxy counts), and its win evaluation tests each distinct
+    description once per horizon point."""
+    real_strip, real_member = evasion.strip_history, engine.member
+    scans: Counter = Counter()
+
+    def counting_strip(cover, chosen, scan_budget=200):
+        def witness(p):
+            scans[id(proxy), p.id] += 1
+            return cover.witness(p)
+
+        proxy = IndexedCover(
+            space=cover.space,
+            sets=cover.sets,
+            witness=witness,
+            provenance=cover.provenance,
+            increasing=cover.increasing,
+            label=cover.label,
+        )
+        return real_strip(proxy, chosen, scan_budget)
+
+    monkeypatch.setattr(evasion, "strip_history", counting_strip)
+    result = counterplay_large(appendix_tree_corpus(N)["max_shifted"], N.points(5), innings=15)
+    assert result.stripped_play and len(scans) > 100
+    assert max(scans.values()) == 1
+
+    members: list[int] = []
+    monkeypatch.setattr(engine, "member", lambda s, p: members.append(p.id) or real_member(s, p))
+    win = evaluate_win(result.transcript, 5)
+    distinct = {describe(s) for rec in result.transcript.innings for s in rec.selected_sets}
+    assert len(members) <= len(distinct) * 5
+    assert win.bob_wins
 
 
 def test_stripped_covers_are_shared():

@@ -1,8 +1,9 @@
 import pytest
 
-from selectiongames.corpus import rothberger_tree_corpus
+from selectiongames.corpus import appendix_tree_corpus, rothberger_tree_corpus
 from selectiongames.engine import check_legal, evaluate_win
-from selectiongames.errors import GameError
+from selectiongames.errors import CrossSpaceError, GameError, IntegrityError
+from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
     bounds_from_history,
     distinct_intersections,
@@ -11,19 +12,83 @@ from selectiongames.rothberger import (
     rothberger_counterplay,
     select_one_per_family,
 )
-from selectiongames.covers import FiniteSelection, is_cover_up_to, witness_of
+from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to, witness_of
 from selectiongames.selectors import select_sone
 from selectiongames.spaces import (
     CountableDiscrete,
+    FiniteIntersection,
+    OpenSet,
+    Point,
     describe,
     extensionally_equal,
     initial_segment,
     member,
+    singleton,
     whole,
 )
-from selectiongames.trees import strategy_from_tree
+from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, strategy_from_tree
 
 N = CountableDiscrete()
+
+
+# ---------------------------------------------------------------------------
+# The joint refinement as it was before its witness was memoized: the factor
+# witnesses are asked and the rescan runs on every query. Kept verbatim as
+# the reference.
+
+
+def reference_joint_refinement_cover(
+    tree: TreeStrategy,
+    bound: Path,
+    box_limit: int = 20_000,
+    rescan: int = 64,
+) -> IndexedCover:
+    factors = distinct_covers_on_box(tree, bound, limit=box_limit)
+
+    def sets(n: int) -> OpenSet:
+        if len(factors) == 1:
+            return factors[0].sets(n)
+        return FiniteIntersection(parts=tuple(c.sets(n) for c in factors))
+
+    def witness(p: Point) -> int:
+        start = max(witness_of(c, p) for c in factors)
+        for n in range(start, start + rescan + 1):
+            if all(member(c.sets(n), p) for c in factors):
+                return n
+        raise IntegrityError(
+            f"no joint member within {rescan} of the factor witnesses contains {p!r}"
+        )
+
+    return IndexedCover(
+        space=tree.space,
+        sets=sets,
+        witness=witness,
+        increasing=all(c.increasing for c in factors),
+        label=f"refine{bound}",
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+def _two_cover_tree() -> TreeStrategy:
+    """Nodes (1,) and (2,) carry covers that contain point 0 only at member 1
+    and only at member 2, so no joint member contains it."""
+
+    def cover(at: int) -> IndexedCover:
+        return IndexedCover(
+            space=N,
+            sets=lambda j: singleton(N, 0 if j == at else 100 + j),
+            witness=lambda p: at,
+            label=f"only{at}",
+        )
+
+    covers = {1: cover(1), 2: cover(2)}
+    return TreeStrategy(space=N, cover_at_raw=lambda path: covers[path[-1]] if path else covers[1], label="two")
 
 
 class TestDistinctIntersections:
@@ -174,6 +239,40 @@ class TestJointRefinement:
         sel = FiniteSelection(root, (3,))
         m = bounds_from_history((sel,))[0]
         assert m == 3  # the recorded factor index is 3, so bound 2 fails
+
+
+class TestJointWitness:
+    def test_same_witnesses_as_the_reference(self):
+        trees = dict(rothberger_tree_corpus(N))
+        for name, tree in appendix_tree_corpus(N, n_random=1, seed=3).items():
+            trees[name] = tree
+            trees[f"stripped {name}"] = strip_chosen_tree(tree)
+        points = N.points(14)
+        compared = 0
+        for name, tree in trees.items():
+            for bound in [(), (1,), (3,), (2, 1), (2, 3), (4, 1, 2), (3, 3, 3)]:
+                new = _outcome(lambda: joint_refinement_cover(tree, bound, box_limit=100))
+                ref = _outcome(lambda: reference_joint_refinement_cover(tree, bound, box_limit=100))
+                if not isinstance(ref, IndexedCover):
+                    assert new == ref, (name, bound)
+                    continue
+                for _ in range(2):  # the second round reads the memo
+                    got = [_outcome(lambda: new.witness(p)) for p in points]
+                    assert got == [_outcome(lambda: ref.witness(p)) for p in points], (name, bound)
+                compared += 1
+        assert compared > 60
+
+    def test_point_of_another_space_is_refused_before_the_lookup(self):
+        cover = joint_refinement_cover(rothberger_tree_corpus(N)["shifted_seg"], (2, 1))
+        assert cover.witness(N.point(3)) >= 1
+        with pytest.raises(CrossSpaceError):
+            cover.witness(CountableDiscrete("M").point(3))
+
+    def test_a_scan_that_raises_stores_nothing(self):
+        cover = joint_refinement_cover(_two_cover_tree(), (2,), rescan=3)
+        for _ in range(2):
+            with pytest.raises(IntegrityError, match="within 3 of the factor witnesses"):
+                cover.witness(N.point(0))
 
 
 class TestRothbergerCounterplay:
