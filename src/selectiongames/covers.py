@@ -179,14 +179,16 @@ def witness_of(cover: IndexedCover, p: Point) -> int:
 
 
 def is_cover_up_to(cover: IndexedCover, horizon: int) -> Verdict:
-    """Check the witness invariant on every enumerated point below the horizon."""
+    """Check the witness invariant on every enumerated point below the horizon.
+    A failure's reason quotes the IntegrityError, which names the failing
+    cover and index (a node cover's, when a tail cover's witness breaks)."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     for p in cover.space.points(horizon):
         try:
             witness_of(cover, p)
-        except IntegrityError:
-            return Verdict(False, reason="witness failed membership", failing_point=p)
+        except IntegrityError as exc:
+            return Verdict(False, reason=f"witness failed membership: {exc}", failing_point=p)
     return Verdict(True)
 
 

@@ -32,9 +32,11 @@ Three pieces live here:
 Key computational fact used throughout: in a normalized tree the set at a
 child node contains the set at its parent, so the nodes at depth n whose sets
 omit a given point are exactly the descendants of omitting nodes, and their
-exclusion set can be generated level by level from per-node scan thresholds.
-Its size grows like the product of the thresholds, which is exponential in
-the depth; the counterplay therefore reads a point's omitting children off
+exclusion set can be generated level by level from per-node thresholds: a
+node cover's first hit for the point, less one, asked up to its verified
+witness (headed and increasing covers answer by rule, building no member).
+The set's size grows like the product of the thresholds, which is exponential
+in the depth; the counterplay therefore reads a point's omitting children off
 its first hit, and excluded index sets are materialized only where tests
 need literal cofinite specs (small depths).
 """
@@ -193,13 +195,15 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     flat finite intersection, shared by every spec that reduces to it.
 
     The excluded nodes are walked level by level from the family's depth up
-    to the root. At each depth they are grouped by parent node: within a
-    parent's (increasing, head-normalized) cover the surviving members
-    intersect to the minimum surviving child. When that is child 1 it is the
-    parent's own set (the head condition), which the family one level up
-    already contributes; otherwise the child becomes a named part and the
-    parent counts as excluded one level up. At depth one the root cover is
-    increasing, so what is left is its minimum surviving member, the base.
+    to the root. Within a parent's (increasing, head-normalized) cover the
+    surviving members intersect to the minimum surviving child. When that is
+    child 1 it is the parent's own set (the head condition), which the family
+    one level up already contributes. So a parent matters exactly when its
+    child 1 is excluded: its least absent child from 2 on becomes a named
+    part, and the parent counts as excluded one level up. The root is walked
+    last; the base, the minimum surviving member of the increasing root
+    cover, is its named child, or child 1 when that is not excluded (at
+    level 1, or for an empty spec, the spec's least surviving index).
 
     The walk yields node paths only; the key ``((m,), level-2 paths...,
     level-n paths...)`` names the base, then the parts of each level in
@@ -209,24 +213,23 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     deepest level first and base last, so a tree that raises while
     materializing raises at the same node as an unshared walk would.
     """
-    paths: list[Path] = []
-    gone = spec.excluded  # at level 1, index j is the node (j,)
-    if fam.level > 1:
-        nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
-        for _ in range(fam.level - 1):
-            by_parent: dict[Path, set[int]] = {}
-            for node in nodes:
-                by_parent.setdefault(node[:-1], set()).add(node[-1])
+    if fam.level == 1 or not spec.excluded:
+        key: tuple[Path, ...] = ((spec.min_surviving(),),)
+    else:
+        paths: list[Path] = []
+        nodes = {decode_tuple(idx, fam.level) for idx in spec.excluded}
+        for _ in range(fam.level):
+            if not nodes:
+                break
             named: list[Path] = []
-            nodes = []
-            for parent, children_gone in sorted(by_parent.items()):
-                m = _least_absent(children_gone)
-                if m > 1:
-                    named.append(parent + (m,))
-                    nodes.append(parent)
+            for parent in sorted({node[:-1] for node in nodes if node[-1] == 1}):
+                m = 2
+                while parent + (m,) in nodes:
+                    m += 1
+                named.append(parent + (m,))
             paths[:0] = named  # lower levels go first
-        gone = {node[0] for node in nodes}
-    key = ((_least_absent(gone),), *paths)
+            nodes = {path[:-1] for path in named}
+        key = tuple(paths) if nodes else ((1,), *paths)
     hit = fam._intersections.get(key)
     if hit is None:
         # a stable sort by decreasing length is the walk's order, base last
@@ -236,20 +239,14 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     return hit
 
 
-def _least_absent(gone: set[int] | frozenset[int]) -> int:
-    m = 1
-    while m in gone:
-        m += 1
-    return m
-
-
 class ExclusionOracle:
     """The omitting-node structure of one point at one level, queried lazily.
 
     In a normalized tree, a node's set contains its parent's set, so the
     depth-n nodes omitting a point are the depth-n descendants of omitting
     nodes; per omitting node the omitting children form an initial segment of
-    the child indices, whose length is found by a witness-bounded scan.
+    the child indices. Its length is the node cover's first hit for the point
+    less one, asked up to the cover's verified witness: exact for any cover.
     """
 
     def __init__(self, tree: TreeStrategy, level: int, point: Point):
@@ -265,12 +262,8 @@ class ExclusionOracle:
         if hit is not None:
             return hit
         cover = self.tree.cover_at(path)
-        w = witness_of(cover, self.point)
-        m = 1
-        while m < w and not member(self.tree.set_at(path + (m,)), self.point):
-            m += 1
-        self._threshold[path] = m - 1
-        return m - 1
+        hit = self._threshold[path] = cover.first_hit(self.point, witness_of(cover, self.point)) - 1
+        return hit
 
     def omits(self, path: Path) -> bool:
         """Does the set at this node omit the point?"""

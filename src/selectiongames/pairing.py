@@ -53,11 +53,12 @@ def encode_tuple(entries: tuple[int, ...]) -> int:
     """Inverse of :func:`decode_tuple`: tuple of positive naturals -> 1-based index."""
     if not entries:
         raise ValueError("cannot encode the empty tuple")
-    if any(e < 1 for e in entries):
+    if min(entries) < 1:
         raise ValueError("tuple entries must be positive")
     code = entries[-1]
     for e in reversed(entries[:-1]):
-        code = pair(e - 1, code - 1) + 1
+        s = e + code - 2  # pair(e - 1, code - 1) + 1, inlined
+        code = s * (s + 1) // 2 + code
     return code
 
 

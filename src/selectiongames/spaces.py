@@ -202,11 +202,13 @@ class OpenSet:
 
     # Per-expression state, written through vars(self) because the dataclass
     # is frozen: `_space` is resolved once at construction, `_memo` maps point
-    # ids to membership (composites only; leaves are cheap to decide), and
-    # `_desc` caches the structural description.
+    # ids to membership (composites only; leaves are cheap to decide),
+    # `_desc` caches the structural description and `_ext` the extension
+    # over the expression's own finite space.
     _space = None
     _memo = None
     _desc = None
+    _ext = None
 
     def __post_init__(self) -> None:
         vars(self)["_space"] = getattr(self, "space", None)
@@ -386,8 +388,14 @@ def enumerate_points(space: SpaceModel, n: int) -> list[Point]:
 
 
 def extension(s: OpenSet, space: FiniteTopological) -> frozenset[int]:
-    """Materialize an expression over a finite model (ids of its points)."""
-    return frozenset(p.id for p in space.all_points() if member(s, p))
+    """Materialize an expression over a finite model (ids of its points),
+    kept on the expression when the model is the expression's own space."""
+    if s._space is not space:
+        return frozenset(p.id for p in space.all_points() if member(s, p))
+    hit = s._ext
+    if hit is None:
+        hit = vars(s)["_ext"] = frozenset(p.id for p in space.all_points() if member(s, p))
+    return hit
 
 
 def extensionally_equal(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int = 50) -> bool:

@@ -8,7 +8,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy, singleton_cover
 from selectiongames.covers import CofiniteSpec, IndexedCover, is_cover_up_to, witness_of
@@ -226,6 +226,71 @@ def _least_absent(gone):
     return m
 
 
+def reference_walk_key(fam, spec):
+    """The key the level walk built before it read each parent's child 1
+    directly, kept verbatim: the least absent child of every parent, and a
+    separate least-absent search for the base."""
+    paths = []
+    gone = spec.excluded  # at level 1, index j is the node (j,)
+    if fam.level > 1:
+        nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
+        for _ in range(fam.level - 1):
+            by_parent = {}
+            for node in nodes:
+                by_parent.setdefault(node[:-1], set()).add(node[-1])
+            named = []
+            nodes = []
+            for parent, children_gone in sorted(by_parent.items()):
+                m = _least_absent(children_gone)
+                if m > 1:
+                    named.append(parent + (m,))
+                    nodes.append(parent)
+            paths[:0] = named  # lower levels go first
+        gone = {node[0] for node in nodes}
+    return ((_least_absent(gone),), *paths)
+
+
+def check_walk(fam, spec, by_key):
+    """The walk's expression is describe-equal to the fresh walk's, is filed
+    under the reference key, and is the one object of every spec with that key."""
+    got = cofinite_intersection(fam, spec)
+    key = reference_walk_key(fam, spec)
+    assert fam._intersections[key] is got
+    assert by_key.setdefault(key, got) is got
+    assert describe(got) == describe(reference_cofinite_intersection_fresh(fam, spec))
+
+
+def test_level_walk_matches_the_reference_on_small_specs():
+    specs = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 13), k)]
+    for name in ("seg_tower", "shifted_seg"):
+        tree = normalize_strategy(named_strategies(N)[name], N)
+        for level in (1, 2, 3, 4):
+            fam = level_family(tree, level)
+            by_key = {}
+            for excluded in specs:
+                check_walk(fam, CofiniteSpec(excluded), by_key)
+            # distinct keys are distinct expressions, and nothing else is filed
+            assert len({id(x) for x in by_key.values()}) == len(by_key)
+            assert set(fam._intersections) == set(by_key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(min_value=1, max_value=4),
+    specs=st.lists(
+        st.frozensets(st.one_of(st.integers(1, 12), st.integers(1, 10**6)), max_size=5), min_size=1, max_size=4
+    ),
+)
+@example(level=4, specs=[frozenset({1, 2, 10**6, 999_999}), frozenset({1, 10**6})])
+def test_level_walk_matches_the_reference_on_drawn_specs(level, specs):
+    fam = level_family(seg_tree(), level)
+    by_key = {}
+    for excluded in specs + specs:
+        check_walk(fam, CofiniteSpec(excluded), by_key)
+    assert len({id(x) for x in by_key.values()}) == len(by_key)
+    assert set(fam._intersections) == set(by_key)
+
+
 def small_specs():
     specs = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 9), k)]
     return specs + [frozenset({1, 5, 13}), frozenset({2, 3, 4}), frozenset({7, 20, 26})]
@@ -376,6 +441,64 @@ class TestExclusionOracle:
         for a in range(1, 8):
             for b in range(1, 8):
                 assert ((a, b) in nodes) == (not member(tree.set_at((a, b)), p))
+
+
+class ReferenceExclusionOracle(ExclusionOracle):
+    """The oracle with the threshold scan it used to run, kept verbatim: the
+    node's child sets built one at a time and tested with `member`, up to the
+    verified witness."""
+
+    def _omitting_children_below(self, path):
+        hit = self._threshold.get(path)
+        if hit is not None:
+            return hit
+        cover = self.tree.cover_at(path)
+        w = witness_of(cover, self.point)
+        m = 1
+        while m < w and not member(self.tree.set_at(path + (m,)), self.point):
+            m += 1
+        self._threshold[path] = m - 1
+        return m - 1
+
+
+THRESHOLD_KEYS = [*named_strategies(N), *("finite:" + name for name in bundled_instances())]
+
+
+def normalized_pair(key):
+    """Two independent normalized trees of one strategy over one space."""
+    if key.startswith("finite:"):
+        inst = bundled_instances()[key[7:]]
+        return [normalize_strategy(deterministic_strategy(inst), inst.space) for _ in range(2)]
+    return [normalize_strategy(named_strategies(N)[key], N) for _ in range(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(THRESHOLD_KEYS), level=st.integers(1, 3), i=st.integers(0, 20))
+@example(key="singletons", level=3, i=20)
+@example(key="mixed_adversarial", level=3, i=20)
+@example(key="finite:chain_game", level=3, i=2)
+def test_thresholds_match_the_member_scan(key, level, i):
+    tree, ref_tree = normalized_pair(key)
+    points = tree.space.all_points() if tree.space.is_finite else tree.space.points(21)
+    p = points[i % len(points)]
+    oracle, ref = ExclusionOracle(tree, level, p), ReferenceExclusionOracle(ref_tree, level, p)
+    assert list(oracle.excluded_nodes()) == list(ref.excluded_nodes())
+    assert oracle._threshold == ref._threshold
+
+
+def test_a_broken_node_witness_is_named_in_the_verdict():
+    """A node cover whose witness names a member missing the point breaks the
+    tail cover's witness while it materializes; the verdict quotes that
+    node cover's error, not only the tail cover's."""
+    inner = seg_tree()
+    root = inner.cover_at(())
+    broken = IndexedCover(space=N, sets=root.sets, witness=lambda p: 1, increasing=True, label="broken-root")
+    tree = TreeStrategy(space=N, cover_at_raw=lambda path: inner.cover_at(path) if path else broken)
+    verdict = is_cover_up_to(tail_derived_cover(level_family(tree, 2)), 10)
+    assert not verdict
+    assert verdict.failing_point == N.point(1)
+    assert verdict.reason.startswith("witness failed membership: ")
+    assert "witness index 1 of cover 'broken-root' does not contain" in verdict.reason
 
 
 class TestCounterplay:

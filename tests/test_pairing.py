@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from selectiongames.pairing import (
@@ -70,3 +71,22 @@ def test_excluded_set_round_trip(excluded):
 def test_excluded_set_empty_is_one():
     assert excluded_set_index(frozenset()) == 1
     assert excluded_set_from_index(1) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: encode_tuple(()), "cannot encode the empty tuple"),
+        (lambda: encode_tuple((0,)), "tuple entries must be positive"),
+        (lambda: encode_tuple((3, -1, 2)), "tuple entries must be positive"),
+        (lambda: encode_tuple((2, 5, 0)), "tuple entries must be positive"),
+        (lambda: decode_tuple(0, 2), "tuple indices are 1-based"),
+        (lambda: decode_tuple(3, 0), "length must be at least 1"),
+        (lambda: unpair(-1), "unpair expects a nonnegative integer"),
+        (lambda: excluded_set_index(frozenset({0, 3})), "excluded elements must be positive"),
+        (lambda: excluded_set_from_index(0), "subset indices are 1-based"),
+    ],
+)
+def test_codecs_reject_out_of_range_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

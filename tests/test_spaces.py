@@ -177,6 +177,27 @@ def test_extension_on_finite_model():
     assert extension(s, space) == frozenset({0, 2})
 
 
+def test_extension_is_kept_on_the_expression_over_its_own_space():
+    space = FiniteTopological.discrete(3)
+    for s in (from_ids(space, {0, 2}), FiniteUnion(parts=(from_ids(space, {1}), Empty()))):
+        first = extension(s, space)
+        assert first == frozenset(p.id for p in space.all_points() if member(s, p))
+        assert extension(s, space) is first
+
+
+def test_extension_over_another_space_is_not_kept():
+    space, other = FiniteTopological.discrete(3), FiniteTopological.discrete(3, tag="other")
+    spaceless = Whole()
+    assert extension(spaceless, space) == frozenset({0, 1, 2})
+    assert extension(spaceless, other) == frozenset({0, 1, 2})
+    assert spaceless._ext is None
+    s = from_ids(space, {0, 2})
+    for _ in range(2):  # before and after the own-space extension is kept
+        with pytest.raises(CrossSpaceError):
+            extension(s, other)
+        assert extension(s, space) == frozenset({0, 2})
+
+
 def test_extensionally_equal_sampled():
     assert extensionally_equal(
         FiniteUnion(parts=(initial_segment(N, 1), initial_segment(N, 3))),
