@@ -253,17 +253,12 @@ class ExclusionOracle:
         self.tree = tree
         self.level = level
         self.point = point
-        self._threshold: dict[Path, int] = {}
 
     def _omitting_children_below(self, path: Path) -> int:
         """Number of leading child indices m with the point outside
         set_at(path + (m,)); children from there on contain the point."""
-        hit = self._threshold.get(path)
-        if hit is not None:
-            return hit
         cover = self.tree.cover_at(path)
-        hit = self._threshold[path] = cover.first_hit(self.point, witness_of(cover, self.point)) - 1
-        return hit
+        return cover.first_hit(self.point, witness_of(cover, self.point)) - 1
 
     def omits(self, path: Path) -> bool:
         """Does the set at this node omit the point?"""

@@ -2,6 +2,7 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import selectiongames.spaces as spaces
 from selectiongames.covers import IndexedCover
@@ -162,6 +163,80 @@ def test_finite_topology_closure_checked():
         FiniteTopological(2, [[], [0], [1]])  # missing the union {0,1}
     with pytest.raises(ValueError):
         FiniteTopological(2, [[0], [0, 1]])  # missing the empty set
+
+
+def reference_is_topology(n_points, topology):
+    """The constructor's validation as it used to run, kept verbatim: every
+    pair of open sets tested for union and intersection. Raises the
+    constructor's ValueError on a family that is not a topology."""
+    if n_points < 1:
+        raise ValueError("a finite space needs at least one point")
+    opens = frozenset(frozenset(s) for s in topology)
+    universe = frozenset(range(n_points))
+    for s in opens:
+        if not s <= universe:
+            raise ValueError(f"open set {sorted(s)} mentions unknown points")
+    if frozenset() not in opens or universe not in opens:
+        raise ValueError("topology must contain the empty set and the whole space")
+    for a in opens:
+        for b in opens:
+            if a | b not in opens:
+                raise ValueError(f"topology not closed under union: {sorted(a)} | {sorted(b)}")
+            if a & b not in opens:
+                raise ValueError(f"topology not closed under intersection: {sorted(a)} & {sorted(b)}")
+
+
+def up_sets(n, edges):
+    """The up-sets of the preorder on range(n) generated by the pairs a <= b:
+    the Alexandroff topology of that preorder."""
+    above = [{x} for x in range(n)]
+    for _ in range(n):
+        for a, b in edges:
+            above[a] |= above[b]
+    subsets = [frozenset(x for x in range(n) if mask >> x & 1) for mask in range(1 << n)]
+    return {s for s in subsets if all(above[x] <= s for x in s)}
+
+
+@st.composite
+def perturbed_up_set_families(draw):
+    """Up-set topologies on 1-7 points with zero, one or two subsets toggled
+    (added when absent, removed when present). The toggled subsets are proper
+    and nonempty from 2 points on, so most failures are closure failures."""
+    n = draw(st.integers(1, 7))
+    points = st.integers(0, n - 1)
+    family = up_sets(n, draw(st.lists(st.tuples(points, points), max_size=2 * n)))
+    for mask in draw(st.lists(st.integers(1, max(1, (1 << n) - 2)), max_size=2)):
+        family ^= {frozenset(x for x in range(n) if mask >> x & 1)}
+    return n, [sorted(s) for s in sorted(family, key=sorted)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_up_set_families())
+@example((2, [[], [0], [1]]))
+@example((3, [[], [0, 1], [1, 2], [0, 1, 2]]))  # {0,1} & {1,2} missing
+def test_minimal_neighbourhood_check_matches_the_pairwise_reference(case):
+    n, family = case
+    try:
+        reference_is_topology(n, family)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as raised:
+            FiniteTopological(n, family)
+        assert str(raised.value) == str(expected)
+    else:
+        assert FiniteTopological(n, family).topology == frozenset(map(frozenset, family))
+
+
+def test_topologies_beyond_the_benchmark_sizes():
+    assert len(FiniteTopological.discrete(10).topology) == 1024
+    chain = FiniteTopological(10, [range(k) for k in range(11)])
+    assert len(chain.topology) == 11
+    # discrete on 9 points, less the single union U_3 | U_7 = {3, 7}
+    family = [s for s in FiniteTopological.discrete(9).topology if s != {3, 7}]
+    with pytest.raises(ValueError, match=r"^topology not closed under (union|intersection): \[.*\] [|&] \[.*\]$") as raised:
+        FiniteTopological(9, family)
+    with pytest.raises(ValueError) as expected:
+        reference_is_topology(9, family)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_from_ids_validates_openness():
