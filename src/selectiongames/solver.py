@@ -91,20 +91,29 @@ def solve_finite_game(
     Positions hold the covered set as a bitmask over point ids. Each distinct
     cover met during the solve gets one table of its selections, in order,
     with the mask each one adds; building it raises `ValueError` if a member
-    names an id outside ``range(n_points)``. `nodes` counts every position
-    visited, the root included; `ResourceLimitError` is raised as soon as the
-    count exceeds `node_limit`.
+    names an id outside ``range(n_points)``. With one inning left, the table
+    answers a covered mask it has met from a memo that lives with the solve,
+    so `nodes` still counts every position visited, the root included;
+    `ResourceLimitError` is raised as soon as the count exceeds `node_limit`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    strategy: dict[tuple, object] = {}
+    won, nodes = _search(instance, game, depth, selection_cap, node_limit, strategy)
+    return SolveResult(winner="bob" if won else "alice", depth=depth, strategy=strategy, nodes=nodes)
+
+
+def _search(
+    instance: FiniteGameInstance, game: GameKind, depth: int, selection_cap: int, node_limit: int, strategy: dict | None
+) -> tuple[bool, int]:
+    """Whether the second player wins, and the nodes counted; writes the decision table into `strategy` if given."""
     n_points = instance.space.n_points
     full = (1 << n_points) - 1
-    tables: dict[Cover, list[tuple[tuple[int, ...], int]]] = {}
+    tables: dict[Cover, tuple[list[tuple[tuple[int, ...], int]], dict]] = {}
     keys: dict[int, tuple[int, ...]] = {}
-    strategy: dict[tuple, object] = {}
     nodes = 1  # the root
 
-    def table(cover: Cover, opt_idx: int) -> list[tuple[tuple[int, ...], int]]:
+    def table(cover: Cover, opt_idx: int):
         masks = []
         for member in cover:
             mask = 0
@@ -122,8 +131,8 @@ def solve_finite_game(
             for i in sel:
                 gain |= masks[i - 1]
             out.append((sel, gain))
-        tables[cover] = out
-        return out
+        tables[cover] = (out, {})
+        return tables[cover]
 
     def key(covered: int) -> tuple[int, ...]:
         hit = keys.get(covered)
@@ -136,26 +145,35 @@ def solve_finite_game(
         # each child is counted here, and only non-terminal ones are entered.
         nonlocal nodes
         for opt_idx, cover in enumerate(instance.options_at(history)):
-            choices = tables.get(cover)
-            if choices is None:
-                choices = table(cover, opt_idx)
-            for sel, gain in choices:
-                nodes += 1
+            choices, last = tables.get(cover) or table(cover, opt_idx)
+            if d == 1:
+                scanned, won = last.get(covered) or last.setdefault(covered, next(
+                    ((i, sel) for i, (sel, gain) in enumerate(choices, 1) if covered | gain == full), (len(choices), None)
+                ))
+                nodes += scanned
                 if nodes > node_limit:
                     raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
-                new_covered = covered | gain
-                if new_covered == full or (d > 1 and bob_wins(history + ((opt_idx, sel),), new_covered, d - 1)):
-                    strategy[("bob", history, opt_idx, key(covered))] = sel
-                    break
             else:
-                strategy[("alice", history, key(covered))] = opt_idx
+                won = None
+                for sel, gain in choices:
+                    nodes += 1
+                    if nodes > node_limit:
+                        raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+                    new_covered = covered | gain
+                    if new_covered == full or bob_wins(history + ((opt_idx, sel),), new_covered, d - 1):
+                        won = sel
+                        break
+            if won is None:
+                if strategy is not None:
+                    strategy[("alice", history, key(covered))] = opt_idx
                 return False
+            if strategy is not None:
+                strategy[("bob", history, opt_idx, key(covered))] = won
         return True
 
     if nodes > node_limit:
         raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
-    winner = "bob" if full == 0 or bob_wins((), 0, depth) else "alice"
-    return SolveResult(winner=winner, depth=depth, strategy=strategy, nodes=nodes)
+    return full == 0 or bob_wins((), 0, depth), nodes
 
 
 def minimal_winning_depth(
@@ -164,10 +182,12 @@ def minimal_winning_depth(
     selection_cap: int,
     max_depth: int = 8,
 ) -> int:
-    """The least depth at which the second player wins (exists by
-    compactness; raises if not found within max_depth)."""
+    """The least depth at which the second player wins (exists by compactness;
+    raises if not found within max_depth), searched without decision tables."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     for d in range(1, max_depth + 1):
-        if solve_finite_game(instance, game, d, selection_cap).winner == "bob":
+        if _search(instance, game, d, selection_cap, 200_000, None)[0]:
             return d
     raise ResourceLimitError(f"no winning depth within {max_depth} for {instance.name}")
 

@@ -62,6 +62,15 @@ def reference_solve(instance, game, depth, selection_cap, node_limit=200_000):
     return SolveResult(winner=winner, depth=depth, strategy=dict(strategy), nodes=counter["nodes"])
 
 
+def reference_minimal_winning_depth(instance, game, selection_cap, max_depth=8):
+    """The depth loop minimal_winning_depth replaced, kept verbatim over
+    reference_solve as the reference its depths must match."""
+    for d in range(1, max_depth + 1):
+        if reference_solve(instance, game, d, selection_cap).winner == "bob":
+            return d
+    raise ResourceLimitError(f"no winning depth within {max_depth} for {instance.name}")
+
+
 @st.composite
 def generated_instances(draw):
     """Instances on 1-5 points: stationary, or history-dependent with
@@ -80,6 +89,23 @@ def generated_instances(draw):
         return tuple(tuple(frozenset(m) for m in c) for c in fam)
 
     return FiniteGameInstance(space, options_at, name="generated-history")
+
+
+def leaf_heavy_instance():
+    """A history-dependent instance on 5 points whose covers hold singletons
+    and pairs: the first player wins at depth 3 in the single-selection game,
+    the second at depth 4, and either way most positions searched have one
+    inning left."""
+    families = [
+        [((0,), (1,), (2,), (3,), (4,)), ((0, 1), (2,), (3, 4), (1, 2))],
+        [((4,), (3,), (2,), (0, 1), (1,)), ((0,), (1, 3), (2, 4))],
+    ]
+
+    def options_at(history):
+        fam = families[sum(o + sum(sel) for o, sel in history) % 2]
+        return tuple(tuple(frozenset(m) for m in c) for c in fam)
+
+    return FiniteGameInstance(FiniteTopological.discrete(5), options_at, name="leaf-heavy")
 
 
 def raises_at(solve, instance, game, depth, cap, node_limit):
@@ -164,6 +190,43 @@ class TestSolve:
             assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
                 reference_solve, inst, game, depth, cap, limit
             )
+
+    @given(
+        generated_instances(),
+        st.sampled_from(["single", "finite"]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_depth_matches_reference_loop(self, inst, arity, cap, max_depth):
+        game = GameKind(arity)
+
+        def depth(find):
+            try:
+                return find(inst, game, cap, max_depth)
+            except ResourceLimitError:
+                return "raised"
+
+        assert depth(minimal_winning_depth) == depth(reference_minimal_winning_depth)
+
+    def test_node_limit_raises_exactly_where_the_reference_does(self):
+        # every limit in [1, nodes]; at depths 3-4 most of this instance's
+        # nodes sit one inning from the end, so many limits fall inside a
+        # last-inning position's bulk count
+        inst = leaf_heavy_instance()
+        for arity, cap in (("single", 1), ("finite", 2)):
+            game = GameKind(arity)
+            for depth in (3, 4):
+                nodes = reference_solve(inst, game, depth, cap).nodes
+                for limit in range(1, nodes + 1):
+                    assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
+                        reference_solve, inst, game, depth, cap, limit
+                    ), (arity, depth, limit)
+
+    def test_max_depth_below_one_is_a_value_error(self):
+        for max_depth in (0, -1):
+            with pytest.raises(ValueError, match="max_depth must be at least 1"):
+                minimal_winning_depth(two_point(), G1, 1, max_depth=max_depth)
 
     def test_strategy_table_produced_for_winner(self):
         result = solve_finite_game(two_point(), G1, 2, 1)
