@@ -205,6 +205,11 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     cover, is its named child, or child 1 when that is not excluded (at
     level 1, or for an empty spec, the spec's least surviving index).
 
+    The excluded nodes are sorted once. Nodes of one level have one length,
+    so a parent's children sit together in sorted order, and its least absent
+    child is read off the run that follows its child 1. The parents come out
+    sorted and distinct as the next level's nodes: no level sets or sorts.
+
     The walk yields node paths only; the key ``((m,), level-2 paths...,
     level-n paths...)`` names the base, then the parts of each level in
     ascending parent order. The family's table maps each key to the base
@@ -217,18 +222,19 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
         key: tuple[Path, ...] = ((spec.min_surviving(),),)
     else:
         paths: list[Path] = []
-        nodes = {decode_tuple(idx, fam.level) for idx in spec.excluded}
+        nodes = sorted(decode_tuple(idx, fam.level) for idx in spec.excluded)
         for _ in range(fam.level):
             if not nodes:
                 break
             named: list[Path] = []
-            for parent in sorted({node[:-1] for node in nodes if node[-1] == 1}):
-                m = 2
-                while parent + (m,) in nodes:
-                    m += 1
-                named.append(parent + (m,))
+            for i, node in enumerate(nodes):
+                if node[-1] == 1:
+                    parent, m = node[:-1], 2
+                    while i + 1 < len(nodes) and nodes[i + 1] == parent + (m,):
+                        i, m = i + 1, m + 1
+                    named.append(parent + (m,))
             paths[:0] = named  # lower levels go first
-            nodes = {path[:-1] for path in named}
+            nodes = [path[:-1] for path in named]
         key = tuple(paths) if nodes else ((1,), *paths)
     hit = fam._intersections.get(key)
     if hit is None:
@@ -283,7 +289,8 @@ class ExclusionOracle:
                     produced += 1
                     if produced > node_limit:
                         raise BudgetError(
-                            f"exclusion set at level {self.level} exceeds {node_limit} nodes"
+                            f"exclusion set of {self.point!r} at level {self.level}"
+                            f" exceeds {node_limit} nodes"
                         )
                     next_frontier.append(child)
             frontier = next_frontier

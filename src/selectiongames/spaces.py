@@ -210,18 +210,24 @@ class OpenSet:
     """Base class for symbolic open sets. Equality is object identity;
     structural comparison goes through :func:`describe`."""
 
-    # Per-expression state, written through vars(self) because the dataclass
-    # is frozen: `_space` is resolved once at construction, `_memo` maps point
-    # ids to membership (composites only; leaves are cheap to decide),
-    # `_desc` caches the structural description and `_ext` the extension
-    # over the expression's own finite space.
-    _space = None
-    _memo = None
-    _desc = None
-    _ext = None
-
     def __post_init__(self) -> None:
-        vars(self)["_space"] = getattr(self, "space", None)
+        self._init_state(getattr(self, "space", None))
+
+    def _init_state(self, space: SpaceModel | None, memo: dict | None = None) -> None:
+        """Per-expression state: `_space` is resolved once here, `_memo` maps
+        point ids to membership (composites only; leaves are cheap to decide),
+        `_desc` caches the structural description and `_ext` the extension
+        over the expression's own finite space.
+
+        The dataclass is frozen, so state is set the way its own __init__ sets
+        fields, never through vars(self): that creates an instance __dict__,
+        which drops CPython 3.11+'s inline attribute layout and slows every
+        read in `member`. Every slot is set here, in one order, because
+        CPython stops adding names to a class's shared attribute keys after a
+        few dozen instances, so a slot first set later would also create one.
+        """
+        for name, value in (("_space", space), ("_memo", memo), ("_desc", None), ("_ext", None)):
+            object.__setattr__(self, name, value)
 
     def _member(self, p: Point) -> bool:
         raise NotImplementedError
@@ -279,7 +285,7 @@ class FiniteUnion(OpenSet):
     parts: tuple[OpenSet, ...]
 
     def __post_init__(self) -> None:
-        vars(self).update(_space=_first_space(self.parts), _memo={})
+        self._init_state(_first_space(self.parts), {})
 
     def _member(self, p: Point) -> bool:
         for part in self.parts:
@@ -296,7 +302,7 @@ class FiniteIntersection(OpenSet):
     parts: tuple[OpenSet, ...]
 
     def __post_init__(self) -> None:
-        vars(self).update(_space=_first_space(self.parts), _memo={})
+        self._init_state(_first_space(self.parts), {})
 
     def _member(self, p: Point) -> bool:
         for part in self.parts:
@@ -317,7 +323,7 @@ class CumulativeUnion(OpenSet):
     upto: int
 
     def __post_init__(self) -> None:
-        vars(self).update(_space=self.cover.space, _memo={})
+        self._init_state(self.cover.space, {})
 
     def _member(self, p: Point) -> bool:
         return self.cover.first_hit(p, self.upto) <= self.upto
@@ -335,7 +341,7 @@ class Lifted(OpenSet):
     level: int
 
     def __post_init__(self) -> None:
-        vars(self).update(_space=self.space, _memo={})
+        self._init_state(self.space, {})
 
     def _member(self, p: Point) -> bool:
         base_point, level = self.space.split(p)
@@ -388,7 +394,8 @@ def describe(s: OpenSet) -> tuple:
     """
     hit = s._desc
     if hit is None:
-        hit = vars(s)["_desc"] = s._describe()
+        hit = s._describe()
+        object.__setattr__(s, "_desc", hit)
     return hit
 
 
@@ -404,7 +411,8 @@ def extension(s: OpenSet, space: FiniteTopological) -> frozenset[int]:
         return frozenset(p.id for p in space.all_points() if member(s, p))
     hit = s._ext
     if hit is None:
-        hit = vars(s)["_ext"] = frozenset(p.id for p in space.all_points() if member(s, p))
+        hit = frozenset(p.id for p in space.all_points() if member(s, p))
+        object.__setattr__(s, "_ext", hit)
     return hit
 
 

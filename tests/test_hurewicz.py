@@ -250,11 +250,37 @@ def reference_walk_key(fam, spec):
     return ((_least_absent(gone),), *paths)
 
 
+def reference_walk_key_by_sets(fam, spec):
+    """The key the level walk built before it read sibling runs off sorted
+    nodes, kept verbatim: a set of nodes per level, and each parent's least
+    absent child searched by set membership."""
+    if fam.level == 1 or not spec.excluded:
+        key = ((spec.min_surviving(),),)
+    else:
+        paths = []
+        nodes = {decode_tuple(idx, fam.level) for idx in spec.excluded}
+        for _ in range(fam.level):
+            if not nodes:
+                break
+            named = []
+            for parent in sorted({node[:-1] for node in nodes if node[-1] == 1}):
+                m = 2
+                while parent + (m,) in nodes:
+                    m += 1
+                named.append(parent + (m,))
+            paths[:0] = named  # lower levels go first
+            nodes = {path[:-1] for path in named}
+        key = tuple(paths) if nodes else ((1,), *paths)
+    return key
+
+
 def check_walk(fam, spec, by_key):
     """The walk's expression is describe-equal to the fresh walk's, is filed
-    under the reference key, and is the one object of every spec with that key."""
+    under the key of both reference walks, and is the one object of every
+    spec with that key."""
     got = cofinite_intersection(fam, spec)
     key = reference_walk_key(fam, spec)
+    assert reference_walk_key_by_sets(fam, spec) == key
     assert fam._intersections[key] is got
     assert by_key.setdefault(key, got) is got
     assert describe(got) == describe(reference_cofinite_intersection_fresh(fam, spec))
@@ -289,6 +315,37 @@ def test_level_walk_matches_the_reference_on_drawn_specs(level, specs):
         check_walk(fam, CofiniteSpec(excluded), by_key)
     assert len({id(x) for x in by_key.values()}) == len(by_key)
     assert set(fam._intersections) == set(by_key)
+
+
+@st.composite
+def run_heavy_specs(draw):
+    """A level from 2 to 5 and excluded nodes in sibling runs: every child
+    1..k of a parent, some with gaps, and all-ones chains up to the root."""
+    level = draw(st.integers(min_value=2, max_value=5))
+    entries = st.integers(min_value=1, max_value=3)
+    nodes = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        parent = tuple(draw(st.lists(entries, min_size=level - 1, max_size=level - 1)))
+        k = draw(st.integers(min_value=1, max_value=9))
+        gaps = draw(st.sets(st.integers(min_value=2, max_value=k + 1), max_size=2))
+        nodes |= {parent + (c,) for c in range(1, k + 1) if c not in gaps}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        head = tuple(draw(st.lists(entries, max_size=level - 1)))
+        nodes.add(head + (1,) * (level - len(head)))
+    return level, frozenset(encode_tuple(node) for node in nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=st.lists(run_heavy_specs(), min_size=1, max_size=3))
+@example(drawn=[(3, frozenset(encode_tuple((2, 1, c)) for c in range(1, 8)))])
+@example(drawn=[(4, frozenset(encode_tuple((1, 3, 1, c)) for c in (1, 2, 3, 5, 6)))])
+@example(drawn=[(5, frozenset(encode_tuple(node) for node in [(1,) * 5, (1, 1, 1, 1, 2), (1, 2, 1, 1, 1)]))])
+def test_level_walk_matches_both_references_on_sibling_runs(drawn):
+    tree = seg_tree()
+    families = {}
+    for level, excluded in drawn + drawn:
+        fam, by_key = families.setdefault(level, (level_family(tree, level), {}))
+        check_walk(fam, CofiniteSpec(excluded), by_key)
 
 
 def small_specs():
@@ -411,6 +468,11 @@ class TestTailDerivedCover:
             for level in (1, 2):
                 derived = tail_derived_cover(level_family(tree, level))
                 assert is_cover_up_to(derived, 12)
+
+    def test_an_exclusion_budget_names_the_level_the_limit_and_the_point(self):
+        derived = tail_derived_cover(level_family(seg_tree(), 3), node_limit=10)
+        with pytest.raises(BudgetError, match=r"^exclusion set of p2@N at level 3 exceeds 10 nodes$"):
+            is_cover_up_to(derived, 16)
 
     def test_witness_spec_is_the_omitting_set(self):
         tree = seg_tree()

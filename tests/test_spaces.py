@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import pytest
@@ -155,6 +156,41 @@ def test_memo_is_freed_with_its_expression():
         and isinstance(value, (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary))
     ]
     assert tables == []
+
+
+def _every_kind(space):
+    seg = initial_segment(space, 1)
+    yield Named(space=space, label="low", pred=lambda p: p.id < 2)
+    yield Whole(space=space)
+    yield Empty(space=space)
+    yield FiniteUnion(parts=(seg, singleton(space, 2)))
+    yield FiniteIntersection(parts=(seg, whole(space)))
+    yield CumulativeUnion(cover=_segment_cover(space), upto=2)
+    yield ProductSpace(space).lift(seg, 1)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+    reason="CPython keeps instance attributes inline from 3.11 on",
+)
+def test_expression_state_stays_in_the_inline_attribute_layout():
+    """Expression state is set the way the frozen dataclass sets its fields,
+    every slot at construction, so no expression grows an instance __dict__
+    (its reads would then miss CPython's inline attribute fast path)."""
+    for space in (N, FiniteTopological.discrete(3)):
+        # idle instances first: CPython stops adding attribute names to a
+        # class's shared keys once it has made a few dozen instances
+        idle = [s for _ in range(64) for s in _every_kind(space)]
+        for s in _every_kind(space):
+            own = s.space_hint()
+            p = own.combine(space.point(1), 1) if isinstance(own, ProductSpace) else own.point(1)
+            member(s, p)
+            describe(s)
+            if own is space and space.is_finite:
+                extension(s, space)
+            state = [d for d in gc.get_referents(s) if isinstance(d, dict) and {"_memo", "_space", "_desc"} & d.keys()]
+            assert state == [], (type(s).__name__, state)
+        del idle
 
 
 def test_finite_topology_closure_checked():
