@@ -29,9 +29,12 @@ print(f"  valley space, one pick per inning                : {minimal_winning_de
 print()
 print("depth-1 losses are real: the solver returns the refuting option")
 result = solve_finite_game(two, G1, 1, 1)
-print(f"  two-point singleton game at depth 1: winner = {result.winner}")
+refuting = result.strategy.get(("alice", (), ()))
+print(f"  two-point singleton game at depth 1: winner = {result.winner}, refuting option = {refuting}")
 if result.winner != "alice":
     failures.append("two-point singleton game won by bob at depth 1")
+if refuting is None:
+    failures.append("no refuting option at the root of the two-point singleton game")
 
 print()
 print("constructed counterplays vs the oracle, on every line:")

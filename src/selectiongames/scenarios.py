@@ -318,6 +318,8 @@ def _run_oracle(config):
         instance = instances[spec]
     arity = config.get("game", "single")
     cap = int(config.get("cap", 1))
+    if cap < 1:
+        raise ConfigError("cap must be at least 1", key="cap")
     game = GameKind(arity, 1)
     depth = minimal_winning_depth(instance, game, cap)
     result = solve_finite_game(instance, game, depth, cap)

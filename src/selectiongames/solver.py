@@ -30,7 +30,10 @@ BobMove = Callable[[IndexedCover, int, History], FiniteSelection]
 @dataclass(frozen=True, eq=False)
 class FiniteGameInstance:
     """A finite game instance: the space and, per position, the first
-    player's cover options (each a finite tuple of open id-sets)."""
+    player's cover options (each a finite tuple of open id-sets).
+
+    `options_at` must be a pure function of the history: a solve may search
+    again, and a decision table is built by a second search on first read."""
 
     space: FiniteTopological
     options_at: Callable[[OracleHistory], Sequence[Cover]]
@@ -64,6 +67,37 @@ def _selections(cover: Cover, cap: int, arity: str) -> list[tuple[int, ...]]:
     return out
 
 
+class _DecisionTable(Mapping):
+    """A solve's decision table, written on first read by running the solve's
+    search again; the search is deterministic, so it holds what the first one
+    decided, in the same order."""
+
+    __slots__ = ("_build", "_table")
+
+    def __init__(self, build: Callable[[dict], object]):
+        self._build = build
+        self._table: dict | None = None
+
+    def _entries(self) -> dict:
+        if self._table is None:
+            table: dict[tuple, object] = {}
+            self._build(table)
+            self._table, self._build = table, None
+        return self._table
+
+    def __getitem__(self, key):
+        return self._entries()[key]
+
+    def __iter__(self):
+        return iter(self._entries())
+
+    def __len__(self) -> int:
+        return len(self._entries())
+
+    def __repr__(self) -> str:
+        return repr(self._entries())
+
+
 @dataclass(frozen=True)
 class SolveResult:
     winner: str
@@ -87,6 +121,8 @@ def solve_finite_game(
     position. The decision table maps second-player states (position, option
     faced, covered set) to a winning selection, and first-player states to a
     refuting option index; covered sets appear in keys as sorted id tuples.
+    The solve itself writes no table: `strategy` builds it on first read by
+    searching once more with the same arguments.
 
     Positions hold the covered set as a bitmask over point ids. Each distinct
     cover met during the solve gets one table of its selections, in order,
@@ -94,19 +130,27 @@ def solve_finite_game(
     names an id outside ``range(n_points)``. With one inning left, the table
     answers a covered mask it has met from a memo that lives with the solve,
     so `nodes` still counts every position visited, the root included;
-    `ResourceLimitError` is raised as soon as the count exceeds `node_limit`.
+    `ResourceLimitError`, naming the instance, depth and limit, is raised as
+    soon as the count exceeds `node_limit`; a `selection_cap` below 1 is a
+    `ValueError`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    strategy: dict[tuple, object] = {}
-    won, nodes = _search(instance, game, depth, selection_cap, node_limit, strategy)
+    won, nodes = _search(instance, game, depth, selection_cap, node_limit, None)
+    strategy = _DecisionTable(lambda table: _search(instance, game, depth, selection_cap, node_limit, table))
     return SolveResult(winner="bob" if won else "alice", depth=depth, strategy=strategy, nodes=nodes)
+
+
+def _over_budget(instance: FiniteGameInstance, depth: int, node_limit: int) -> ResourceLimitError:
+    return ResourceLimitError(f"solver exceeded {node_limit} nodes on {instance.name or 'instance'} at depth {depth}")
 
 
 def _search(
     instance: FiniteGameInstance, game: GameKind, depth: int, selection_cap: int, node_limit: int, strategy: dict | None
 ) -> tuple[bool, int]:
     """Whether the second player wins, and the nodes counted; writes the decision table into `strategy` if given."""
+    if selection_cap < 1:
+        raise ValueError("selection_cap must be at least 1")
     n_points = instance.space.n_points
     full = (1 << n_points) - 1
     tables: dict[Cover, tuple[list[tuple[tuple[int, ...], int]], dict]] = {}
@@ -152,13 +196,13 @@ def _search(
                 ))
                 nodes += scanned
                 if nodes > node_limit:
-                    raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+                    raise _over_budget(instance, depth, node_limit)
             else:
                 won = None
                 for sel, gain in choices:
                     nodes += 1
                     if nodes > node_limit:
-                        raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+                        raise _over_budget(instance, depth, node_limit)
                     new_covered = covered | gain
                     if new_covered == full or bob_wins(history + ((opt_idx, sel),), new_covered, d - 1):
                         won = sel
@@ -172,7 +216,7 @@ def _search(
         return True
 
     if nodes > node_limit:
-        raise ResourceLimitError(f"solver exceeded {node_limit} nodes")
+        raise _over_budget(instance, depth, node_limit)
     return full == 0 or bob_wins((), 0, depth), nodes
 
 

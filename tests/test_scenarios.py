@@ -52,6 +52,12 @@ class TestConfigErrors:
         with pytest.raises(ConfigError):
             run_scenario(write_config(tmp_path, cfg), output_dir=str(tmp_path / "out"))
 
+    def test_oracle_cap_below_one(self, tmp_path):
+        cfg = {"construction": "oracle", "instance": "two_point_singletons", "game": "finite", "cap": 0}
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(write_config(tmp_path, cfg), output_dir=str(tmp_path / "out"))
+        assert exc.value.key == "cap"
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

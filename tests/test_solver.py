@@ -108,6 +108,17 @@ def leaf_heavy_instance():
     return FiniteGameInstance(FiniteTopological.discrete(5), options_at, name="leaf-heavy")
 
 
+def counting(instance):
+    """The instance with its `options_at` calls counted in ``calls[0]``."""
+    calls = [0]
+
+    def options_at(history):
+        calls[0] += 1
+        return instance.options_at(history)
+
+    return FiniteGameInstance(instance.space, options_at, name=instance.name), calls
+
+
 def raises_at(solve, instance, game, depth, cap, node_limit):
     try:
         solve(instance, game, depth, cap, node_limit=node_limit)
@@ -228,10 +239,68 @@ class TestSolve:
             with pytest.raises(ValueError, match="max_depth must be at least 1"):
                 minimal_winning_depth(two_point(), G1, 1, max_depth=max_depth)
 
+    def test_selection_cap_below_one_is_a_value_error(self):
+        bob = lambda cover, inning, history: FiniteSelection(cover, (1,))
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="selection_cap must be at least 1"):
+                solve_finite_game(two_point(), GFIN, 2, cap)
+            with pytest.raises(ValueError, match="selection_cap must be at least 1"):
+                minimal_winning_depth(two_point(), GFIN, cap)
+            with pytest.raises(ValueError, match="selection_cap must be at least 1"):
+                cross_check(bob, two_point(), GFIN, selection_cap=cap)
+
+    def test_budget_errors_name_the_instance_depth_and_limit(self):
+        with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on two_point_singletons at depth 3$"):
+            solve_finite_game(two_point(), GFIN, 3, 1, node_limit=2)
+        # the second player needs 12 innings; depth 5 is the first to
+        # search past the 200,000-node budget (12^5 selections in its last inning)
+        twelve = stationary_instance(
+            FiniteTopological.discrete(12), [[[i] for i in range(12)]], name="twelve_singletons"
+        )
+        with pytest.raises(ResourceLimitError, match=r"^solver exceeded 200000 nodes on twelve_singletons at depth 5$"):
+            minimal_winning_depth(twelve, G1, 1)
+
     def test_strategy_table_produced_for_winner(self):
         result = solve_finite_game(two_point(), G1, 2, 1)
         bob_states = [k for k in result.strategy if k[0] == "bob"]
         assert bob_states
+
+
+class TestDecisionTableOnRead:
+    def test_unread_table_costs_no_second_search(self):
+        inst, calls = counting(bundled_instances()["three_point_singletons"])
+        result = solve_finite_game(inst, GFIN, 3, 1)
+        searched = calls[0]
+        assert searched > 0
+        assert (result.winner, result.depth, result.nodes) == ("bob", 3, 10)
+        assert calls[0] == searched
+
+    def test_first_read_searches_once_and_later_reads_not_at_all(self):
+        inst, calls = counting(leaf_heavy_instance())
+        result = solve_finite_game(inst, G1, 4, 1)
+        searched = calls[0]
+        table = dict(result.strategy)
+        assert table and calls[0] == 2 * searched
+        assert result.strategy[next(iter(table))] == table[next(iter(table))]
+        assert len(result.strategy) == len(table) and list(result.strategy) == list(table)
+        assert calls[0] == 2 * searched
+
+    def test_table_at_an_exact_node_limit_builds_without_raising(self):
+        for game, depth in ((G1, 3), (G1, 4), (GFIN, 3)):
+            want = solve_finite_game(leaf_heavy_instance(), game, depth, 2)
+            got = solve_finite_game(leaf_heavy_instance(), game, depth, 2, node_limit=want.nodes)
+            assert list(got.strategy.items()) == list(want.strategy.items())
+
+    def test_repr_and_equality_read_as_a_dict(self):
+        result = solve_finite_game(two_point(), G1, 1, 1)
+        table = dict(result.strategy)
+        plain = SolveResult(winner=result.winner, depth=result.depth, strategy=table, nodes=result.nodes)
+        assert repr(result.strategy) == repr(table) == "{('alice', (), ()): 0}"
+        assert repr(result) == repr(plain)
+        assert result == plain and plain == result
+        assert result == solve_finite_game(two_point(), G1, 1, 1)
+        assert result.strategy == table and table == result.strategy
+        assert result != solve_finite_game(two_point(), G1, 2, 1)
 
 
 class TestCrossCheck:
