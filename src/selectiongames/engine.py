@@ -16,11 +16,11 @@ available on transcripts that still carry their selected sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .covers import FiniteSelection, IndexedCover, Verdict
 from .errors import LegalityError
-from .spaces import OpenSet, SpaceModel, describe, member
+from .spaces import OpenSet, Point, SpaceModel, describe, member
 
 History = tuple[FiniteSelection, ...]
 
@@ -155,10 +155,24 @@ def run_play(game: GameKind, alice: AliceStrategy, bob: BobStrategy, innings: in
         sel = bob.move(cover, n, history)
         if sel.cover is not cover:
             raise LegalityError(f"inning {n}: selection does not reference the played cover", inning=n)
-        _validate_selection(game, sel, n)
         records.append(make_inning(game, n, cover, sel.indices))
         history = history + (sel,)
     return Transcript(game=game, innings=tuple(records), label=f"play({alice.name or 'alice'})")
+
+
+def replay(alice: AliceStrategy, moves: Iterable[tuple[int, ...]]) -> Iterator[IndexedCover]:
+    """The cover the strategy plays at each inning of a play whose selections
+    are `moves`, one index tuple per inning.
+
+    Each move becomes a selection from its inning's cover only when the next
+    cover is asked for, so a consumer can inspect a move (and stop) before
+    bad indices reach :class:`FiniteSelection`.
+    """
+    history: History = ()
+    for indices in moves:
+        cover = alice.move(history)
+        yield cover
+        history = history + (FiniteSelection(cover, tuple(indices)),)
 
 
 def check_legal(t: Transcript, alice: AliceStrategy) -> Verdict:
@@ -167,11 +181,8 @@ def check_legal(t: Transcript, alice: AliceStrategy) -> Verdict:
 
     The verdict carries the first divergent inning on failure.
     """
-    history: History = ()
-    for rec in t.innings:
-        cover = alice.move(history)
-        expected = cover_prefix(cover, len(rec.cover_prefix))
-        if expected != rec.cover_prefix:
+    for rec, cover in zip(t.innings, replay(alice, (rec.selection for rec in t.innings))):
+        if cover_prefix(cover, len(rec.cover_prefix)) != rec.cover_prefix:
             return Verdict(False, reason="cover diverges from strategy", failing_inning=rec.number)
         if not rec.selection or any(i < 1 for i in rec.selection):
             return Verdict(False, reason="invalid selection indices", failing_inning=rec.number)
@@ -179,8 +190,14 @@ def check_legal(t: Transcript, alice: AliceStrategy) -> Verdict:
             return Verdict(False, reason="duplicate selection indices", failing_inning=rec.number)
         if t.game.arity == "single" and len(rec.selection) != 1:
             return Verdict(False, reason="single-selection game with several indices", failing_inning=rec.number)
-        history = history + (FiniteSelection(cover, rec.selection),)
     return Verdict(True)
+
+
+def covering_innings(t: Transcript, points: Iterable[Point]) -> dict[int, tuple[int, ...]]:
+    """Per point id, the innings with a selected set containing the point."""
+    return {
+        p.id: tuple(rec.number for rec in t.innings if any(member(s, p) for s in rec.selected_sets)) for p in points
+    }
 
 
 @dataclass(frozen=True)

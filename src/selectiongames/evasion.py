@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .covers import IndexedCover, witness_of
-from .engine import GameKind, Transcript, large_menger_game, make_inning
+from .engine import GameKind, Transcript, covering_innings, large_menger_game
 from .errors import BudgetError
 from .pairing import finseq_from_index
 from .rothberger import joint_refinement_cover, witness_once
 from .spaces import OpenSet, Point, describe, member
-from .trees import Path, TreeStrategy
+from .trees import Path, TreeStrategy, path_transcript, subtree
 
 
 @dataclass(eq=False)
@@ -310,8 +310,6 @@ def counterplay_large(
     winning trivially there, and the report's `stripped_play` flag records
     that the distinctness guarantee was not in force.
     """
-    from .trees import subtree
-
     if innings < 1:
         raise ValueError("a play needs at least one inning")
     base = subtree(tree, start_node) if start_node else tree
@@ -330,29 +328,14 @@ def counterplay_large(
         path = g.prefix(innings)
         orig_path = path
 
-    records = []
-    chosen_sets: list[OpenSet] = []
     game = game or large_menger_game(2)
-    for n in range(1, innings + 1):
-        cover = base.cover_at(orig_path[: n - 1])
-        idx = orig_path[n - 1]
-        audit = {"evasion_value": path[n - 1], "stripped_index": path[n - 1]}
-        records.append(make_inning(GameKind("single", game.multiplicity), n, cover, (idx,), audit=audit))
-        chosen_sets.append(base.set_at(orig_path[:n]))
-    transcript = Transcript(
-        game=GameKind("single", game.multiplicity),
-        innings=tuple(records),
-        label=f"large({tree.label})",
+    audits = [{"evasion_value": value, "stripped_index": value} for value in path]
+    transcript = path_transcript(
+        base, orig_path, GameKind("single", game.multiplicity), audits, f"large({tree.label})"
     )
-
-    covering: dict[int, tuple[int, ...]] = {}
-    for x in sample:
-        covering[x.id] = tuple(
-            n for n in range(1, innings + 1) if member(chosen_sets[n - 1], x)
-        )
-    descriptions = [describe(s) for s in chosen_sets]
+    descriptions = [describe(rec.selected_sets[0]) for rec in transcript.innings]
     report = LargeCoverReport(
-        covering_innings=covering,
+        covering_innings=covering_innings(transcript, sample),
         distinct_selections=len(set(descriptions)) == len(descriptions),
     )
     return LargeCounterplayResult(

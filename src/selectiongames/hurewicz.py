@@ -54,17 +54,11 @@ from .covers import (
     head_normalize,
     witness_of,
 )
-from .engine import (
-    AliceStrategy,
-    GameKind,
-    MENGER_GAME,
-    Transcript,
-    make_inning,
-)
+from .engine import AliceStrategy, GameKind, MENGER_GAME, Transcript, make_inning, replay
 from .errors import BudgetError, GameError, IntegrityError
 from .pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
-from .trees import Path, TreeStrategy
+from .trees import Path, TreeStrategy, path_transcript
 
 
 class FiniteWinFound(GameError):
@@ -77,6 +71,14 @@ class FiniteWinFound(GameError):
         self.path = path
 
 
+def raw_move(depth: int, idx: int) -> tuple[int, ...]:
+    """The raw strategy's selection behind tree child `idx` at `depth` (0 at
+    the root): the first u members of the raw cover, where u is the child
+    index at the root and one less (at least 1) below it, since each reply's
+    head member stands for the set already chosen."""
+    return tuple(range(1, (idx if depth == 0 else max(1, idx - 1)) + 1))
+
+
 def normalize_strategy(
     raw: AliceStrategy,
     space: SpaceModel | None = None,
@@ -86,27 +88,26 @@ def normalize_strategy(
 
     The tree's node path records single-set choices from the transformed
     covers; `back_map` translates a path into the raw strategy's per-inning
-    index selections. When `finite_win_horizon` is set, materializing any
-    node whose set already covers that many enumerated points raises
-    :class:`FiniteWinFound` with the witnessing path (the chosen set at a
-    node is the union of everything chosen on the way to it, so this is
-    exactly the "a finite selection suffices" escape).
+    index selections (`raw_move`). When `finite_win_horizon` is set,
+    materializing any node whose set already covers that many enumerated
+    points raises :class:`FiniteWinFound` with the witnessing path (the
+    chosen set at a node is the union of everything chosen on the way to it,
+    so this is exactly the "a finite selection suffices" escape).
     """
     space = space or raw.space
     raw_cover_memo: dict[Path, IndexedCover] = {}
     tree_holder: list[TreeStrategy] = []
 
-    def raw_history(path: Path) -> tuple[FiniteSelection, ...]:
-        history: list[FiniteSelection] = []
-        for depth, idx in enumerate(path):
-            u = idx if depth == 0 else max(1, idx - 1)
-            history.append(FiniteSelection(raw_cover_at(path[:depth]), tuple(range(1, u + 1))))
-        return tuple(history)
+    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
+        return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
 
     def raw_cover_at(path: Path) -> IndexedCover:
         hit = raw_cover_memo.get(path)
         if hit is None:
-            hit = raw_cover_memo[path] = raw.move(raw_history(path))
+            history = tuple(
+                FiniteSelection(raw_cover_at(path[:depth]), move) for depth, move in enumerate(back_map(path))
+            )
+            hit = raw_cover_memo[path] = raw.move(history)
         return hit
 
     def cover_at(path: Path) -> IndexedCover:
@@ -120,13 +121,6 @@ def normalize_strategy(
                 raise FiniteWinFound(path)
         return head_normalize(chosen, base)
 
-    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...]] = []
-        for depth, idx in enumerate(path):
-            u = idx if depth == 0 else max(1, idx - 1)
-            out.append(tuple(range(1, u + 1)))
-        return tuple(out)
-
     tree = TreeStrategy(
         space=space,
         cover_at_raw=cover_at,
@@ -135,21 +129,6 @@ def normalize_strategy(
     )
     tree_holder.append(tree)
     return tree
-
-
-def raw_covers_along(raw: AliceStrategy, tree: TreeStrategy, path: Path) -> list[IndexedCover]:
-    """The raw strategy's covers along the back-translated history of a tree
-    path (used when emitting transcripts of the original game)."""
-    if tree.back_map is None:
-        raise ValueError("tree has no back-map")
-    moves = tree.back_map(path)
-    covers: list[IndexedCover] = []
-    history: tuple[FiniteSelection, ...] = ()
-    for sel_indices in moves:
-        cover = raw.move(history)
-        covers.append(cover)
-        history = history + (FiniteSelection(cover, sel_indices),)
-    return covers
 
 
 # ---------------------------------------------------------------------------
@@ -452,29 +431,20 @@ def _emit_counterplay_transcript(
     plan: Callable[[int], list[Point]],
     game: GameKind,
 ) -> Transcript:
-    records = []
+    label = f"counterplay({tree.label})"
     if raw is not None and tree.back_map is not None:
-        covers = raw_covers_along(raw, tree, path)
         back = tree.back_map(path)
-        for n, (cover, indices) in enumerate(zip(covers, back), start=1):
-            chosen, skipped = moves[n - 1]
+        records = []
+        for n, (cover, indices, (chosen, skipped)) in enumerate(zip(replay(raw, back), back, moves), start=1):
             audit = {
                 "tree_choice": chosen,
                 "excluded_children_probed": list(skipped),
                 "protected_points": len(plan(n)),
             }
             records.append(make_inning(game, n, cover, indices, audit=audit))
-        return Transcript(game=game, innings=tuple(records), label=f"counterplay({tree.label})")
-    for n in range(1, len(path) + 1):
-        cover = tree.cover_at(path[: n - 1])
-        chosen, skipped = moves[n - 1]
-        audit = {
-            "excluded_children_probed": list(skipped),
-            "protected_points": len(plan(n)),
-        }
-        records.append(make_inning(GameKind("single", game.multiplicity), n, cover, (chosen,), audit=audit))
-    return Transcript(
-        game=GameKind("single", game.multiplicity),
-        innings=tuple(records),
-        label=f"counterplay({tree.label})",
-    )
+        return Transcript(game=game, innings=tuple(records), label=label)
+    audits = [
+        {"excluded_children_probed": list(skipped), "protected_points": len(plan(n))}
+        for n, (_, skipped) in enumerate(moves, start=1)
+    ]
+    return path_transcript(tree, path, GameKind("single", game.multiplicity), audits, label)

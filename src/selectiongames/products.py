@@ -22,11 +22,10 @@ from math import isqrt
 from typing import Mapping
 
 from .covers import FiniteSelection, IndexedCover
-from .engine import AliceStrategy, History, MENGER_GAME, Transcript, make_inning
+from .engine import AliceStrategy, History, MENGER_GAME, Transcript, covering_innings, make_inning, replay
 from .hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy, protection_plan
 from .pairing import pair, unpair
-from .spaces import Point, ProductSpace, member
-from .trees import Path
+from .spaces import Point, ProductSpace
 
 
 def lifted_cover(product: ProductSpace, base_cover: IndexedCover) -> IndexedCover:
@@ -93,10 +92,9 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
     def base_cover_for(projected: tuple[tuple[int, ...], ...]) -> IndexedCover:
         hit = base_cover_memo.get(projected)
         if hit is None:
-            history: History = ()
-            for depth, indices in enumerate(projected):
-                prev = base_cover_for(projected[:depth])
-                history = history + (FiniteSelection(prev, indices),)
+            history = tuple(
+                FiniteSelection(base_cover_for(projected[:depth]), move) for depth, move in enumerate(projected)
+            )
             hit = base_cover_memo[projected] = alice.move(history)
         return hit
 
@@ -156,30 +154,17 @@ def infinitely_often_play(
         tree, raw=lifted, innings=innings, plan=plan or protection_plan(product)
     )
 
-    # project the lifted transcript to the base game
+    # project the lifted play to the base game, and replay the base strategy
+    lifted_innings = result.transcript.innings
+    lifted_moves = [rec.selection for rec in lifted_innings]
+    base_moves = [
+        project_selection(product, FiniteSelection(cover, indices))
+        for cover, indices in zip(replay(lifted, lifted_moves), lifted_moves)
+    ]
     base_records = []
-    base_history: History = ()
-    path: Path = result.tree_path
-    lifted_history: History = ()
-    for n, rec in enumerate(result.transcript.innings, start=1):
-        lifted_cover_n = lifted.move(lifted_history)
-        lifted_sel = FiniteSelection(lifted_cover_n, rec.selection)
-        base_cover_n = alice.move(base_history)
-        base_indices = project_selection(product, lifted_sel)
-        audit = dict(rec.audit)
-        audit["lifted_selection"] = list(rec.selection)
-        base_records.append(make_inning(MENGER_GAME, n, base_cover_n, base_indices, audit=audit))
-        lifted_history = lifted_history + (lifted_sel,)
-        base_history = base_history + (FiniteSelection(base_cover_n, base_indices),)
-
+    for n, (cover, indices, rec) in enumerate(zip(replay(alice, base_moves), base_moves, lifted_innings), start=1):
+        audit = {**rec.audit_dict(), "lifted_selection": list(rec.selection)}
+        base_records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
     transcript = Transcript(game=MENGER_GAME, innings=tuple(base_records), label=f"often({alice.name})")
-    covering: dict[int, list[int]] = {p.id: [] for p in alice.space.points(horizon)}
-    for n, rec in enumerate(transcript.innings, start=1):
-        for p in alice.space.points(horizon):
-            if any(member(s, p) for s in rec.selected_sets):
-                covering[p.id].append(n)
-    report = MultiplicityReport(
-        horizon=horizon,
-        covering_innings={pid: tuple(v) for pid, v in covering.items()},
-    )
-    return transcript, report, result
+    covering = covering_innings(transcript, alice.space.points(horizon))
+    return transcript, MultiplicityReport(horizon=horizon, covering_innings=covering), result

@@ -33,16 +33,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .covers import FiniteSelection, IndexedCover, witness_of
-from .engine import (
-    AliceStrategy,
-    History,
-    ROTHBERGER_GAME,
-    Transcript,
-    make_inning,
-)
+from .engine import AliceStrategy, History, ROTHBERGER_GAME, Transcript, replay
 from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
-from .trees import Path, TreeStrategy, distinct_covers_on_box
+from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
 
 SoneSelector = Callable[[SpaceModel, Callable[[int], IndexedCover]], Iterator[int]]
 
@@ -436,62 +430,31 @@ def rothberger_counterplay(
         menger_innings *= 2
 
     # the derived-game covers and selections, replayed for structure
-    bounds: list[int] = []
-    selections: list[tuple[OpenSet, ...]] = []
-    sel_indices: list[tuple[int, ...]] = []
-    history: History = ()
-    for rec in menger_transcript.innings:
-        cover = derived.move(history)
-        sel = FiniteSelection(cover, rec.selection)
-        selections.append(sel.sets())
-        sel_indices.append(rec.selection)
-        bounds.append(max(rec.selection))
-        history = history + (sel,)
-
-    played = len(selections)
-
-    def family(i: int) -> Sequence[OpenSet]:
-        return selections[i - 1]
-
+    sel_indices = [rec.selection for rec in menger_transcript.innings]
+    selections = [
+        FiniteSelection(cover, indices).sets() for cover, indices in zip(replay(derived, sel_indices), sel_indices)
+    ]
+    bounds = [max(indices) for indices in sel_indices]
     chosen = select_one_per_family(
-        family,
-        count=played,
+        lambda i: selections[i - 1],
+        count=len(selections),
         sone=sone,
         space=tree.space,
         horizon=horizon,
-        family_budget=played,
+        family_budget=len(selections),
     )
 
     # recover the single-selection play: the pick at inning i is a diagonal
     # refinement member, so its factor record at every box node is its own
     # member index within the refinement cover
-    picked_path: list[int] = []
-    records = []
-    for i, (fam_idx, member_pos) in enumerate(chosen, start=1):
-        refinement_index = sel_indices[i - 1][member_pos - 1]
-        k_i = refinement_index
-        m_i = bounds[i - 1]
+    picked_path = tuple(indices[pos - 1] for indices, (_, pos) in zip(sel_indices, chosen))
+    for i, (k_i, m_i) in enumerate(zip(picked_path, bounds), start=1):
         if k_i > m_i:
             raise IntegrityError(f"recovered index {k_i} exceeds bound {m_i} at inning {i}")
-        node = tuple(picked_path)
-        cover = tree.cover_at(node)
-        records.append(
-            make_inning(
-                ROTHBERGER_GAME,
-                i,
-                cover,
-                (k_i,),
-                audit={"bound": m_i, "pick": k_i},
-            )
-        )
-        picked_path.append(k_i)
-
-    transcript = Transcript(
-        game=ROTHBERGER_GAME, innings=tuple(records), label=f"single({tree.label})"
-    )
+    audits = [{"bound": m_i, "pick": k_i} for k_i, m_i in zip(picked_path, bounds)]
     return RothbergerResult(
-        transcript=transcript,
-        picked_path=tuple(picked_path),
+        transcript=path_transcript(tree, picked_path, ROTHBERGER_GAME, audits, f"single({tree.label})"),
+        picked_path=picked_path,
         bounds=tuple(bounds),
         menger_transcript=menger_transcript,
     )

@@ -15,7 +15,10 @@ Config keys:
                   "sample": s, "node_budget": b} entries (keys as relevant)
     instance      (oracle) bundled instance name
     game          (oracle) "single" | "finite"; cap: selection cap
-    seed          integer seed for seeded strategies (default 0)
+    seed          accepted and unused: every construction is deterministic
+
+Grid constructions are rows of `CONSTRUCTIONS`, run by one grid loop. A
+malformed value raises :class:`ConfigError` naming its key.
 
 Transcript files carry one JSON record per inning (after a meta record):
 inning number, the cover description prefix, selection indices, the
@@ -42,7 +45,7 @@ from .hurewicz import bob_counterplay_menger, normalize_strategy
 from .products import infinitely_often_play
 from .rothberger import rothberger_counterplay
 from .selectors import select_sone
-from .solver import minimal_winning_depth, solve_finite_game
+from .solver import minimal_winning_depth, solve_finite_game, stationary_instance
 from .spaces import CountableDiscrete, FiniteTopological, SpaceModel
 from .trees import strategy_from_tree
 
@@ -64,7 +67,7 @@ def space_from_config(config: dict) -> SpaceModel:
     if "space" not in config:
         raise ConfigError("missing required key", key="space")
     spec = config["space"]
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "countable":
         return CountableDiscrete()
     if kind == "finite":
@@ -134,46 +137,24 @@ def parse_transcript(path: str) -> list[dict]:
     return records
 
 
-def _resolve_strategy(config: dict, space: SpaceModel, seed: int):
-    name = config.get("strategy", "seg_tower")
-    if isinstance(name, dict) and "seeded" in name:
-        return seeded_strategy(space, int(name["seeded"]))
-    corpus = strategy_corpus(space, n_random=0)
-    if name in corpus:
-        return corpus[name]
-    raise ConfigError(f"unknown strategy {name!r}", key="strategy")
-
-
 def run_scenario(config_path: str, output_dir: str | None = None, seed: int | None = None) -> int:
     """Execute a scenario; write transcript and report files; return 0 iff
-    every verdict in the report passed."""
+    every verdict in the report passed. Every construction is deterministic:
+    `seed` is accepted and read by none of them."""
     config = load_config(config_path)
     out = output_dir or config.get("output", ".")
     os.makedirs(out, exist_ok=True)
-    seed = seed if seed is not None else int(config.get("seed", 0))
     construction = config.get("construction")
     if construction is None:
         raise ConfigError("missing required key", key="construction")
 
-    verdicts: list[dict] = []
     transcript: Transcript | None = None
-    extra: dict[str, Any] = {}
-
     if construction == "oracle":
         verdicts, extra = _run_oracle(config)
+    elif isinstance(construction, str) and construction in CONSTRUCTIONS:
+        transcript, verdicts, extra = _run_grid(construction, config, space_from_config(config))
     else:
-        space = space_from_config(config)
-        grid = config.get("grid", [{"horizon": 5, "innings": 5}])
-        if construction == "hurewicz":
-            transcript, verdicts = _run_hurewicz(config, space, grid, seed)
-        elif construction == "paw-cor":
-            transcript, verdicts, extra = _run_infinitely_often(config, space, grid, seed)
-        elif construction == "rothberger":
-            transcript, verdicts, extra = _run_rothberger(config, space, grid, seed)
-        elif construction == "appendix":
-            transcript, verdicts, extra = _run_appendix(config, space, grid, seed)
-        else:
-            raise ConfigError(f"unknown construction {construction!r}", key="construction")
+        raise ConfigError(f"unknown construction {construction!r}", key="construction")
 
     if transcript is not None:
         emit_transcript(transcript, os.path.join(out, "transcript.jsonl"))
@@ -190,117 +171,130 @@ def run_scenario(config_path: str, output_dir: str | None = None, seed: int | No
     return 0 if all_pass else 1
 
 
-def _run_hurewicz(config, space, grid, seed):
-    alice = _resolve_strategy(config, space, seed)
-    verdicts = []
-    transcript = None
-    for cell in grid:
-        horizon, innings = int(cell["horizon"]), int(cell["innings"])
-        tree = normalize_strategy(alice, space, finite_win_horizon=horizon)
-        result = bob_counterplay_menger(tree, raw=alice, innings=innings)
-        transcript = result.transcript
-        win = evaluate_win(result.transcript, horizon)
-        legal = check_legal(result.transcript, alice)
-        verdicts.append(
-            {
-                "check": f"win(h={horizon},n={innings})",
-                "pass": win.bob_wins,
-                "winner": win.winner,
-            }
-        )
-        verdicts.append({"check": f"legal(h={horizon},n={innings})", "pass": bool(legal)})
-    return transcript, verdicts
+def _int(mapping: dict, key: str, default: int | None = None) -> int:
+    """An integer config value; a missing key without a default, or a value
+    that is not an integer, raises ConfigError naming the key."""
+    if key not in mapping:
+        if default is None:
+            raise ConfigError("missing required key", key=key)
+        return default
+    try:
+        return int(mapping[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {mapping[key]!r}", key=key)
 
 
-def _run_infinitely_often(config, space, grid, seed):
-    alice = _resolve_strategy(config, space, seed)
-    verdicts = []
-    transcript = None
-    mult_tables = {}
-    for cell in grid:
-        horizon, innings = int(cell["horizon"]), int(cell["innings"])
-        need = int(cell.get("multiplicity", 2))
-        transcript, report, _ = infinitely_often_play(alice, innings=innings, horizon=horizon)
-        legal = check_legal(transcript, alice)
-        verdicts.append(
-            {
-                "check": f"multiplicity>={need}(h={horizon},n={innings})",
-                "pass": report.min_multiplicity() >= need,
-                "min_multiplicity": report.min_multiplicity(),
-            }
-        )
-        verdicts.append({"check": f"legal(h={horizon},n={innings})", "pass": bool(legal)})
-        mult_tables[f"h{horizon}_n{innings}"] = {
-            str(pid): list(v) for pid, v in report.covering_innings.items()
-        }
-    return transcript, verdicts, {"covering_innings": mult_tables}
-
-
-def _run_rothberger(config, space, grid, seed):
-    name = config.get("strategy", "seg_tower")
-    corpus = rothberger_tree_corpus(space)
+def _named(corpus: dict, name: Any, what: str):
     if isinstance(name, str) and name in corpus:
-        tree = corpus[name]
-    else:
-        raise ConfigError(f"unknown single-selection tree {name!r}", key="strategy")
-    verdicts = []
-    transcript = None
-    audit = {}
-    for cell in grid:
-        horizon, innings = int(cell["horizon"]), int(cell["innings"])
-        result = rothberger_counterplay(tree, select_sone, innings=innings, horizon=horizon)
-        transcript = result.transcript
-        win = evaluate_win(result.transcript, horizon)
-        legal = check_legal(result.transcript, strategy_from_tree(tree))
-        bounds_ok = all(
-            rec.audit_dict()["pick"] <= rec.audit_dict()["bound"] for rec in result.transcript.innings
-        )
-        verdicts.append({"check": f"win(h={horizon},n={innings})", "pass": win.bob_wins})
-        verdicts.append({"check": f"legal(h={horizon},n={innings})", "pass": bool(legal)})
-        verdicts.append({"check": f"pick<=bound(h={horizon},n={innings})", "pass": bounds_ok})
-        audit[f"h{horizon}_n{innings}"] = {"bounds": list(result.bounds), "picks": list(result.picked_path)}
-    return transcript, verdicts, {"audit": audit}
+        return corpus[name]
+    raise ConfigError(f"unknown {what} {name!r}", key="strategy")
 
 
-def _run_appendix(config, space, grid, seed):
-    name = config.get("strategy", "depth_shifted")
-    corpus = appendix_tree_corpus(space)
-    if name not in corpus:
-        raise ConfigError(f"unknown large-cover tree {name!r}", key="strategy")
-    tree = corpus[name]
-    verdicts = []
-    transcript = None
-    extra = {}
+def _corpus_strategy(config: dict, space: SpaceModel):
+    name = config.get("strategy", "seg_tower")
+    if isinstance(name, dict) and "seeded" in name:
+        return seeded_strategy(space, _int(name, "seeded"))
+    return _named(strategy_corpus(space, n_random=0), name, "strategy")
+
+
+def _tree_corpus(corpus, default: str, what: str):
+    return lambda config, space: _named(corpus(space), config.get("strategy", default), what)
+
+
+_rothberger_tree = _tree_corpus(rothberger_tree_corpus, "seg_tower", "single-selection tree")
+_appendix_tree = _tree_corpus(appendix_tree_corpus, "depth_shifted", "large-cover tree")
+
+
+# Each grid cell's play returns (transcript, verdicts, cell key, cell table).
+
+
+def _multiplicity_verdict(check: str, report, need: int) -> dict:
+    least = report.min_multiplicity()
+    return {"check": check, "pass": least >= need, "min_multiplicity": least}
+
+
+def _play_hurewicz(alice, space, cell):
+    horizon, innings = _int(cell, "horizon"), _int(cell, "innings")
+    tree = normalize_strategy(alice, space, finite_win_horizon=horizon)
+    transcript = bob_counterplay_menger(tree, raw=alice, innings=innings).transcript
+    win = evaluate_win(transcript, horizon)
+    verdicts = [
+        {"check": f"win(h={horizon},n={innings})", "pass": win.bob_wins, "winner": win.winner},
+        {"check": f"legal(h={horizon},n={innings})", "pass": bool(check_legal(transcript, alice))},
+    ]
+    return transcript, verdicts, None, None
+
+
+def _play_often(alice, space, cell):
+    horizon, innings, need = _int(cell, "horizon"), _int(cell, "innings"), _int(cell, "multiplicity", 2)
+    transcript, report, _ = infinitely_often_play(alice, innings=innings, horizon=horizon)
+    verdicts = [
+        _multiplicity_verdict(f"multiplicity>={need}(h={horizon},n={innings})", report, need),
+        {"check": f"legal(h={horizon},n={innings})", "pass": bool(check_legal(transcript, alice))},
+    ]
+    table = {str(pid): list(v) for pid, v in report.covering_innings.items()}
+    return transcript, verdicts, f"h{horizon}_n{innings}", table
+
+
+def _play_rothberger(tree, space, cell):
+    horizon, innings = _int(cell, "horizon"), _int(cell, "innings")
+    result = rothberger_counterplay(tree, select_sone, innings=innings, horizon=horizon)
+    win = evaluate_win(result.transcript, horizon)
+    legal = check_legal(result.transcript, strategy_from_tree(tree))
+    bounds_ok = all(rec.audit_dict()["pick"] <= rec.audit_dict()["bound"] for rec in result.transcript.innings)
+    verdicts = [
+        {"check": f"win(h={horizon},n={innings})", "pass": win.bob_wins},
+        {"check": f"legal(h={horizon},n={innings})", "pass": bool(legal)},
+        {"check": f"pick<=bound(h={horizon},n={innings})", "pass": bounds_ok},
+    ]
+    table = {"bounds": list(result.bounds), "picks": list(result.picked_path)}
+    return result.transcript, verdicts, f"h{horizon}_n{innings}", table
+
+
+def _play_appendix(tree, space, cell):
+    innings, sample_size = _int(cell, "innings"), _int(cell, "sample", 5)
+    need, node_budget = _int(cell, "multiplicity", 2), _int(cell, "node_budget", 12)
+    result = counterplay_large(tree, space.points(sample_size), innings=innings, node_budget=node_budget)
+    legal = check_legal(result.transcript, strategy_from_tree(tree))
+    verdicts = [
+        _multiplicity_verdict(f"multiplicity>={need}(sample={sample_size},n={innings})", result.report, need),
+        {"check": f"distinct-selections(n={innings})", "pass": result.report.distinct_selections},
+        {"check": f"legal(n={innings})", "pass": bool(legal)},
+    ]
+    table = {
+        "evasion_prefix": list(result.evasion_prefix),
+        "covering_innings": {str(k): list(v) for k, v in result.report.covering_innings.items()},
+    }
+    return result.transcript, verdicts, f"n{innings}", table
+
+
+# Each construction: its strategy resolver, one grid cell's play, and the
+# report key collecting the per-cell tables (None: no tables).
+CONSTRUCTIONS = {
+    "hurewicz": (_corpus_strategy, _play_hurewicz, None),
+    "paw-cor": (_corpus_strategy, _play_often, "covering_innings"),
+    "rothberger": (_rothberger_tree, _play_rothberger, "audit"),
+    "appendix": (_appendix_tree, _play_appendix, "evasion"),
+}
+
+
+def _run_grid(name: str, config: dict, space: SpaceModel):
+    """Play every grid cell in order: the verdicts of all cells, the last
+    cell's transcript, and the per-cell tables under the report key."""
+    resolve, play, report_key = CONSTRUCTIONS[name]
+    strategy = resolve(config, space)
+    grid = config.get("grid", [{"horizon": 5, "innings": 5}])
+    if not isinstance(grid, list) or not all(isinstance(cell, dict) for cell in grid):
+        raise ConfigError("grid must be a list of objects", key="grid")
+    transcript, verdicts, tables = None, [], {}
     for cell in grid:
-        innings = int(cell["innings"])
-        sample_size = int(cell.get("sample", 5))
-        need = int(cell.get("multiplicity", 2))
-        node_budget = int(cell.get("node_budget", 12))
-        sample = space.points(sample_size)
-        result = counterplay_large(tree, sample, innings=innings, node_budget=node_budget)
-        transcript = result.transcript
-        verdicts.append(
-            {
-                "check": f"multiplicity>={need}(sample={sample_size},n={innings})",
-                "pass": result.report.min_multiplicity() >= need,
-                "min_multiplicity": result.report.min_multiplicity(),
-            }
-        )
-        verdicts.append(
-            {"check": f"distinct-selections(n={innings})", "pass": result.report.distinct_selections}
-        )
-        legal = check_legal(result.transcript, strategy_from_tree(tree))
-        verdicts.append({"check": f"legal(n={innings})", "pass": bool(legal)})
-        extra[f"n{innings}"] = {
-            "evasion_prefix": list(result.evasion_prefix),
-            "covering_innings": {str(k): list(v) for k, v in result.report.covering_innings.items()},
-        }
-    return transcript, verdicts, {"evasion": extra}
+        transcript, cell_verdicts, cell_key, table = play(strategy, space, cell)
+        verdicts.extend(cell_verdicts)
+        tables[cell_key] = table
+    return transcript, verdicts, {report_key: tables} if report_key else {}
 
 
 def _run_oracle(config):
-    from .solver import stationary_instance
-
     spec = config.get("instance")
     if isinstance(spec, dict):
         # inline instance: a space plus a stationary list of cover options
@@ -317,7 +311,9 @@ def _run_oracle(config):
             raise ConfigError(f"unknown instance {spec!r}", key="instance")
         instance = instances[spec]
     arity = config.get("game", "single")
-    cap = int(config.get("cap", 1))
+    if arity not in ("finite", "single"):
+        raise ConfigError(f"game must be 'finite' or 'single', got {arity!r}", key="game")
+    cap = _int(config, "cap", 1)
     if cap < 1:
         raise ConfigError("cap must be at least 1", key="cap")
     game = GameKind(arity, 1)
@@ -327,6 +323,6 @@ def _run_oracle(config):
     verdicts = [{"check": "solver-winner-bob", "pass": result.winner == "bob"}]
     if expected is not None:
         verdicts.append(
-            {"check": f"minimal-depth=={expected}", "pass": depth == int(expected), "depth": depth}
+            {"check": f"minimal-depth=={expected}", "pass": depth == _int(config, "expect_depth"), "depth": depth}
         )
     return verdicts, {"minimal_depth": depth, "nodes": result.nodes}

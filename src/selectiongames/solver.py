@@ -316,7 +316,7 @@ def counterplay_bob_strategy(instance: FiniteGameInstance, option: int = 0) -> B
     path is kept; scans stop at the covers' witnesses, which raise on a point
     no member contains.
     """
-    from .hurewicz import normalize_strategy, protection_plan, secure_child
+    from .hurewicz import normalize_strategy, protection_plan, raw_move, secure_child
 
     alice = deterministic_strategy(instance, option)
     tree = normalize_strategy(alice, instance.space)
@@ -327,9 +327,7 @@ def counterplay_bob_strategy(instance: FiniteGameInstance, option: int = 0) -> B
     def move(cover: IndexedCover, inning: int, history: History) -> FiniteSelection:
         while len(walked) < inning:
             walked.append(secure_child(tree, tuple(walked), plan(len(walked) + 1), secured, None))
-        m = walked[inning - 1]
-        u = m if inning == 1 else max(1, m - 1)
-        return FiniteSelection(cover, tuple(range(1, u + 1)))
+        return FiniteSelection(cover, raw_move(inning - 1, walked[inning - 1]))
 
     return move
 

@@ -319,7 +319,7 @@ class CumulativeUnion(OpenSet):
     """Union of the first `upto` members of a cover, kept symbolic so the
     underlying lazy family is shared rather than copied."""
 
-    cover: "IndexedCover"
+    cover: IndexedCover
     upto: int
 
     def __post_init__(self) -> None:

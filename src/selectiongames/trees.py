@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .covers import IndexedCover
-from .engine import AliceStrategy, History
+from .engine import AliceStrategy, GameKind, History, Transcript, make_inning
 from .errors import ResourceLimitError
 from .spaces import OpenSet, SpaceModel
 
@@ -66,6 +66,23 @@ def strategy_from_tree(tree: TreeStrategy) -> AliceStrategy:
         return tree.cover_at(path)
 
     return AliceStrategy(space=tree.space, move=move, name=tree.label)
+
+
+def path_transcript(
+    tree: TreeStrategy,
+    path: Path,
+    game: GameKind,
+    audits: Sequence[Mapping[str, Any]],
+    label: str,
+) -> Transcript:
+    """The single-selection transcript of a tree path: inning n selects
+    child path[n-1] of the cover at the path's first n-1 entries, with the
+    n-th audit record."""
+    records = tuple(
+        make_inning(game, n, tree.cover_at(path[: n - 1]), (idx,), audit=audit)
+        for n, (idx, audit) in enumerate(zip(path, audits), start=1)
+    )
+    return Transcript(game=game, innings=records, label=label)
 
 
 def subtree(tree: TreeStrategy, start: Path, label: str = "") -> TreeStrategy:

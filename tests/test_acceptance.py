@@ -18,7 +18,7 @@ from selectiongames.corpus import (
     strategy_corpus,
 )
 from selectiongames.covers import CofiniteSpec, is_cover_up_to
-from selectiongames.engine import GameKind, MENGER_GAME, Transcript, check_legal, evaluate_win, make_inning
+from selectiongames.engine import GameKind, MENGER_GAME, Transcript, check_legal, evaluate_win, make_inning, replay
 from selectiongames.evasion import (
     BaireFunction,
     counterplay_large,
@@ -30,7 +30,6 @@ from selectiongames.hurewicz import (
     cofinite_intersection,
     level_family,
     normalize_strategy,
-    raw_covers_along,
     tail_derived_cover,
 )
 from selectiongames.products import infinitely_often_play
@@ -96,8 +95,8 @@ def test_criterion_1_normalization_soundness():
                         if member(cover.sets(j), p) and not member(cover.sets(j + 1), p):
                             ok = False
             # back-translated play is legal for the raw strategy
-            covers = raw_covers_along(alice, tree, path)
             moves = tree.back_map(path)
+            covers = replay(alice, moves)
             records = tuple(
                 make_inning(MENGER_GAME, n, cover, indices)
                 for n, (cover, indices) in enumerate(zip(covers, moves), start=1)

@@ -123,6 +123,27 @@ class TestCheckLegal:
         assert verdict.failing_inning == 2
 
 
+    @pytest.mark.parametrize(
+        "game, inning, change, reason",
+        [
+            (MENGER_GAME, 2, {"cover_prefix": (("other",),)}, "cover diverges from strategy"),
+            (MENGER_GAME, 1, {"selection": (0,)}, "invalid selection indices"),
+            (MENGER_GAME, 2, {"selection": (2, 2)}, "duplicate selection indices"),
+            (ROTHBERGER_GAME, 2, {"selection": (1, 2)}, "single-selection game with several indices"),
+        ],
+    )
+    def test_each_reason_is_a_verdict_at_its_inning(self, game, inning, change, reason):
+        # the tampered inning is not the last of three: the replay must stop
+        # there without building a selection from the bad indices
+        alice = always_segments()
+        t = run_play(game, alice, pick_inning_number(), 3)
+        innings = list(t.innings)
+        innings[inning - 1] = dataclasses.replace(innings[inning - 1], **change)
+        verdict = check_legal(dataclasses.replace(t, innings=tuple(innings)), alice)
+        assert not verdict
+        assert (verdict.reason, verdict.failing_inning) == (reason, inning)
+
+
 class TestEvaluateWin:
     def test_uncovered_points_reported(self):
         alice = always_segments()

@@ -58,6 +58,22 @@ class TestConfigErrors:
             run_scenario(write_config(tmp_path, cfg), output_dir=str(tmp_path / "out"))
         assert exc.value.key == "cap"
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"construction": "oracle", "instance": "two_point_singletons", "cap": "two"}, "cap"),
+            ({"construction": "oracle", "instance": "two_point_singletons", "game": "several"}, "game"),
+            (scenario_config(grid=[{"innings": 4}]), "horizon"),
+            (scenario_config(grid={"horizon": 4, "innings": 4}), "grid"),
+            (scenario_config(space="countable"), "space"),
+        ],
+        ids=["cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object"],
+    )
+    def test_malformed_values_name_their_key(self, tmp_path, config, key):
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(write_config(tmp_path, config), output_dir=str(tmp_path / "out"))
+        assert exc.value.key == key
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -218,3 +234,66 @@ def test_bundled_scenarios_emit_pinned_bytes(config_name, tmp_path):
     assert run_scenario(os.path.join(CONFIGS, config_name), output_dir=str(tmp_path)) == 0
     got = (_digest(str(tmp_path / "transcript.jsonl")), _digest(str(tmp_path / "report.json")))
     assert got == PINNED_DIGESTS[config_name]
+
+
+# Two-cell grids (and one config with no grid at all): verdict order across
+# cells, the per-cell report tables, the last cell's transcript and the
+# default grid, pinned as (exit status, transcript digest, report digest).
+MULTI_CELL = {
+    "hurewicz": (
+        scenario_config(strategy="shifted_seg", grid=[{"horizon": 4, "innings": 4}, {"horizon": 6, "innings": 5}]),
+        (
+            1,
+            "8c40ad9babf5c2388e86d4ccccbd9de79123d15afb505e38c8f64d71d5fc0844",
+            "c2a957112a66e88537daa5d588b200055487452415438b90b922ebf18bf1a49b",
+        ),
+    ),
+    "paw-cor": (
+        scenario_config(
+            construction="paw-cor",
+            strategy="mixed_adversarial",
+            grid=[{"horizon": 3, "innings": 8, "multiplicity": 2}, {"horizon": 4, "innings": 10}],
+        ),
+        (
+            0,
+            "5133ccb6f7963ea5005015935d913aa5bb16d7b41dca54918db611d5d2eaffe1",
+            "5cd18e8d2b907fc64b0e9a21ae17e67de06d882141248770b96ca860b10c84a3",
+        ),
+    ),
+    "rothberger": (
+        scenario_config(construction="rothberger", grid=[{"horizon": 3, "innings": 6}, {"horizon": 4, "innings": 8}]),
+        (
+            0,
+            "98715ae6575ea9301536c07b8b0bff04395c806d757c536485f8afc05d07a517",
+            "0e076cdc234978f950e94ef36371c4c4136c87bce1ad3a82468310445ca469fd",
+        ),
+    ),
+    "appendix": (
+        scenario_config(
+            construction="appendix",
+            strategy="depth_shifted",
+            grid=[{"innings": 8, "sample": 3}, {"innings": 12, "sample": 4, "multiplicity": 3, "node_budget": 6}],
+        ),
+        (
+            0,
+            "d97d33b4a172a6f6f5439ff219ee2beefee507e14160c8832ac8b842f0d1e8d1",
+            "8a7ebc1ddfcf302f929d79d29e15fb35a7dfc85304373aba69b4b20d61446dfc",
+        ),
+    ),
+    "default-grid": (
+        {"space": {"kind": "countable"}, "construction": "rothberger"},
+        (
+            0,
+            "88b6cdb93de93bdb879828d27bc657fa347f8b45baecc3b99c542e53ab23449f",
+            "ce908b1620eace7d7bc295e6a60eb32a0b0f2d9884295d18ee007b6cf776d9de",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CELL))
+def test_multi_cell_scenarios_emit_pinned_bytes(name, tmp_path):
+    config, pinned = MULTI_CELL[name]
+    status = run_scenario(write_config(tmp_path, config), output_dir=str(tmp_path / "out"))
+    got = (status, _digest(str(tmp_path / "out" / "transcript.jsonl")), _digest(str(tmp_path / "out" / "report.json")))
+    assert got == pinned
