@@ -3,7 +3,7 @@
 A scenario names a space, a construction, a strategy, and a grid of check
 parameters. Running it writes a line-delimited transcript and a report of
 verdicts, returning exit status 0 exactly when every verdict passed. Same
-seed, same bytes: transcripts are reproducible bit for bit.
+config, same bytes: transcripts are reproducible bit for bit.
 """
 
 import json

@@ -14,21 +14,18 @@ from .covers import (
     head_normalize,
     increasing_form,
     is_cover_up_to,
-    is_large_up_to,
     witness_of,
 )
 from .engine import (
     AliceStrategy,
-    BobStrategy,
     GameKind,
     Inning,
     MENGER_GAME,
+    MultiplicityReport,
     ROTHBERGER_GAME,
     Transcript,
     check_legal,
     evaluate_win,
-    large_menger_game,
-    run_play,
 )
 from .errors import (
     BudgetError,
@@ -59,7 +56,6 @@ from .hurewicz import (
     tail_derived_cover,
 )
 from .products import (
-    MultiplicityReport,
     infinitely_often_play,
     lift_strategy,
     lifted_cover,
@@ -73,7 +69,7 @@ from .rothberger import (
     select_one_per_family,
 )
 from .scenarios import emit_transcript, parse_transcript, run_scenario, transcript_records
-from .selectors import select_sfin, select_sone
+from .selectors import select_sone
 from .solver import (
     FiniteGameInstance,
     cross_check,
@@ -97,9 +93,7 @@ from .spaces import (
     SpaceModel,
     Whole,
     describe,
-    enumerate_points,
     extension,
-    extensionally_equal,
     from_ids,
     initial_segment,
     member,

@@ -11,6 +11,7 @@ stable across interpreter runs.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .covers import IndexedCover
@@ -176,6 +177,41 @@ def path_keyed_tree(
     )
 
 
+_CAP = 12  # the largest key of a capped tree
+_last = itemgetter(-1)  # a capped tree's aggregate: the node's last entry
+
+
+def const_tree(space: SpaceModel, name: str, cover: Callable[[], IndexedCover]) -> TreeStrategy:
+    """A tree with one cover at every node."""
+    return path_keyed_tree(space, name, lambda path: None, lambda bound: [None], lambda key: cover())
+
+
+def depth_tree(space: SpaceModel, name: str, cover_of_depth: Callable[[int], IndexedCover]) -> TreeStrategy:
+    """A tree whose node cover depends only on the node's depth."""
+    return path_keyed_tree(space, name, len, lambda bound: [len(bound)], cover_of_depth)
+
+
+def capped_tree(
+    space: SpaceModel,
+    name: str,
+    aggregate: Callable[[Path], int],
+    cover_of_key: Callable[[int], IndexedCover],
+) -> TreeStrategy:
+    """A tree keyed by min(aggregate(node), 12), and the root by 0. The
+    aggregate (the last entry, or the max) is monotone in each entry, so the
+    box below a bound attains every key from 1 up to the bound's."""
+
+    def key_of(path: Path) -> int:
+        return min(aggregate(path), _CAP) if path else 0
+
+    def keys_on_box(bound: Path) -> Sequence[int]:
+        if not bound:
+            return [0]
+        return list(range(1, min(aggregate(bound), _CAP) + 1))
+
+    return path_keyed_tree(space, name, key_of, keys_on_box, cover_of_key)
+
+
 def rothberger_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) -> dict[str, TreeStrategy]:
     """Single-selection strategy trees mirroring the strategy corpus, with
     box hooks so the joint-refinement machinery stays small.
@@ -183,42 +219,13 @@ def rothberger_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) 
     Key shapes: constant (node-independent covers), last entry (the reply
     depends on the opponent's previous pick), depth, and depth-parity mixes.
     """
-
-    def const_tree(name: str, cover: Callable[[], IndexedCover]) -> TreeStrategy:
-        return path_keyed_tree(
-            space,
-            name,
-            key_of=lambda path: None,
-            keys_on_box=lambda bound: [None],
-            cover_of_key=lambda key: cover(),
-        )
-
-    def last_keyed(name: str, cover_of_last: Callable[[int], IndexedCover], cap: int = 12) -> TreeStrategy:
-        def key_of(path: Path) -> int:
-            return min(path[-1], cap) if path else 0
-
-        def keys_on_box(bound: Path) -> Sequence[int]:
-            if not bound:
-                return [0]
-            return list(range(1, min(bound[-1], cap) + 1))
-
-        return path_keyed_tree(space, name, key_of, keys_on_box, cover_of_last)
-
-    def depth_keyed(name: str, cover_of_depth: Callable[[int], IndexedCover]) -> TreeStrategy:
-        return path_keyed_tree(
-            space,
-            name,
-            key_of=lambda path: len(path),
-            keys_on_box=lambda bound: [len(bound)],
-            cover_of_key=cover_of_depth,
-        )
-
     corpus = {
-        "seg_tower": const_tree("seg_tower", lambda: segment_cover(space)),
-        "shifted_seg": last_keyed("shifted_seg", lambda last: segment_cover(space, shift=last)),
-        "singletons": const_tree("singletons", lambda: singleton_cover(space)),
-        "whole_head": const_tree("whole_head", lambda: whole_head_cover(space)),
-        "mixed_adversarial": depth_keyed(
+        "seg_tower": const_tree(space, "seg_tower", lambda: segment_cover(space)),
+        "shifted_seg": capped_tree(space, "shifted_seg", _last, lambda last: segment_cover(space, shift=last)),
+        "singletons": const_tree(space, "singletons", lambda: singleton_cover(space)),
+        "whole_head": const_tree(space, "whole_head", lambda: whole_head_cover(space)),
+        "mixed_adversarial": depth_tree(
+            space,
             "mixed_adversarial",
             lambda depth: singleton_cover(space) if depth % 2 else segment_cover(space, shift=depth % 5),
         ),
@@ -229,11 +236,13 @@ def rothberger_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) 
         shift = rng.randrange(0, 4)
         nm = f"seeded{seed * 1000 + k}"
         if shape == "const_seg":
-            corpus[nm] = const_tree(nm, lambda shift=shift: segment_cover(space, shift=shift))
+            corpus[nm] = const_tree(space, nm, lambda shift=shift: segment_cover(space, shift=shift))
         elif shape == "depth":
-            corpus[nm] = depth_keyed(nm, lambda d, shift=shift: segment_cover(space, shift=(d + shift) % 6))
+            corpus[nm] = depth_tree(space, nm, lambda d, shift=shift: segment_cover(space, shift=(d + shift) % 6))
         else:
-            corpus[nm] = last_keyed(nm, lambda last, shift=shift: segment_cover(space, shift=min(last + shift, 9)))
+            corpus[nm] = capped_tree(
+                space, nm, _last, lambda last, shift=shift: segment_cover(space, shift=min(last + shift, 9))
+            )
     return corpus
 
 
@@ -247,61 +256,25 @@ def appendix_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) ->
     tests instead.
     """
 
-    def depth_tree(name: str, rate: int = 1, base: int = 0) -> TreeStrategy:
-        def cover_of_depth(depth: int) -> IndexedCover:
-            return segment_cover(space, shift=base + rate * depth)
+    def shifted_by_depth(name: str, rate: int, base: int = 0) -> TreeStrategy:
+        return depth_tree(space, name, lambda depth: segment_cover(space, shift=base + rate * depth))
 
-        return path_keyed_tree(
-            space,
-            name,
-            key_of=lambda path: len(path),
-            keys_on_box=lambda bound: [len(bound)],
-            cover_of_key=cover_of_depth,
-        )
-
-    def max_tree(name: str, cap: int = 12) -> TreeStrategy:
-        def key_of(path: Path) -> int:
-            return min(max(path), cap) if path else 0
-
-        def keys_on_box(bound: Path) -> Sequence[int]:
-            if not bound:
-                return [0]
-            top = min(max(bound), cap)
-            return list(range(1, top + 1))
-
-        return path_keyed_tree(
-            space, name, key_of, keys_on_box, lambda key: segment_cover(space, shift=key)
+    def wholes() -> IndexedCover:
+        return IndexedCover(
+            space=space, sets=lambda j: whole(space), witness=lambda p: 1, increasing=True, label="wholes"
         )
 
     corpus = {
-        "depth_shifted": depth_tree("depth_shifted", rate=1),
-        "depth_fast": depth_tree("depth_fast", rate=2),
-        "max_shifted": max_tree("max_shifted"),
-        "whole_tree": path_keyed_tree(
-            space,
-            "whole_tree",
-            key_of=lambda path: None,
-            keys_on_box=lambda bound: [None],
-            cover_of_key=lambda key: IndexedCover(
-                space=space,
-                sets=lambda j: whole(space),
-                witness=lambda p: 1,
-                increasing=True,
-                label="wholes",
-            ),
-        ),
-        "uniform_segments": path_keyed_tree(
-            space,
-            "uniform_segments",
-            key_of=lambda path: None,
-            keys_on_box=lambda bound: [None],
-            cover_of_key=lambda key: segment_cover(space),
-        ),
+        "depth_shifted": shifted_by_depth("depth_shifted", rate=1),
+        "depth_fast": shifted_by_depth("depth_fast", rate=2),
+        "max_shifted": capped_tree(space, "max_shifted", max, lambda key: segment_cover(space, shift=key)),
+        "whole_tree": const_tree(space, "whole_tree", wholes),
+        "uniform_segments": const_tree(space, "uniform_segments", lambda: segment_cover(space)),
     }
     for k in range(n_random):
         rng = random.Random(seed * 104729 + k)
         nm = f"seeded{seed * 1000 + k}"
-        corpus[nm] = depth_tree(nm, rate=rng.choice([1, 1, 2]), base=rng.randrange(0, 3))
+        corpus[nm] = shifted_by_depth(nm, rate=rng.choice([1, 1, 2]), base=rng.randrange(0, 3))
     return corpus
 
 

@@ -15,7 +15,7 @@ is a test parameter, never a truncation of the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import CrossSpaceError, IntegrityError
 from .spaces import (
@@ -236,38 +236,3 @@ def head_normalize(chosen: OpenSet, reply: IndexedCover) -> IndexedCover:
         label=f"headed({reply.label})" if reply.label else "headed",
         first_hit=lambda p, upto: 1 if member(chosen, p) else reply.first_hit(p, upto - 1) + 1,
     )
-
-
-def is_large_up_to(
-    selected: Iterable[OpenSet],
-    horizon: int,
-    multiplicity: int,
-    budget: int,
-) -> Verdict:
-    """Check that every point below the horizon lies in at least
-    `multiplicity` structurally distinct sets among the first `budget`
-    inspected members."""
-    from .spaces import describe
-
-    pool: list[OpenSet] = []
-    for s in selected:
-        pool.append(s)
-        if len(pool) >= budget:
-            break
-    space = None
-    for s in pool:
-        space = s.space_hint()
-        if space is not None:
-            break
-    if space is None:
-        raise ValueError("cannot infer the space from the selected sets")
-    for p in space.points(horizon):
-        seen: set[tuple] = set()
-        for s in pool:
-            if member(s, p):
-                seen.add(describe(s))
-                if len(seen) >= multiplicity:
-                    break
-        if len(seen) < multiplicity:
-            return Verdict(False, reason=f"only {len(seen)} distinct sets cover", failing_point=p)
-    return Verdict(True)

@@ -49,25 +49,12 @@ MENGER_GAME = GameKind("finite", 1)
 ROTHBERGER_GAME = GameKind("single", 1)
 
 
-def large_menger_game(multiplicity: int) -> GameKind:
-    return GameKind("finite", multiplicity)
-
-
 @dataclass(frozen=True, eq=False)
 class AliceStrategy:
     """A deterministic first-player strategy: prior selections -> next cover."""
 
     space: SpaceModel
     move: Callable[[History], IndexedCover]
-    name: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class BobStrategy:
-    """A deterministic second-player strategy:
-    (cover just played, inning number, own prior selections) -> selection."""
-
-    move: Callable[[IndexedCover, int, History], FiniteSelection]
     name: str = ""
 
 
@@ -139,27 +126,6 @@ def make_inning(
     )
 
 
-def run_play(game: GameKind, alice: AliceStrategy, bob: BobStrategy, innings: int) -> Transcript:
-    """Drive a full play of `innings` innings and record it.
-
-    Each cover is the first player's move on the selection history so far;
-    each selection is the second player's reply to that cover. A selection
-    with invalid indices raises :class:`LegalityError` naming the inning.
-    """
-    if innings < 1:
-        raise ValueError("a play needs at least one inning")
-    history: History = ()
-    records: list[Inning] = []
-    for n in range(1, innings + 1):
-        cover = alice.move(history)
-        sel = bob.move(cover, n, history)
-        if sel.cover is not cover:
-            raise LegalityError(f"inning {n}: selection does not reference the played cover", inning=n)
-        records.append(make_inning(game, n, cover, sel.indices))
-        history = history + (sel,)
-    return Transcript(game=game, innings=tuple(records), label=f"play({alice.name or 'alice'})")
-
-
 def replay(alice: AliceStrategy, moves: Iterable[tuple[int, ...]]) -> Iterator[IndexedCover]:
     """The cover the strategy plays at each inning of a play whose selections
     are `moves`, one index tuple per inning.
@@ -173,6 +139,24 @@ def replay(alice: AliceStrategy, moves: Iterable[tuple[int, ...]]) -> Iterator[I
         cover = alice.move(history)
         yield cover
         history = history + (FiniteSelection(cover, tuple(indices)),)
+
+
+def cover_after(alice: AliceStrategy) -> Callable[[tuple[tuple[int, ...], ...]], IndexedCover]:
+    """The strategy's cover after a play whose selections are `moves`, one
+    index tuple per inning. The covers along each move sequence are kept for
+    as long as the returned function lives, so a sequence asks only for its
+    parent's."""
+    memo: dict[tuple[tuple[int, ...], ...], tuple[IndexedCover, ...]] = {}
+
+    def along(moves: tuple[tuple[int, ...], ...]) -> tuple[IndexedCover, ...]:
+        hit = memo.get(moves)
+        if hit is None:
+            prior = along(moves[:-1]) if moves else ()
+            history = tuple(FiniteSelection(cover, move) for cover, move in zip(prior, moves))
+            hit = memo[moves] = prior + (alice.move(history),)
+        return hit
+
+    return lambda moves: along(moves)[-1]
 
 
 def check_legal(t: Transcript, alice: AliceStrategy) -> Verdict:
@@ -198,6 +182,21 @@ def covering_innings(t: Transcript, points: Iterable[Point]) -> dict[int, tuple[
     return {
         p.id: tuple(rec.number for rec in t.innings if any(member(s, p) for s in rec.selected_sets)) for p in points
     }
+
+
+@dataclass(frozen=True)
+class MultiplicityReport:
+    """Per point id, the sorted innings whose selections cover it."""
+
+    covering_innings: Mapping[int, tuple[int, ...]]
+
+    def multiplicity(self, point_id: int) -> int:
+        return len(self.covering_innings.get(point_id, ()))
+
+    def min_multiplicity(self) -> int:
+        if not self.covering_innings:
+            return 0
+        return min(len(v) for v in self.covering_innings.values())
 
 
 @dataclass(frozen=True)

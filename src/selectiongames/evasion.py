@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .covers import IndexedCover, witness_of
-from .engine import GameKind, Transcript, covering_innings, large_menger_game
+from .engine import GameKind, MultiplicityReport, Transcript, covering_innings
 from .errors import BudgetError
 from .pairing import finseq_from_index
 from .rothberger import joint_refinement_cover, witness_once
 from .spaces import OpenSet, Point, describe, member
-from .trees import Path, TreeStrategy, path_transcript, subtree
+from .trees import Path, TreeStrategy, path_transcript
 
 
 @dataclass(eq=False)
@@ -262,17 +262,11 @@ def evasion_function(
 
 
 @dataclass(frozen=True)
-class LargeCoverReport:
+class LargeCoverReport(MultiplicityReport):
     """Covering innings per sampled point id, and whether every selected set
     was distinct from the earlier ones."""
 
-    covering_innings: dict[int, tuple[int, ...]]
     distinct_selections: bool
-
-    def min_multiplicity(self) -> int:
-        if not self.covering_innings:
-            return 0
-        return min(len(v) for v in self.covering_innings.values())
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,6 @@ class LargeCounterplayResult:
     transcript: Transcript
     report: LargeCoverReport
     evasion_prefix: Path
-    wedged_path: Path
     stripped_play: bool = True
 
 
@@ -290,58 +283,45 @@ def counterplay_large(
     innings: int,
     node_budget: int = 12,
     box_limit: int = 20_000,
-    game: GameKind | None = None,
-    start_node: Path = (),
 ) -> LargeCounterplayResult:
     """Play the evasion counterplay for the large-cover game.
 
-    The tree (restricted below `start_node` when given) is stripped and
-    wedged, the evasion function g is computed for the sample, and the play
-    follows g: inning n selects member g(n) of the wedged cover at node
-    (g(1), ..., g(n-1)). The transcript is emitted in the original tree's
-    terms through the strip back-map; the report lists, per sampled point,
-    the innings whose selected set contains it, and certifies that the
-    selected sets are pairwise structurally distinct (stripping is what
-    makes covering innings count as distinct covering sets).
+    The tree is stripped and wedged, the evasion function g is computed for
+    the sample, and the play follows g: inning n selects member g(n) of the
+    wedged cover at node (g(1), ..., g(n-1)). The transcript is emitted in
+    the original tree's terms through the strip back-map; the report lists,
+    per sampled point, the innings whose selected set contains it, and
+    certifies that the selected sets are pairwise structurally distinct
+    (stripping is what makes covering innings count as distinct covering
+    sets).
 
     When stripping empties a node cover — the tree offers a finite subcover,
     so the removal budget runs out on structurally identical members — the
-    play short-circuits to the unstripped pipeline: the second player is
+    play short-circuits to the unstripped tree: the second player is
     winning trivially there, and the report's `stripped_play` flag records
     that the distinctness guarantee was not in force.
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    base = subtree(tree, start_node) if start_node else tree
+
+    def evasion_path(played: TreeStrategy) -> Path:
+        wedged = wedge_tree(played, box_limit=box_limit)
+        return evasion_function(wedged, sample, node_budget=node_budget).prefix(innings)
+
     stripped_play = True
     try:
-        stripped = strip_chosen_tree(base)
-        wedged = wedge_tree(stripped, box_limit=box_limit)
-        g = evasion_function(wedged, sample, node_budget=node_budget)
-        path = g.prefix(innings)
-        orig_moves = stripped.back_map(path)
-        orig_path = tuple(m[0] for m in orig_moves)
+        stripped = strip_chosen_tree(tree)
+        path = evasion_path(stripped)
+        orig_path = tuple(m[0] for m in stripped.back_map(path))
     except BudgetError:
         stripped_play = False
-        wedged = wedge_tree(base, box_limit=box_limit)
-        g = evasion_function(wedged, sample, node_budget=node_budget)
-        path = g.prefix(innings)
-        orig_path = path
+        path = orig_path = evasion_path(tree)
 
-    game = game or large_menger_game(2)
     audits = [{"evasion_value": value, "stripped_index": value} for value in path]
-    transcript = path_transcript(
-        base, orig_path, GameKind("single", game.multiplicity), audits, f"large({tree.label})"
-    )
+    transcript = path_transcript(tree, orig_path, GameKind("single", 2), audits, f"large({tree.label})")
     descriptions = [describe(rec.selected_sets[0]) for rec in transcript.innings]
     report = LargeCoverReport(
         covering_innings=covering_innings(transcript, sample),
         distinct_selections=len(set(descriptions)) == len(descriptions),
     )
-    return LargeCounterplayResult(
-        transcript=transcript,
-        report=report,
-        evasion_prefix=path,
-        wedged_path=path,
-        stripped_play=stripped_play,
-    )
+    return LargeCounterplayResult(transcript, report, path, stripped_play)

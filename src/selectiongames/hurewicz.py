@@ -48,13 +48,12 @@ from typing import Callable, Iterator, Sequence
 
 from .covers import (
     CofiniteSpec,
-    FiniteSelection,
     IndexedCover,
     increasing_form,
     head_normalize,
     witness_of,
 )
-from .engine import AliceStrategy, GameKind, MENGER_GAME, Transcript, make_inning, replay
+from .engine import AliceStrategy, MENGER_GAME, ROTHBERGER_GAME, Transcript, cover_after, make_inning, replay
 from .errors import BudgetError, GameError, IntegrityError
 from .pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
@@ -95,23 +94,14 @@ def normalize_strategy(
     so this is exactly the "a finite selection suffices" escape).
     """
     space = space or raw.space
-    raw_cover_memo: dict[Path, IndexedCover] = {}
+    raw_cover = cover_after(raw)
     tree_holder: list[TreeStrategy] = []
 
     def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
         return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
 
-    def raw_cover_at(path: Path) -> IndexedCover:
-        hit = raw_cover_memo.get(path)
-        if hit is None:
-            history = tuple(
-                FiniteSelection(raw_cover_at(path[:depth]), move) for depth, move in enumerate(back_map(path))
-            )
-            hit = raw_cover_memo[path] = raw.move(history)
-        return hit
-
     def cover_at(path: Path) -> IndexedCover:
-        base = increasing_form(raw_cover_at(path))
+        base = increasing_form(raw_cover(back_map(path)))
         if not path:
             return base
         tree = tree_holder[0]
@@ -362,19 +352,17 @@ def bob_counterplay_menger(
     tree: TreeStrategy,
     raw: AliceStrategy | None = None,
     innings: int = 10,
-    plan: Callable[[int], list[Point]] | None = None,
     probe_limit: int = 10_000,
-    game: GameKind = MENGER_GAME,
 ) -> CounterplayResult:
     """Play the winning counterplay against a normalized tree.
 
     At inning n, with the play so far at node sigma, the protected points are
-    plan(n); their omitting nodes at the next level form finitely many
-    excluded children of sigma, and the move is the least child index outside
-    all of them. The chosen set therefore contains every protected point (it
-    is a member of each point's protecting cofinite subfamily, hence contains
-    that subfamily's intersection), so the play wins every horizon h once n
-    and the plan reach it.
+    those of `protection_plan` at n; their omitting nodes at the next level
+    form finitely many excluded children of sigma, and the move is the least
+    child index outside all of them. The chosen set therefore contains every
+    protected point (it is a member of each point's protecting cofinite
+    subfamily, hence contains that subfamily's intersection), so the play
+    wins every horizon h once n reaches it.
 
     The tree must be normalized (increasing node covers, each headed by its
     node's set). Then every child holds the points earlier moves secured, and
@@ -387,40 +375,26 @@ def bob_counterplay_menger(
     indices that were skipped as excluded and the protected point count.
 
     If materializing the tree raises :class:`FiniteWinFound`, the witnessing
-    path is replayed as-is: those finitely many choices already cover the
-    working horizon.
+    path is the play, with no skipped children: those finitely many choices
+    already cover the working horizon.
     """
-    plan = plan or protection_plan(tree.space)
-    try:
-        return _drive_counterplay(tree, raw, innings, plan, probe_limit, game, None)
-    except FiniteWinFound as fw:
-        return _drive_counterplay(tree, raw, len(fw.path), plan, probe_limit, game, fw.path)
-
-
-def _drive_counterplay(
-    tree: TreeStrategy,
-    raw: AliceStrategy | None,
-    innings: int,
-    plan: Callable[[int], list[Point]],
-    probe_limit: int,
-    game: GameKind,
-    forced_path: Path | None,
-) -> CounterplayResult:
     if innings < 1:
         raise ValueError("a play needs at least one inning")
+    plan = protection_plan(tree.space)
     path: Path = ()
     secured: set[int] = set()
     moves: list[tuple[int, list[int]]] = []  # (chosen child, skipped children)
-    for n in range(1, innings + 1):
-        if forced_path is not None:
-            chosen, skipped = forced_path[n - 1], []
-        else:
+    finite_win = False
+    try:
+        for n in range(1, innings + 1):
             chosen = secure_child(tree, path, plan(n), secured, probe_limit)
-            skipped = list(range(1, chosen))
-        moves.append((chosen, skipped))
-        path = path + (chosen,)
-    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan, game)
-    return CounterplayResult(tree_path=path, transcript=transcript, finite_win=forced_path is not None)
+            moves.append((chosen, list(range(1, chosen))))
+            path = path + (chosen,)
+    except FiniteWinFound as fw:
+        path, finite_win = fw.path, True
+        moves = [(chosen, []) for chosen in path]
+    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan)
+    return CounterplayResult(tree_path=path, transcript=transcript, finite_win=finite_win)
 
 
 def _emit_counterplay_transcript(
@@ -429,7 +403,6 @@ def _emit_counterplay_transcript(
     path: Path,
     moves: Sequence[tuple[int, list[int]]],
     plan: Callable[[int], list[Point]],
-    game: GameKind,
 ) -> Transcript:
     label = f"counterplay({tree.label})"
     if raw is not None and tree.back_map is not None:
@@ -441,10 +414,10 @@ def _emit_counterplay_transcript(
                 "excluded_children_probed": list(skipped),
                 "protected_points": len(plan(n)),
             }
-            records.append(make_inning(game, n, cover, indices, audit=audit))
-        return Transcript(game=game, innings=tuple(records), label=label)
+            records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
+        return Transcript(game=MENGER_GAME, innings=tuple(records), label=label)
     audits = [
         {"excluded_children_probed": list(skipped), "protected_points": len(plan(n))}
         for n, (_, skipped) in enumerate(moves, start=1)
     ]
-    return path_transcript(tree, path, GameKind("single", game.multiplicity), audits, label)
+    return path_transcript(tree, path, ROTHBERGER_GAME, audits, label)

@@ -73,13 +73,6 @@ def finseq_from_index(index: int) -> tuple[int, ...]:
     return decode_tuple(tuple_code + 1, length_code + 1)
 
 
-def finseq_index(seq: tuple[int, ...]) -> int:
-    """Inverse of :func:`finseq_from_index`."""
-    if not seq:
-        return 1
-    return pair(len(seq) - 1, encode_tuple(seq) - 1) + 2
-
-
 def excluded_set_index(excluded: frozenset[int]) -> int:
     """Binary-subset bijection: finite set of positive naturals -> 1-based index.
 

@@ -17,13 +17,21 @@ countable unions is subsumed by that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Mapping
 
 from .covers import FiniteSelection, IndexedCover
-from .engine import AliceStrategy, History, MENGER_GAME, Transcript, covering_innings, make_inning, replay
-from .hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy, protection_plan
+from .engine import (
+    AliceStrategy,
+    History,
+    MENGER_GAME,
+    MultiplicityReport,
+    Transcript,
+    cover_after,
+    covering_innings,
+    make_inning,
+    replay,
+)
+from .hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy
 from .pairing import pair, unpair
 from .spaces import Point, ProductSpace
 
@@ -87,17 +95,7 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
     are kept per selected index tuple for as long as the strategy lives.
     """
     product = ProductSpace(alice.space)
-    base_cover_memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
-
-    def base_cover_for(projected: tuple[tuple[int, ...], ...]) -> IndexedCover:
-        hit = base_cover_memo.get(projected)
-        if hit is None:
-            history = tuple(
-                FiniteSelection(base_cover_for(projected[:depth]), move) for depth, move in enumerate(projected)
-            )
-            hit = base_cover_memo[projected] = alice.move(history)
-        return hit
-
+    base_cover = cover_after(alice)
     lifted_memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
     projections: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -108,34 +106,16 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
         projected = tuple(projections[sel.indices] for sel in history)
         hit = lifted_memo.get(projected)
         if hit is None:
-            hit = lifted_memo[projected] = lifted_cover(product, base_cover_for(projected))
+            hit = lifted_memo[projected] = lifted_cover(product, base_cover(projected))
         return hit
 
     return product, AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    """Per base point (id), the sorted innings whose selections cover it."""
-
-    horizon: int
-    covering_innings: Mapping[int, tuple[int, ...]]
-
-    def multiplicity(self, point_id: int) -> int:
-        return len(self.covering_innings.get(point_id, ()))
-
-    def min_multiplicity(self) -> int:
-        if not self.covering_innings:
-            return 0
-        return min(len(v) for v in self.covering_innings.values())
 
 
 def infinitely_often_play(
     alice: AliceStrategy,
     innings: int,
     horizon: int = 5,
-    finite_win_horizon: int | None = None,
-    plan=None,
 ) -> tuple[Transcript, MultiplicityReport, CounterplayResult]:
     """A play of the base game, according to the given strategy, in which
     every enumerated point below the horizon is covered at many distinct
@@ -143,16 +123,13 @@ def infinitely_often_play(
 
     Runs the tree counterplay against the lifted strategy on the product
     space, projects each selection back to the base game, and reports the
-    covering innings per base point. `plan` overrides the counterplay's
-    protection schedule on the product space (the canonical one by default).
+    covering innings per base point.
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
     product, lifted = lift_strategy(alice)
-    tree = normalize_strategy(lifted, product, finite_win_horizon=finite_win_horizon)
-    result = bob_counterplay_menger(
-        tree, raw=lifted, innings=innings, plan=plan or protection_plan(product)
-    )
+    tree = normalize_strategy(lifted, product)
+    result = bob_counterplay_menger(tree, raw=lifted, innings=innings)
 
     # project the lifted play to the base game, and replay the base strategy
     lifted_innings = result.transcript.innings
@@ -167,4 +144,4 @@ def infinitely_often_play(
         base_records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
     transcript = Transcript(game=MENGER_GAME, innings=tuple(base_records), label=f"often({alice.name})")
     covering = covering_innings(transcript, alice.space.points(horizon))
-    return transcript, MultiplicityReport(horizon=horizon, covering_innings=covering), result
+    return transcript, MultiplicityReport(covering_innings=covering), result

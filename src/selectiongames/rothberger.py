@@ -226,8 +226,6 @@ def select_one_per_family(
     sone: SoneSelector,
     space: SpaceModel,
     horizon: int,
-    stage_cap: int | None = None,
-    family_budget: int | None = None,
 ) -> list[tuple[int, int]]:
     """Pick one member from each of the first `count` families so that the
     picked members cover every point below the horizon.
@@ -236,17 +234,17 @@ def select_one_per_family(
     cover; the selected intersection's factors name n distinct families, at
     least one of which is still unassigned, and that family receives its
     recorded member. Families left unassigned when coverage is reached
-    receive member 1.
+    receive member 1. The infinitely-often hypothesis is checked on the first
+    `count` families, and `max(horizon, 1) + 5` stages are tried.
     """
-    stage_cap = stage_cap or max(horizon, 1) + 5
-    family_budget = family_budget or count
-    check_infinitely_often(families, space, horizon, family_budget)
+    stage_cap = max(horizon, 1) + 5
+    check_infinitely_often(families, space, horizon, count)
 
     covers: dict[int, tuple[IndexedCover, Callable[[int], IntersectionRecord]]] = {}
 
     def cover_for(n: int) -> IndexedCover:
         if n not in covers:
-            covers[n] = distinct_intersections(families, n, family_limit=max(family_budget, count))
+            covers[n] = distinct_intersections(families, n, family_limit=count)
         return covers[n][0]
 
     assigned: dict[int, int] = {}
@@ -396,7 +394,6 @@ def rothberger_counterplay(
     innings: int,
     horizon: int = 5,
     box_limit: int = 20_000,
-    plan=None,
 ) -> RothbergerResult:
     """The winning single-selection play against a strategy tree.
 
@@ -417,9 +414,7 @@ def rothberger_counterplay(
     # requested, never shorter)
     menger_innings = innings
     while True:
-        menger_transcript, report, _result = infinitely_often_play(
-            derived, innings=menger_innings, horizon=horizon, plan=plan
-        )
+        menger_transcript, report, _ = infinitely_often_play(derived, innings=menger_innings, horizon=horizon)
         pts = tree.space.points(horizon)
         if all(report.multiplicity(p.id) >= i + 1 for i, p in enumerate(pts)):
             break
@@ -441,7 +436,6 @@ def rothberger_counterplay(
         sone=sone,
         space=tree.space,
         horizon=horizon,
-        family_budget=len(selections),
     )
 
     # recover the single-selection play: the pick at inning i is a diagonal

@@ -15,10 +15,11 @@ Config keys:
                   "sample": s, "node_budget": b} entries (keys as relevant)
     instance      (oracle) bundled instance name
     game          (oracle) "single" | "finite"; cap: selection cap
-    seed          accepted and unused: every construction is deterministic
 
-Grid constructions are rows of `CONSTRUCTIONS`, run by one grid loop. A
-malformed value raises :class:`ConfigError` naming its key.
+Every construction is deterministic, so a config needs no seed. Grid
+constructions are rows of `CONSTRUCTIONS`, run by one grid loop. A malformed
+value raises :class:`ConfigError` naming its key; integer values must be JSON
+integers.
 
 Transcript files carry one JSON record per inning (after a meta record):
 inning number, the cover description prefix, selection indices, the
@@ -71,9 +72,14 @@ def space_from_config(config: dict) -> SpaceModel:
     if kind == "countable":
         return CountableDiscrete()
     if kind == "finite":
-        if "points" not in spec or "topology" not in spec:
-            raise ConfigError("finite space needs 'points' and 'topology'", key="space")
-        return FiniteTopological(spec["points"], spec["topology"])
+        points, topology = spec.get("points"), spec.get("topology")
+        opens = isinstance(topology, list) and all(isinstance(s, list) and all(map(_is_int, s)) for s in topology)
+        if not _is_int(points) or not opens:
+            raise ConfigError("finite space needs integer 'points' and 'topology' as lists of ids", key="space")
+        try:
+            return FiniteTopological(points, topology)
+        except ValueError as e:
+            raise ConfigError(f"invalid finite space: {e}", key="space")
     raise ConfigError(f"unknown space kind {kind!r}", key="space")
 
 
@@ -137,10 +143,9 @@ def parse_transcript(path: str) -> list[dict]:
     return records
 
 
-def run_scenario(config_path: str, output_dir: str | None = None, seed: int | None = None) -> int:
+def run_scenario(config_path: str, output_dir: str | None = None) -> int:
     """Execute a scenario; write transcript and report files; return 0 iff
-    every verdict in the report passed. Every construction is deterministic:
-    `seed` is accepted and read by none of them."""
+    every verdict in the report passed."""
     config = load_config(config_path)
     out = output_dir or config.get("output", ".")
     os.makedirs(out, exist_ok=True)
@@ -171,17 +176,21 @@ def run_scenario(config_path: str, output_dir: str | None = None, seed: int | No
     return 0 if all_pass else 1
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: not a bool, a float or a string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(mapping: dict, key: str, default: int | None = None) -> int:
     """An integer config value; a missing key without a default, or a value
-    that is not an integer, raises ConfigError naming the key."""
+    that is not a JSON integer, raises ConfigError naming the key."""
     if key not in mapping:
         if default is None:
             raise ConfigError("missing required key", key=key)
         return default
-    try:
-        return int(mapping[key])
-    except (TypeError, ValueError):
+    if not _is_int(mapping[key]):
         raise ConfigError(f"{key} must be an integer, got {mapping[key]!r}", key=key)
+    return mapping[key]
 
 
 def _named(corpus: dict, name: Any, what: str):

@@ -3,48 +3,22 @@
 Every theorem in the library consumes "a space satisfying the selection
 principle" as its hypothesis. General selection oracles are not computable,
 but every countable model satisfies both principles constructively, and the
-canonical selectors below realize that: at stage n they cover the first n
-enumerated points using the n-th cover's witnesses, so point p_i is covered
-by inning i+1 at the latest. The constructions are parametric in the
-selector; anything satisfying the same prefix-coverage invariant can be
-substituted.
+canonical single-selection witness below realizes that: at stage n it picks
+the n-th cover's witness for point p_{n-1}, so point p_i is covered by
+inning i+1. The constructions are parametric in the selector; anything
+satisfying the same prefix-coverage invariant can be substituted.
 
-On finite models the same algorithms apply with the enumeration clamped.
+On finite models the same algorithm applies with the enumeration clamped.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .covers import FiniteSelection, IndexedCover, witness_of
+from .covers import IndexedCover, witness_of
 from .spaces import SpaceModel
 
 CoverSeq = Callable[[int], IndexedCover]
-
-
-def _clamped_count(space: SpaceModel, n: int) -> int:
-    return min(n, space.size) if space.size is not None else n
-
-
-def select_sfin(space: SpaceModel, covers: CoverSeq) -> Iterator[FiniteSelection]:
-    """Finite-selection witness: the n-th selection is taken from covers(n).
-
-    Stage n selects the witness indices of the first n points, deduplicated;
-    on covers flagged increasing the largest witness subsumes the others and
-    is selected alone.
-    """
-    n = 0
-    while True:
-        n += 1
-        cover = covers(n)
-        indices: list[int] = []
-        for p in space.points(_clamped_count(space, n)):
-            j = witness_of(cover, p)
-            if j not in indices:
-                indices.append(j)
-        if cover.increasing:
-            indices = [max(indices)]
-        yield FiniteSelection(cover, tuple(sorted(indices)))
 
 
 def select_sone(space: SpaceModel, covers: CoverSeq) -> Iterator[int]:

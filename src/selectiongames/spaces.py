@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
 from .errors import CrossSpaceError
-from .pairing import pair, unpair
+from .pairing import unpair
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .covers import IndexedCover
@@ -189,13 +189,6 @@ class ProductSpace(SpaceModel):
             return self.base.point(p.id % self.base.size), p.id // self.base.size + 1
         base_idx, level_code = unpair(p.id)
         return self.base.point(base_idx), level_code + 1
-
-    def combine(self, base_point: Point, level: int) -> Point:
-        if level < 1:
-            raise ValueError("levels are 1-based")
-        if self.base.size is not None:
-            return self.point((level - 1) * self.base.size + base_point.id)
-        return self.point(pair(base_point.id, level - 1))
 
     def lift(self, base_set: "OpenSet", level: int) -> "Lifted":
         return Lifted(space=self, base=base_set, level=level)
@@ -399,11 +392,6 @@ def describe(s: OpenSet) -> tuple:
     return hit
 
 
-def enumerate_points(space: SpaceModel, n: int) -> list[Point]:
-    """First n points of the model, clamped to the model size when finite."""
-    return space.points(n)
-
-
 def extension(s: OpenSet, space: FiniteTopological) -> frozenset[int]:
     """Materialize an expression over a finite model (ids of its points),
     kept on the expression when the model is the expression's own space."""
@@ -414,13 +402,6 @@ def extension(s: OpenSet, space: FiniteTopological) -> frozenset[int]:
         hit = frozenset(p.id for p in space.all_points() if member(s, p))
         object.__setattr__(s, "_ext", hit)
     return hit
-
-
-def extensionally_equal(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int = 50) -> bool:
-    """Extensional equality: exhaustive on finite models, sampled over the
-    first `horizon` points on countable ones."""
-    pts = space.all_points() if space.is_finite else space.points(horizon)
-    return all(member(a, p) == member(b, p) for p in pts)
 
 
 # -- standard named sets on countable models --------------------------------

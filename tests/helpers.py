@@ -1,0 +1,86 @@
+"""Independent checkers and reference constructions that only the tests use:
+point-by-point checks of sets and selections, the inverse of
+`ProductSpace.split`, and the canonical finite-selection witness."""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+from selectiongames.covers import FiniteSelection, Verdict, witness_of
+from selectiongames.pairing import pair
+from selectiongames.selectors import CoverSeq
+from selectiongames.spaces import OpenSet, Point, ProductSpace, SpaceModel, describe, member
+
+
+def extensionally_equal(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int = 50) -> bool:
+    """Extensional equality: exhaustive on finite models, sampled over the
+    first `horizon` points on countable ones."""
+    pts = space.all_points() if space.is_finite else space.points(horizon)
+    return all(member(a, p) == member(b, p) for p in pts)
+
+
+def is_large_up_to(
+    selected: Iterable[OpenSet],
+    horizon: int,
+    multiplicity: int,
+    budget: int,
+) -> Verdict:
+    """Check that every point below the horizon lies in at least
+    `multiplicity` structurally distinct sets among the first `budget`
+    inspected members."""
+    pool: list[OpenSet] = []
+    for s in selected:
+        pool.append(s)
+        if len(pool) >= budget:
+            break
+    space = None
+    for s in pool:
+        space = s.space_hint()
+        if space is not None:
+            break
+    if space is None:
+        raise ValueError("cannot infer the space from the selected sets")
+    for p in space.points(horizon):
+        seen: set[tuple] = set()
+        for s in pool:
+            if member(s, p):
+                seen.add(describe(s))
+                if len(seen) >= multiplicity:
+                    break
+        if len(seen) < multiplicity:
+            return Verdict(False, reason=f"only {len(seen)} distinct sets cover", failing_point=p)
+    return Verdict(True)
+
+
+def combine(product: ProductSpace, base_point: Point, level: int) -> Point:
+    """The product point (base point, level)."""
+    if level < 1:
+        raise ValueError("levels are 1-based")
+    if product.base.size is not None:
+        return product.point((level - 1) * product.base.size + base_point.id)
+    return product.point(pair(base_point.id, level - 1))
+
+
+def _clamped_count(space: SpaceModel, n: int) -> int:
+    return min(n, space.size) if space.size is not None else n
+
+
+def select_sfin(space: SpaceModel, covers: CoverSeq) -> Iterator[FiniteSelection]:
+    """Finite-selection witness: the n-th selection is taken from covers(n).
+
+    Stage n selects the witness indices of the first n points, deduplicated;
+    on covers flagged increasing the largest witness subsumes the others and
+    is selected alone.
+    """
+    n = 0
+    while True:
+        n += 1
+        cover = covers(n)
+        indices: list[int] = []
+        for p in space.points(_clamped_count(space, n)):
+            j = witness_of(cover, p)
+            if j not in indices:
+                indices.append(j)
+        if cover.increasing:
+            indices = [max(indices)]
+        yield FiniteSelection(cover, tuple(sorted(indices)))

@@ -8,19 +8,19 @@ from selectiongames.covers import (
     head_normalize,
     increasing_form,
     is_cover_up_to,
-    is_large_up_to,
     witness_of,
 )
 from selectiongames.errors import IntegrityError
 from selectiongames.spaces import (
     CountableDiscrete,
     Empty,
-    extensionally_equal,
     initial_segment,
     member,
     singleton,
     whole,
 )
+
+from helpers import extensionally_equal, is_large_up_to
 
 N = CountableDiscrete()
 

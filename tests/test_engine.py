@@ -1,15 +1,17 @@
 import dataclasses
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selectiongames import engine
 from selectiongames.corpus import segment_cover, whole_head_cover
-from selectiongames.covers import FiniteSelection
+from selectiongames.covers import FiniteSelection, IndexedCover
 from selectiongames.engine import (
     AliceStrategy,
-    BobStrategy,
     GameKind,
+    History,
     Inning,
     MENGER_GAME,
     ROTHBERGER_GAME,
@@ -17,7 +19,7 @@ from selectiongames.engine import (
     WinReport,
     check_legal,
     evaluate_win,
-    run_play,
+    make_inning,
 )
 from selectiongames.errors import LegalityError
 from selectiongames.spaces import (
@@ -32,6 +34,36 @@ from selectiongames.spaces import (
 )
 
 N = CountableDiscrete()
+
+
+@dataclass(frozen=True, eq=False)
+class BobStrategy:
+    """A deterministic second-player strategy:
+    (cover just played, inning number, own prior selections) -> selection."""
+
+    move: Callable[[IndexedCover, int, History], FiniteSelection]
+    name: str = ""
+
+
+def run_play(game: GameKind, alice: AliceStrategy, bob: BobStrategy, innings: int) -> Transcript:
+    """Drive a full play of `innings` innings and record it.
+
+    Each cover is the first player's move on the selection history so far;
+    each selection is the second player's reply to that cover. A selection
+    with invalid indices raises :class:`LegalityError` naming the inning.
+    """
+    if innings < 1:
+        raise ValueError("a play needs at least one inning")
+    history: History = ()
+    records: list[Inning] = []
+    for n in range(1, innings + 1):
+        cover = alice.move(history)
+        sel = bob.move(cover, n, history)
+        if sel.cover is not cover:
+            raise LegalityError(f"inning {n}: selection does not reference the played cover", inning=n)
+        records.append(make_inning(game, n, cover, sel.indices))
+        history = history + (sel,)
+    return Transcript(game=game, innings=tuple(records), label=f"play({alice.name or 'alice'})")
 
 
 def memo_strategy(cover_for, name):

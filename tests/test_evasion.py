@@ -7,7 +7,7 @@ import pytest
 
 from selectiongames import engine, evasion
 from selectiongames.corpus import appendix_tree_corpus, segment_cover, strategy_corpus
-from selectiongames.covers import IndexedCover, is_cover_up_to, is_large_up_to, witness_of
+from selectiongames.covers import IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import check_legal, evaluate_win
 from selectiongames.errors import BudgetError, CrossSpaceError, ResourceLimitError
 from selectiongames.evasion import (
@@ -27,11 +27,12 @@ from selectiongames.spaces import (
     OpenSet,
     Point,
     describe,
-    extensionally_equal,
     initial_segment,
     member,
 )
 from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree, subtree
+
+from helpers import extensionally_equal, is_large_up_to
 
 N = CountableDiscrete()
 
@@ -665,6 +666,6 @@ class TestCounterplayLarge:
 
     def test_start_node_restriction(self):
         tree = appendix_tree_corpus(N)["depth_shifted"]
-        result = counterplay_large(tree, N.points(3), innings=5, start_node=(2,))
         restricted = subtree(tree, (2,))
+        result = counterplay_large(restricted, N.points(3), innings=5)
         assert check_legal(result.transcript, strategy_from_tree(restricted))

@@ -28,10 +28,11 @@ from selectiongames.hurewicz import (
     tail_derived_cover,
 )
 from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index
-from selectiongames.selectors import select_sfin
 from selectiongames.solver import deterministic_strategy
-from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, extensionally_equal, member
+from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, member
 from selectiongames.trees import TreeStrategy
+
+from helpers import extensionally_equal, select_sfin
 
 N = CountableDiscrete()
 
@@ -653,7 +654,7 @@ def reference_drive(tree, raw, innings, plan, probe_limit, game, forced_path):
                 raise BudgetError(f"no admissible child within {probe_limit} probes at inning {n}")
         moves.append((chosen, skipped))
         path = path + (chosen,)
-    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan, game)
+    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan)
     return CounterplayResult(tree_path=path, transcript=transcript, finite_win=forced_path is not None)
 
 

@@ -1,4 +1,5 @@
-"""Every module-level import in the library is used in its own module.
+"""Every module-level import in the library is used in its own module, and
+every definition is named outside itself.
 
 A stdlib `ast` check, so it needs no linter: the package's `__init__.py`
 (whose imports are re-exports) and `from __future__` imports are exempt.
@@ -8,11 +9,14 @@ level; names used only inside annotations count as used.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "selectiongames"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "selectiongames"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = [PACKAGE / m for m in MODULES] + [p for d in ("demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def module_level_imports(tree: ast.Module):
@@ -39,3 +43,35 @@ def test_every_module_level_import_is_used(module):
 
 def test_the_check_sees_the_package():
     assert "engine.py" in MODULES and "scenarios.py" in MODULES
+
+
+def definitions(path: pathlib.Path):
+    """(name, first line, last line) of each module-level function and class,
+    and of each method; dunder methods are exempt."""
+    for node in ast.parse(path.read_text()).body:
+        for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("__"):
+                yield d.name, d.lineno, d.end_lineno
+
+
+def test_every_definition_is_named_outside_itself():
+    """A dead-code guard: each definition's name must appear outside its own
+    lines in `src/` (not counting `__init__.py`, whose re-exports are not
+    uses), `demos/` or `perfbench/`; a name only the tests use belongs in the
+    tests. It matches by name, as a whole word anywhere in those files' text,
+    so a same-named attribute, comment or docstring word counts as a use."""
+    texts = {p: p.read_text().splitlines() for p in READERS}
+    unused = []
+    for module in MODULES:
+        for name, first, last in definitions(PACKAGE / module):
+            word = re.compile(rf"\b{name}\b")
+            outside = (
+                line
+                for p, lines in texts.items()
+                for n, line in enumerate(lines, start=1)
+                if not (p == PACKAGE / module and first <= n <= last)
+            )
+            if not any(word.search(line) for line in outside):
+                unused.append(f"{module}:{first} {name}")
+    assert not unused, f"named only in their own definitions: {unused}"
+    assert "check_legal" in {name for name, _, _ in definitions(PACKAGE / "engine.py")}

@@ -7,10 +7,16 @@ from selectiongames.pairing import (
     excluded_set_from_index,
     excluded_set_index,
     finseq_from_index,
-    finseq_index,
     pair,
     unpair,
 )
+
+
+def finseq_index(seq: tuple[int, ...]) -> int:
+    """Inverse of :func:`finseq_from_index`."""
+    if not seq:
+        return 1
+    return pair(len(seq) - 1, encode_tuple(seq) - 1) + 2
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))

@@ -11,6 +11,8 @@ from selectiongames.products import (
 )
 from selectiongames.spaces import CountableDiscrete, ProductSpace, member, whole
 
+from helpers import combine
+
 N = CountableDiscrete()
 
 
@@ -23,8 +25,8 @@ class TestLiftedCover:
         for level in (1, 2, 4):
             j = pair(0, level - 1) + 1
             s = lifted.sets(j)
-            assert member(s, prod.combine(N.point(7), level))
-            assert not member(s, prod.combine(N.point(7), level + 1))
+            assert member(s, combine(prod, N.point(7), level))
+            assert not member(s, combine(prod, N.point(7), level + 1))
 
     def test_whole_lift_covers_product(self):
         prod = ProductSpace(N)
@@ -35,7 +37,7 @@ class TestLiftedCover:
     def test_witness_via_pairing_arithmetic(self):
         prod = ProductSpace(N)
         lifted = lifted_cover(prod, segment_cover(N))
-        target = prod.combine(N.point(3), 2)
+        target = combine(prod, N.point(3), 2)
         # independent computation: base witness of p3 in segments is 4, so
         # the lifted index encodes (4, level 2)
         expected = pair(4 - 1, 2 - 1) + 1
@@ -50,7 +52,7 @@ class TestLiftedCover:
     def test_first_hit_reads_no_lifted_member(self):
         prod = ProductSpace(N)
         lifted = lifted_cover(prod, segment_cover(N))
-        target = prod.combine(N.point(4), 3)
+        target = combine(prod, N.point(4), 3)
         # base first hit of p4 in segments is 5, so the lift of member 5 at level 3
         expected = pair(5 - 1, 3 - 1) + 1
         assert lifted.first_hit(target, expected) == expected
@@ -89,7 +91,7 @@ class TestLiftStrategy:
         reply = lifted.move((sel,))
         # base strategy shifted by max projected index (3)
         base_reply = alice.move((FiniteSelection(alice.move(()), (3,)),))
-        target = prod.combine(N.point(0), 1)
+        target = combine(prod, N.point(0), 1)
         base_target = N.point(0)
         assert member(reply.sets(1), target) == member(base_reply.sets(1), base_target)
 

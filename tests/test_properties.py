@@ -29,6 +29,8 @@ from selectiongames.trees import Path, box_paths
 
 import pytest
 
+from helpers import combine
+
 N = CountableDiscrete()
 
 
@@ -138,7 +140,7 @@ def test_memoized_membership_matches_unmemoized_reference(pools, data):
     # product points whose ids collide with the base ids
     lift = product[0]
     for i in range(12):
-        for s, p in ((base[0], N.point(i)), (lift, prod.combine(N.point(i), lift.level)), (lift, prod.point(i))):
+        for s, p in ((base[0], N.point(i)), (lift, combine(prod, N.point(i), lift.level)), (lift, prod.point(i))):
             assert member(s, p) == reference_member(s, p)
 
 
@@ -205,7 +207,7 @@ def test_increasing_form_is_monotone_and_covers(bounds):
 def test_product_space_split_combine_round_trip(idx):
     prod = ProductSpace(N)
     base, level = prod.split(prod.point(idx))
-    assert prod.combine(base, level).id == idx
+    assert combine(prod, base, level).id == idx
 
 
 @given(st.integers(min_value=0, max_value=60))
@@ -215,7 +217,7 @@ def test_product_space_over_finite_base(idx):
     prod = ProductSpace(space)
     base, level = prod.split(prod.point(idx))
     assert 0 <= base.id < 3 and level >= 1
-    assert prod.combine(base, level).id == idx
+    assert combine(prod, base, level).id == idx
 
 
 def test_box_paths_resource_guard():

@@ -20,13 +20,14 @@ from selectiongames.spaces import (
     OpenSet,
     Point,
     describe,
-    extensionally_equal,
     initial_segment,
     member,
     singleton,
     whole,
 )
 from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, strategy_from_tree
+
+from helpers import extensionally_equal
 
 N = CountableDiscrete()
 

@@ -27,7 +27,6 @@ def scenario_config(**overrides):
         "construction": "hurewicz",
         "strategy": "seg_tower",
         "grid": [{"horizon": 6, "innings": 6}],
-        "seed": 1,
     }
     config.update(overrides)
     return config
@@ -66,8 +65,20 @@ class TestConfigErrors:
             (scenario_config(grid=[{"innings": 4}]), "horizon"),
             (scenario_config(grid={"horizon": 4, "innings": 4}), "grid"),
             (scenario_config(space="countable"), "space"),
+            (scenario_config(space={"kind": "finite", "points": 2, "topology": [[0]]}), "space"),
+            (scenario_config(space={"kind": "finite", "points": "two", "topology": [[], [0, 1]]}), "space"),
+            (
+                {"construction": "oracle", "instance": {"space": {"kind": "finite", "points": 1, "topology": [[0]]}}},
+                "space",
+            ),
+            (scenario_config(grid=[{"horizon": 4.7, "innings": 4}]), "horizon"),
+            (scenario_config(grid=[{"horizon": True, "innings": 4}]), "horizon"),
         ],
-        ids=["cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object"],
+        ids=[
+            "cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object",
+            "topology-without-the-whole-space", "points-not-an-integer", "inline-topology-without-the-empty-set",
+            "horizon-not-integral", "horizon-a-bool",
+        ],
     )
     def test_malformed_values_name_their_key(self, tmp_path, config, key):
         with pytest.raises(ConfigError) as exc:

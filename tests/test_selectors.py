@@ -5,8 +5,10 @@ import pytest
 from selectiongames.corpus import segment_cover, singleton_cover
 from selectiongames.covers import IndexedCover
 from selectiongames.errors import IntegrityError
-from selectiongames.selectors import select_sfin, select_sone
+from selectiongames.selectors import select_sone
 from selectiongames.spaces import CountableDiscrete, FiniteTopological, from_ids, member, whole
+
+from helpers import select_sfin
 
 N = CountableDiscrete()
 
