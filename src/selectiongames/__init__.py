@@ -81,7 +81,6 @@ from .solver import (
 from .spaces import (
     CountableDiscrete,
     CumulativeUnion,
-    Empty,
     FiniteIntersection,
     FiniteTopological,
     FiniteUnion,

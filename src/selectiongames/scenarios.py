@@ -13,13 +13,18 @@ Config keys:
     strategy      corpus name, {"seeded": k}, or (appendix) tree corpus name
     grid          list of {"horizon": h, "innings": n, "multiplicity": m,
                   "sample": s, "node_budget": b} entries (keys as relevant)
-    instance      (oracle) bundled instance name
-    game          (oracle) "single" | "finite"; cap: selection cap
+    instance      (oracle) bundled instance name, or inline
+                  {"space": {...}, "covers": [...], "name": s}
+    game          (oracle) "single" | "finite"; cap: selection cap;
+                  expect_depth
+    output        default output directory
 
 Every construction is deterministic, so a config needs no seed. Grid
 constructions are rows of `CONSTRUCTIONS`, run by one grid loop. A malformed
 value raises :class:`ConfigError` naming its key; integer values must be JSON
-integers.
+integers. A key the config's construction does not read, at the top level,
+in a grid cell, in `space` or in an inline instance, raises `ConfigError`
+naming it, so a misspelt key never silently takes its default.
 
 Transcript files carry one JSON record per inning (after a meta record):
 inning number, the cover description prefix, selection indices, the
@@ -70,8 +75,10 @@ def space_from_config(config: dict) -> SpaceModel:
     spec = config["space"]
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "countable":
+        _known(spec, {"kind"}, "space")
         return CountableDiscrete()
     if kind == "finite":
+        _known(spec, {"kind", "points", "topology"}, "space")
         points, topology = spec.get("points"), spec.get("topology")
         opens = isinstance(topology, list) and all(isinstance(s, list) and all(map(_is_int, s)) for s in topology)
         if not _is_int(points) or not opens:
@@ -155,8 +162,10 @@ def run_scenario(config_path: str, output_dir: str | None = None) -> int:
 
     transcript: Transcript | None = None
     if construction == "oracle":
+        _known(config, ORACLE_KEYS, "the config")
         verdicts, extra = _run_oracle(config)
     elif isinstance(construction, str) and construction in CONSTRUCTIONS:
+        _known(config, GRID_KEYS, "the config")
         transcript, verdicts, extra = _run_grid(construction, config, space_from_config(config))
     else:
         raise ConfigError(f"unknown construction {construction!r}", key="construction")
@@ -179,6 +188,13 @@ def run_scenario(config_path: str, output_dir: str | None = None) -> int:
 def _is_int(value: Any) -> bool:
     """A JSON integer: not a bool, a float or a string."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _known(mapping: dict, keys: set[str], where: str) -> None:
+    """Refuse the first key of `mapping` outside `keys`, naming it."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}", key=key)
 
 
 def _int(mapping: dict, key: str, default: int | None = None) -> int:
@@ -277,24 +293,29 @@ def _play_appendix(tree, space, cell):
     return result.transcript, verdicts, f"n{innings}", table
 
 
-# Each construction: its strategy resolver, one grid cell's play, and the
-# report key collecting the per-cell tables (None: no tables).
+# Each construction: its strategy resolver, one grid cell's play, the report
+# key collecting the per-cell tables (None: no tables), and the keys a grid
+# cell may hold.
 CONSTRUCTIONS = {
-    "hurewicz": (_corpus_strategy, _play_hurewicz, None),
-    "paw-cor": (_corpus_strategy, _play_often, "covering_innings"),
-    "rothberger": (_rothberger_tree, _play_rothberger, "audit"),
-    "appendix": (_appendix_tree, _play_appendix, "evasion"),
+    "hurewicz": (_corpus_strategy, _play_hurewicz, None, {"horizon", "innings"}),
+    "paw-cor": (_corpus_strategy, _play_often, "covering_innings", {"horizon", "innings", "multiplicity"}),
+    "rothberger": (_rothberger_tree, _play_rothberger, "audit", {"horizon", "innings"}),
+    "appendix": (_appendix_tree, _play_appendix, "evasion", {"innings", "sample", "multiplicity", "node_budget"}),
 }
+GRID_KEYS = {"space", "construction", "strategy", "grid", "output"}
+ORACLE_KEYS = {"construction", "instance", "game", "cap", "expect_depth", "output"}
 
 
 def _run_grid(name: str, config: dict, space: SpaceModel):
     """Play every grid cell in order: the verdicts of all cells, the last
     cell's transcript, and the per-cell tables under the report key."""
-    resolve, play, report_key = CONSTRUCTIONS[name]
+    resolve, play, report_key, cell_keys = CONSTRUCTIONS[name]
     strategy = resolve(config, space)
     grid = config.get("grid", [{"horizon": 5, "innings": 5}])
     if not isinstance(grid, list) or not all(isinstance(cell, dict) for cell in grid):
         raise ConfigError("grid must be a list of objects", key="grid")
+    for cell in config.get("grid", ()):
+        _known(cell, cell_keys, "a grid cell")
     transcript, verdicts, tables = None, [], {}
     for cell in grid:
         transcript, cell_verdicts, cell_key, table = play(strategy, space, cell)
@@ -307,6 +328,7 @@ def _run_oracle(config):
     spec = config.get("instance")
     if isinstance(spec, dict):
         # inline instance: a space plus a stationary list of cover options
+        _known(spec, {"space", "covers", "name"}, "instance")
         space = space_from_config(spec)
         if not isinstance(space, FiniteTopological):
             raise ConfigError("oracle instances need a finite space", key="instance")

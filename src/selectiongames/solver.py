@@ -146,14 +146,27 @@ def _over_budget(instance: FiniteGameInstance, depth: int, node_limit: int) -> R
 
 
 def _search(
-    instance: FiniteGameInstance, game: GameKind, depth: int, selection_cap: int, node_limit: int, strategy: dict | None
+    instance: FiniteGameInstance,
+    game: GameKind,
+    depth: int,
+    selection_cap: int,
+    node_limit: int,
+    strategy: dict | None,
+    depth_tables: dict[Cover, tuple[list, dict]] | None = None,
 ) -> tuple[bool, int]:
-    """Whether the second player wins, and the nodes counted; writes the decision table into `strategy` if given."""
+    """Whether the second player wins, and the nodes counted; writes the
+    decision table into `strategy` if given.
+
+    Each cover met gets a table: its selections with their gain masks and its
+    last-inning memo. A minimal-depth search passes `depth_tables`, one dict
+    its depths share; such a search reports no node count, so with two or
+    more innings left a position tries its selections by how many points
+    they leave covered, most first (ties in scan order)."""
     if selection_cap < 1:
         raise ValueError("selection_cap must be at least 1")
     n_points = instance.space.n_points
     full = (1 << n_points) - 1
-    tables: dict[Cover, tuple[list[tuple[tuple[int, ...], int]], dict]] = {}
+    tables = {} if depth_tables is None else depth_tables
     keys: dict[int, tuple[int, ...]] = {}
     nodes = 1  # the root
 
@@ -199,6 +212,8 @@ def _search(
                     raise _over_budget(instance, depth, node_limit)
             else:
                 won = None
+                if depth_tables is not None:
+                    choices = sorted(choices, key=lambda choice: (choice[1] | covered).bit_count(), reverse=True)
                 for sel, gain in choices:
                     nodes += 1
                     if nodes > node_limit:
@@ -227,11 +242,29 @@ def minimal_winning_depth(
     max_depth: int = 8,
 ) -> int:
     """The least depth at which the second player wins (exists by compactness;
-    raises if not found within max_depth), searched without decision tables."""
+    raises if not found within max_depth), searched without decision tables.
+
+    Depths 1, 2, ... are searched in turn, each within 200,000 nodes;
+    `ResourceLimitError` names the instance, the depth and the limit.
+
+    Two things make it search less than `solve_finite_game` at each depth,
+    and neither changes the depth found:
+    - With two or more innings left, a position tries the selections that
+      leave the most points covered first. A finite game's winner does not
+      depend on the order in which selections are tried; only the count of
+      positions searched does, and no count is reported here.
+      `solve_finite_game` keeps its scan order, since its `nodes` and ordered
+      decision table are reported.
+    - The depths share one table per cover met: its selections and gain
+      masks, and the last-inning memo from a covered mask to the first
+      completing selection. Each is a pure function of the cover and the
+      mask, so a shared entry is the one a fresh search would compute.
+    """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    tables: dict = {}
     for d in range(1, max_depth + 1):
-        if _search(instance, game, d, selection_cap, 200_000, None)[0]:
+        if _search(instance, game, d, selection_cap, 200_000, None, tables)[0]:
             return d
     raise ResourceLimitError(f"no winning depth within {max_depth} for {instance.name}")
 

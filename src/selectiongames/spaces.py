@@ -263,17 +263,6 @@ class Whole(OpenSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Empty(OpenSet):
-    space: SpaceModel | None = None
-
-    def _member(self, p: Point) -> bool:
-        return False
-
-    def _describe(self) -> tuple:
-        return ("empty",)
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteUnion(OpenSet):
     parts: tuple[OpenSet, ...]
 
@@ -361,7 +350,7 @@ def member(s: OpenSet, p: Point) -> bool:
 
     A composite's memo is keyed by ``p.id`` alone. That is sound because the
     space check runs before the lookup, and an expression with no space has
-    only space-less ``Whole``/``Empty`` leaves, so its membership is the same
+    only space-less leaves (``Whole()``), so its membership is the same
     for every point. A ``CumulativeUnion`` is in ``p`` exactly when its
     cover's first hit for ``p`` is at most ``upto``; the cover's first-hit
     table is keyed by ``p.id`` on the same grounds, since the union has the

@@ -1,15 +1,30 @@
 """Independent checkers and reference constructions that only the tests use:
 point-by-point checks of sets and selections, the inverse of
-`ProductSpace.split`, and the canonical finite-selection witness."""
+`ProductSpace.split`, the canonical finite-selection witness, and the empty
+open set."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from selectiongames.covers import FiniteSelection, Verdict, witness_of
 from selectiongames.pairing import pair
 from selectiongames.selectors import CoverSeq
 from selectiongames.spaces import OpenSet, Point, ProductSpace, SpaceModel, describe, member
+
+
+@dataclass(frozen=True, eq=False)
+class Empty(OpenSet):
+    """The empty open set, with or without an owning space."""
+
+    space: SpaceModel | None = None
+
+    def _member(self, p: Point) -> bool:
+        return False
+
+    def _describe(self) -> tuple:
+        return ("empty",)
 
 
 def extensionally_equal(a: OpenSet, b: OpenSet, space: SpaceModel, horizon: int = 50) -> bool:

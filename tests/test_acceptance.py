@@ -428,21 +428,18 @@ def test_criterion_9_determinism(tmp_path):
             "construction": "hurewicz",
             "strategy": "shifted_seg",
             "grid": [{"horizon": 8, "innings": 8}],
-            "seed": 11,
         },
         {
             "space": {"kind": "countable"},
             "construction": "paw-cor",
             "strategy": {"seeded": 4},
             "grid": [{"horizon": 4, "innings": 15}],
-            "seed": 11,
         },
         {
             "space": {"kind": "countable"},
             "construction": "appendix",
             "strategy": "max_shifted",
             "grid": [{"innings": 12, "sample": 4}],
-            "seed": 11,
         },
     ]
     ok = True

@@ -13,14 +13,13 @@ from selectiongames.covers import (
 from selectiongames.errors import IntegrityError
 from selectiongames.spaces import (
     CountableDiscrete,
-    Empty,
     initial_segment,
     member,
     singleton,
     whole,
 )
 
-from helpers import extensionally_equal, is_large_up_to
+from helpers import Empty, extensionally_equal, is_large_up_to
 
 N = CountableDiscrete()
 

@@ -1,5 +1,5 @@
 """Every module-level import in the library is used in its own module, and
-every definition is named outside itself.
+every definition is read, as a syntax-tree identifier, outside itself.
 
 A stdlib `ast` check, so it needs no linter: the package's `__init__.py`
 (whose imports are re-exports) and `from __future__` imports are exempt.
@@ -9,7 +9,6 @@ level; names used only inside annotations count as used.
 
 import ast
 import pathlib
-import re
 
 import pytest
 
@@ -54,24 +53,55 @@ def definitions(path: pathlib.Path):
                 yield d.name, d.lineno, d.end_lineno
 
 
-def test_every_definition_is_named_outside_itself():
-    """A dead-code guard: each definition's name must appear outside its own
-    lines in `src/` (not counting `__init__.py`, whose re-exports are not
-    uses), `demos/` or `perfbench/`; a name only the tests use belongs in the
-    tests. It matches by name, as a whole word anywhere in those files' text,
-    so a same-named attribute, comment or docstring word counts as a use."""
-    texts = {p: p.read_text().splitlines() for p in READERS}
+# Definitions kept although nothing outside the tests uses them, with the reason.
+UNUSED_KEPT = {
+    "trees.subtree": "public tree-strategy API: play restricted below a designated node (ROADMAP item 4)",
+}
+
+
+def identifier_uses(path: pathlib.Path):
+    """(identifier, line) of each name read, attribute read and imported name
+    in a file's syntax tree; comments, docstrings and other strings do not count."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unused_definitions() -> list[str]:
+    """`module.name` of each definition whose name is no identifier outside
+    its own lines in `src/` (not counting `__init__.py`, whose re-exports are
+    not uses), `demos/` or `perfbench/`."""
+    uses = {p: list(identifier_uses(p)) for p in READERS}
     unused = []
     for module in MODULES:
-        for name, first, last in definitions(PACKAGE / module):
-            word = re.compile(rf"\b{name}\b")
-            outside = (
-                line
-                for p, lines in texts.items()
-                for n, line in enumerate(lines, start=1)
-                if not (p == PACKAGE / module and first <= n <= last)
-            )
-            if not any(word.search(line) for line in outside):
-                unused.append(f"{module}:{first} {name}")
-    assert not unused, f"named only in their own definitions: {unused}"
+        path = PACKAGE / module
+        for name, first, last in definitions(path):
+            if not any(
+                ident == name and not (p == path and first <= line <= last)
+                for p, idents in uses.items()
+                for ident, line in idents
+            ):
+                unused.append(f"{module.removesuffix('.py')}.{name}")
+    return unused
+
+
+def test_every_definition_is_named_outside_itself():
+    """A dead-code guard: a name only the tests use belongs in the tests.
+    It matches syntax-tree identifiers, so a same-named attribute counts as a
+    use but a comment or docstring word does not."""
+    unused = unused_definitions()
+    assert sorted(set(unused) - set(UNUSED_KEPT)) == [], "used only in their own definitions"
+    assert sorted(set(UNUSED_KEPT) - set(unused)) == [], "kept as unused, but now used: drop the entry"
     assert "check_legal" in {name for name, _, _ in definitions(PACKAGE / "engine.py")}
+
+
+def test_the_guard_reads_identifiers_not_prose(tmp_path):
+    prose = tmp_path / "prose.py"
+    prose.write_text('"""A subtree, in words."""\n# subtree\nsubtree = "subtree"\nprint(subtree.upper)\n')
+    assert sorted(ident for ident, _ in identifier_uses(prose)) == ["print", "subtree", "upper"]
+    prose.write_text('"""A subtree, in words."""\n# subtree\nx = "subtree"\n')
+    assert list(identifier_uses(prose)) == []

@@ -11,7 +11,6 @@ from selectiongames.products import lifted_cover
 from selectiongames.spaces import (
     CountableDiscrete,
     CumulativeUnion,
-    Empty,
     FiniteIntersection,
     FiniteUnion,
     Lifted,
@@ -29,7 +28,7 @@ from selectiongames.trees import Path, box_paths
 
 import pytest
 
-from helpers import combine
+from helpers import Empty, combine
 
 N = CountableDiscrete()
 

@@ -85,6 +85,42 @@ class TestConfigErrors:
             run_scenario(write_config(tmp_path, config), output_dir=str(tmp_path / "out"))
         assert exc.value.key == key
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (scenario_config(construction="paw-cor", grid=[{"horizon": 3, "innings": 8, "multiplicty": 5}]), "multiplicty"),
+            (scenario_config(construction="paw-cor", grid=[{"horizon": 3, "innings": 8}], sede=3), "sede"),
+            (scenario_config(seed=11), "seed"),
+            (scenario_config(grid=[{"horizon": 3, "innings": 3}, {"horizon": 4, "innings": 4, "sample": 2}]), "sample"),
+            (scenario_config(construction="appendix", strategy="depth_shifted", grid=[{"innings": 4, "horizon": 4}]), "horizon"),
+            (scenario_config(cap=2), "cap"),
+            (scenario_config(space={"kind": "countable", "points": 3}), "points"),
+            (scenario_config(space={"kind": "finite", "points": 1, "topology": [[], [0]], "opens": []}), "opens"),
+            ({"construction": "oracle", "instance": "two_point_singletons", "grid": []}, "grid"),
+            (
+                {
+                    "construction": "oracle",
+                    "instance": {
+                        "space": {"kind": "finite", "points": 1, "topology": [[], [0]]},
+                        "covers": [[[0]]],
+                        "label": "one",
+                    },
+                },
+                "label",
+            ),
+        ],
+        ids=[
+            "misspelt-cell-key", "misspelt-top-level-key", "removed-seed-key", "key-of-another-construction",
+            "appendix-cell-horizon", "oracle-key-in-a-grid-config", "countable-space-points", "finite-space-key",
+            "grid-key-in-an-oracle-config", "inline-instance-key",
+        ],
+    )
+    def test_unknown_keys_name_themselves(self, tmp_path, config, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'") as exc:
+            run_scenario(write_config(tmp_path, config), output_dir=str(tmp_path / "out"))
+        assert exc.value.key == key
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -249,11 +249,22 @@ class TestSolve:
             with pytest.raises(ValueError, match="selection_cap must be at least 1"):
                 cross_check(bob, two_point(), GFIN, selection_cap=cap)
 
+    def test_depth_search_enters_fewer_positions_than_the_reference_loop(self):
+        # the same depths, with fewer `options_at` calls: the winning depth
+        # tries the most-covering selections first
+        for arity, cap in (("single", 1), ("finite", 2)):
+            game = GameKind(arity)
+            fast, fast_calls = counting(leaf_heavy_instance())
+            ref, ref_calls = counting(leaf_heavy_instance())
+            assert minimal_winning_depth(fast, game, cap) == reference_minimal_winning_depth(ref, game, cap)
+            assert fast_calls[0] < ref_calls[0], (arity, fast_calls[0], ref_calls[0])
+
     def test_budget_errors_name_the_instance_depth_and_limit(self):
         with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on two_point_singletons at depth 3$"):
             solve_finite_game(two_point(), GFIN, 3, 1, node_limit=2)
         # the second player needs 12 innings; depth 5 is the first to
-        # search past the 200,000-node budget (12^5 selections in its last inning)
+        # search past the 200,000-node budget (12^5 selections in its last
+        # inning). Losing searches try every selection whatever the order.
         twelve = stationary_instance(
             FiniteTopological.discrete(12), [[[i] for i in range(12)]], name="twelve_singletons"
         )

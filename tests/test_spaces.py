@@ -11,7 +11,6 @@ from selectiongames.errors import CrossSpaceError
 from selectiongames.spaces import (
     CountableDiscrete,
     CumulativeUnion,
-    Empty,
     FiniteIntersection,
     FiniteTopological,
     FiniteUnion,
@@ -27,7 +26,7 @@ from selectiongames.spaces import (
     whole,
 )
 
-from helpers import combine, extensionally_equal
+from helpers import Empty, combine, extensionally_equal
 
 N = CountableDiscrete()
 
