@@ -115,7 +115,7 @@ class IndexedCover:
         return f"<{kind}cover {self.label or hex(id(self))} over {self.space.tag}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSelection:
     """A finite, nonempty, duplicate-free choice of indices from a cover."""
 

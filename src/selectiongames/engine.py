@@ -91,26 +91,19 @@ def cover_prefix(cover: IndexedCover, upto: int) -> tuple[tuple, ...]:
     return tuple(describe(cover.sets(j)) for j in range(1, upto + 1))
 
 
-def _validate_selection(game: GameKind, sel: FiniteSelection, inning: int) -> None:
-    if game.arity == "single" and len(sel.indices) != 1:
-        raise LegalityError(
-            f"inning {inning}: single-selection game got {len(sel.indices)} indices", inning=inning
-        )
-
-
 def make_inning(
     game: GameKind,
     number: int,
     cover: IndexedCover,
     indices: tuple[int, ...],
     audit: Mapping[str, Any] | None = None,
-    prefix_pad: int = 1,
 ) -> Inning:
-    """Record one inning, describing the played cover up to the largest
-    selected index plus a small pad."""
+    """Record one inning, describing the played cover up to one past the
+    largest selected index."""
     sel = FiniteSelection(cover, tuple(indices))
-    _validate_selection(game, sel, number)
-    upto = max(sel.indices) + prefix_pad
+    if game.arity == "single" and len(sel.indices) != 1:
+        raise LegalityError(f"inning {number}: single-selection game got {len(sel.indices)} indices", inning=number)
+    upto = max(sel.indices) + 1
     original: list[int] = []
     for i in sorted(sel.indices):
         for back in cover.provenance(i):
@@ -143,17 +136,19 @@ def replay(alice: AliceStrategy, moves: Iterable[tuple[int, ...]]) -> Iterator[I
 
 def cover_after(alice: AliceStrategy) -> Callable[[tuple[tuple[int, ...], ...]], IndexedCover]:
     """The strategy's cover after a play whose selections are `moves`, one
-    index tuple per inning. The covers along each move sequence are kept for
-    as long as the returned function lives, so a sequence asks only for its
-    parent's."""
-    memo: dict[tuple[tuple[int, ...], ...], tuple[IndexedCover, ...]] = {}
+    index tuple per inning. Each move sequence keeps one tuple, its history
+    followed by its cover, for as long as the returned function lives; its
+    history is its parent's plus one selection from the parent's cover."""
+    memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
 
-    def along(moves: tuple[tuple[int, ...], ...]) -> tuple[IndexedCover, ...]:
+    def along(moves: tuple[tuple[int, ...], ...]) -> tuple:
         hit = memo.get(moves)
         if hit is None:
-            prior = along(moves[:-1]) if moves else ()
-            history = tuple(FiniteSelection(cover, move) for cover, move in zip(prior, moves))
-            hit = memo[moves] = prior + (alice.move(history),)
+            history: History = ()
+            if moves:
+                parent = along(moves[:-1])
+                history = parent[:-1] + (FiniteSelection(parent[-1], moves[-1]),)
+            hit = memo[moves] = history + (alice.move(history),)
         return hit
 
     return lambda moves: along(moves)[-1]
@@ -189,9 +184,6 @@ class MultiplicityReport:
     """Per point id, the sorted innings whose selections cover it."""
 
     covering_innings: Mapping[int, tuple[int, ...]]
-
-    def multiplicity(self, point_id: int) -> int:
-        return len(self.covering_innings.get(point_id, ()))
 
     def min_multiplicity(self) -> int:
         if not self.covering_innings:

@@ -21,13 +21,14 @@ Three pieces live here:
    sets, so each level family keeps one expression per distinct
    intersection, keyed by the node paths it intersects.
 
-3. `bob_counterplay_menger` plays against the normalized tree: selecting, at
-   each inning, a member of the current cover that stays inside a cofinite
-   subfamily protecting the enumerated points seen so far. The chosen set
-   then contains the intersection of the protected subfamily, so the play
-   covers every horizon once the inning count reaches it, and the
-   back-translated play is legal for the raw strategy. In a normalized tree
-   that member is the max of the newly protected points' first hits.
+3. `Counterplay` plays against the normalized tree, one inning at a time and
+   resumably: at each inning it selects a member of the current cover that
+   stays inside a cofinite subfamily protecting the enumerated points seen so
+   far. The chosen set then contains the intersection of the protected
+   subfamily, so the play covers every horizon once the inning count reaches
+   it, and the back-translated play is legal for the raw strategy. In a
+   normalized tree that member is the max of the newly protected points'
+   first hits. `bob_counterplay_menger` records such a play.
 
 Key computational fact used throughout: in a normalized tree the set at a
 child node contains the set at its parent, so the nodes at depth n whose sets
@@ -299,8 +300,8 @@ def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCo
 
 @dataclass(frozen=True)
 class CounterplayResult:
-    """A winning play and its two transcripts: the tree-form play and the
-    back-translated play of the raw strategy."""
+    """A winning play: its tree path and its transcript, back-translated to
+    the raw strategy when one was given."""
 
     tree_path: Path
     transcript: Transcript
@@ -348,76 +349,72 @@ def secure_child(tree: TreeStrategy, path: Path, protected: list[Point], secured
     return chosen
 
 
-def bob_counterplay_menger(
-    tree: TreeStrategy,
-    raw: AliceStrategy | None = None,
-    innings: int = 10,
-    probe_limit: int = 10_000,
-) -> CounterplayResult:
-    """Play the winning counterplay against a normalized tree.
-
-    At inning n, with the play so far at node sigma, the protected points are
-    those of `protection_plan` at n; their omitting nodes at the next level
-    form finitely many excluded children of sigma, and the move is the least
-    child index outside all of them. The chosen set therefore contains every
-    protected point (it is a member of each point's protecting cofinite
-    subfamily, hence contains that subfamily's intersection), so the play
-    wins every horizon h once n reaches it.
+class Counterplay:
+    """The winning counterplay against a normalized tree, kept so that a
+    longer play extends a shorter one: `extend(n)` plays on until the path
+    has n moves, choosing each move once. At inning n the move is the least
+    child containing the points of `protection_plan` at n.
 
     The tree must be normalized (increasing node covers, each headed by its
     node's set). Then every child holds the points earlier moves secured, and
     the move is the max of the new points' first hits (`secure_child`); on a
     tree that is not, a move omitting a protected point raises IntegrityError.
 
-    The transcript is emitted in terms of the raw strategy when one is given
-    (covers and finite selections reconstructed through the tree's back-map),
-    and in tree form otherwise. Audit fields record, per inning, the child
-    indices that were skipped as excluded and the protected point count.
-
     If materializing the tree raises :class:`FiniteWinFound`, the witnessing
     path is the play, with no skipped children: those finitely many choices
     already cover the working horizon.
     """
+
+    def __init__(self, tree: TreeStrategy, probe_limit: int = 10_000):
+        self.tree, self.probe_limit, self.plan = tree, probe_limit, protection_plan(tree.space)
+        self.path: Path = ()
+        self.finite_win = False
+        self._secured: set[int] = set()
+
+    def extend(self, innings: int) -> Path:
+        try:
+            while len(self.path) < innings and not self.finite_win:
+                protected = self.plan(len(self.path) + 1)
+                self.path += (secure_child(self.tree, self.path, protected, self._secured, self.probe_limit),)
+        except FiniteWinFound as fw:
+            self.path, self.finite_win = fw.path, True
+        return self.path
+
+    def audit(self, n: int) -> dict[str, object]:
+        """Inning n's tree child, children skipped as excluded and protected point count."""
+        chosen = self.path[n - 1]
+        skipped = [] if self.finite_win else list(range(1, chosen))
+        return {"tree_choice": chosen, "excluded_children_probed": skipped, "protected_points": len(self.plan(n))}
+
+
+def bob_counterplay_menger(
+    tree: TreeStrategy,
+    raw: AliceStrategy | None = None,
+    innings: int = 10,
+    probe_limit: int = 10_000,
+) -> CounterplayResult:
+    """Play the winning `Counterplay` against a normalized tree for `innings`
+    innings and record it.
+
+    The transcript is emitted in terms of the raw strategy when one is given
+    (covers and finite selections reconstructed through the tree's back-map),
+    and in tree form otherwise. Audit fields record, per inning, the child
+    indices that were skipped as excluded and the protected point count.
+    """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    plan = protection_plan(tree.space)
-    path: Path = ()
-    secured: set[int] = set()
-    moves: list[tuple[int, list[int]]] = []  # (chosen child, skipped children)
-    finite_win = False
-    try:
-        for n in range(1, innings + 1):
-            chosen = secure_child(tree, path, plan(n), secured, probe_limit)
-            moves.append((chosen, list(range(1, chosen))))
-            path = path + (chosen,)
-    except FiniteWinFound as fw:
-        path, finite_win = fw.path, True
-        moves = [(chosen, []) for chosen in path]
-    transcript = _emit_counterplay_transcript(tree, raw, path, moves, plan)
-    return CounterplayResult(tree_path=path, transcript=transcript, finite_win=finite_win)
-
-
-def _emit_counterplay_transcript(
-    tree: TreeStrategy,
-    raw: AliceStrategy | None,
-    path: Path,
-    moves: Sequence[tuple[int, list[int]]],
-    plan: Callable[[int], list[Point]],
-) -> Transcript:
+    play = Counterplay(tree, probe_limit)
+    play.extend(innings)
     label = f"counterplay({tree.label})"
+    audits = [play.audit(n) for n in range(1, len(play.path) + 1)]
     if raw is not None and tree.back_map is not None:
-        back = tree.back_map(path)
-        records = []
-        for n, (cover, indices, (chosen, skipped)) in enumerate(zip(replay(raw, back), back, moves), start=1):
-            audit = {
-                "tree_choice": chosen,
-                "excluded_children_probed": list(skipped),
-                "protected_points": len(plan(n)),
-            }
-            records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
-        return Transcript(game=MENGER_GAME, innings=tuple(records), label=label)
-    audits = [
-        {"excluded_children_probed": list(skipped), "protected_points": len(plan(n))}
-        for n, (_, skipped) in enumerate(moves, start=1)
-    ]
-    return path_transcript(tree, path, ROTHBERGER_GAME, audits, label)
+        back = tree.back_map(play.path)
+        records = tuple(
+            make_inning(MENGER_GAME, n, cover, indices, audit=audit)
+            for n, (cover, indices, audit) in enumerate(zip(replay(raw, back), back, audits), start=1)
+        )
+        transcript = Transcript(game=MENGER_GAME, innings=records, label=label)
+    else:
+        audits = [{k: v for k, v in audit.items() if k != "tree_choice"} for audit in audits]
+        transcript = path_transcript(tree, play.path, ROTHBERGER_GAME, audits, label)
+    return CounterplayResult(tree_path=play.path, transcript=transcript, finite_win=play.finite_win)

@@ -17,7 +17,9 @@ countable unions is subsumed by that.
 
 from __future__ import annotations
 
+from itertools import count, islice
 from math import isqrt
+from typing import Iterator
 
 from .covers import FiniteSelection, IndexedCover
 from .engine import (
@@ -29,11 +31,11 @@ from .engine import (
     cover_after,
     covering_innings,
     make_inning,
-    replay,
 )
-from .hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy
+from .hurewicz import Counterplay, normalize_strategy, raw_move
 from .pairing import pair, unpair
 from .spaces import Point, ProductSpace
+from .trees import Path
 
 
 def lifted_cover(product: ProductSpace, base_cover: IndexedCover) -> IndexedCover:
@@ -112,36 +114,45 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
     return product, AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")
 
 
+def often_innings(alice: AliceStrategy) -> Iterator[tuple[FiniteSelection, dict[str, object]]]:
+    """The infinitely-often play against `alice`, for as many innings as are
+    asked for: per inning, the base selection and its audit (the lifted
+    play's `Counterplay.audit` plus the lifted selection). One `Counterplay`
+    runs against the lifted strategy's normalized tree; each lifted move is
+    read off its path (`raw_move`) and projected to the base game.
+    """
+    product, lifted = lift_strategy(alice)
+    play = Counterplay(normalize_strategy(lifted, product))
+    lifted_history: History = ()
+    base_history: History = ()
+    for n in count(1):
+        lifted_sel = FiniteSelection(lifted.move(lifted_history), raw_move(n - 1, play.extend(n)[n - 1]))
+        base_sel = FiniteSelection(alice.move(base_history), project_selection(product, lifted_sel))
+        yield base_sel, {**play.audit(n), "lifted_selection": list(lifted_sel.indices)}
+        lifted_history += (lifted_sel,)
+        base_history += (base_sel,)
+
+
 def infinitely_often_play(
     alice: AliceStrategy,
     innings: int,
     horizon: int = 5,
-) -> tuple[Transcript, MultiplicityReport, CounterplayResult]:
+) -> tuple[Transcript, MultiplicityReport, Path]:
     """A play of the base game, according to the given strategy, in which
     every enumerated point below the horizon is covered at many distinct
     innings (growing without bound as the inning count grows).
 
-    Runs the tree counterplay against the lifted strategy on the product
-    space, projects each selection back to the base game, and reports the
-    covering innings per base point.
+    Plays `often_innings` for `innings` innings and reports the covering
+    innings per base point. Returns the base transcript, the report and the
+    lifted play's tree path.
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    product, lifted = lift_strategy(alice)
-    tree = normalize_strategy(lifted, product)
-    result = bob_counterplay_menger(tree, raw=lifted, innings=innings)
-
-    # project the lifted play to the base game, and replay the base strategy
-    lifted_innings = result.transcript.innings
-    lifted_moves = [rec.selection for rec in lifted_innings]
-    base_moves = [
-        project_selection(product, FiniteSelection(cover, indices))
-        for cover, indices in zip(replay(lifted, lifted_moves), lifted_moves)
-    ]
-    base_records = []
-    for n, (cover, indices, rec) in enumerate(zip(replay(alice, base_moves), base_moves, lifted_innings), start=1):
-        audit = {**rec.audit_dict(), "lifted_selection": list(rec.selection)}
-        base_records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
-    transcript = Transcript(game=MENGER_GAME, innings=tuple(base_records), label=f"often({alice.name})")
-    covering = covering_innings(transcript, alice.space.points(horizon))
-    return transcript, MultiplicityReport(covering_innings=covering), result
+    played = list(islice(often_innings(alice), innings))
+    records = tuple(
+        make_inning(MENGER_GAME, n, sel.cover, sel.indices, audit=audit)
+        for n, (sel, audit) in enumerate(played, start=1)
+    )
+    transcript = Transcript(game=MENGER_GAME, innings=records, label=f"often({alice.name})")
+    report = MultiplicityReport(covering_innings=covering_innings(transcript, alice.space.points(horizon)))
+    return transcript, report, tuple(audit["tree_choice"] for _, audit in played)

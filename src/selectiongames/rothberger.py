@@ -30,11 +30,13 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .covers import FiniteSelection, IndexedCover, witness_of
-from .engine import AliceStrategy, History, ROTHBERGER_GAME, Transcript, replay
+from .covers import IndexedCover, witness_of
+from .engine import AliceStrategy, History, ROTHBERGER_GAME, Transcript
 from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError
+from .products import often_innings
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
 from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
 
@@ -385,7 +387,6 @@ class RothbergerResult:
     transcript: Transcript
     picked_path: Path
     bounds: Path
-    menger_transcript: Transcript
 
 
 def rothberger_counterplay(
@@ -405,31 +406,28 @@ def rothberger_counterplay(
     most the n-th bound. Transcript audit fields carry the (bound, pick)
     pair per inning.
     """
-    from .products import infinitely_often_play
-
+    if innings < 1:
+        raise ValueError("a play needs at least one inning")
     derived = menger_from_rothberger(tree, box_limit=box_limit)
-    # run the finite-selection phase long enough that the point targeted at
-    # stage i+1 is covered at i+1 distinct innings (multiplicity grows without
-    # bound, so doubling terminates; the transcript only gets longer than
-    # requested, never shorter)
-    menger_innings = innings
-    while True:
-        menger_transcript, report, _ = infinitely_often_play(derived, innings=menger_innings, horizon=horizon)
-        pts = tree.space.points(horizon)
-        if all(report.multiplicity(p.id) >= i + 1 for i, p in enumerate(pts)):
+    # extend one infinitely-often play against the derived strategy until the
+    # point targeted at stage i+1 is covered at i+1 distinct innings, checked
+    # at `innings` and its doublings (multiplicity grows without bound)
+    pts = tree.space.points(horizon)
+    plays = often_innings(derived)
+    moves: list[tuple[int, ...]] = []
+    selections: list[tuple[OpenSet, ...]] = []
+    for target in (innings, 2 * innings, 4 * innings, 8 * innings):
+        for sel, _ in islice(plays, target - len(moves)):
+            moves.append(sel.indices)
+            selections.append(sel.sets())
+        if all(sum(any(member(s, p) for s in sets) for sets in selections) > i for i, p in enumerate(pts)):
             break
-        if menger_innings >= innings * 8:
-            raise BudgetError(
-                f"infinitely-often multiplicity did not reach the stage schedule within {menger_innings} innings"
-            )
-        menger_innings *= 2
+    else:
+        raise BudgetError(
+            f"infinitely-often multiplicity did not reach the stage schedule within {innings * 8} innings"
+        )
 
-    # the derived-game covers and selections, replayed for structure
-    sel_indices = [rec.selection for rec in menger_transcript.innings]
-    selections = [
-        FiniteSelection(cover, indices).sets() for cover, indices in zip(replay(derived, sel_indices), sel_indices)
-    ]
-    bounds = [max(indices) for indices in sel_indices]
+    bounds = [max(indices) for indices in moves]
     chosen = select_one_per_family(
         lambda i: selections[i - 1],
         count=len(selections),
@@ -441,7 +439,7 @@ def rothberger_counterplay(
     # recover the single-selection play: the pick at inning i is a diagonal
     # refinement member, so its factor record at every box node is its own
     # member index within the refinement cover
-    picked_path = tuple(indices[pos - 1] for indices, (_, pos) in zip(sel_indices, chosen))
+    picked_path = tuple(indices[pos - 1] for indices, (_, pos) in zip(moves, chosen))
     for i, (k_i, m_i) in enumerate(zip(picked_path, bounds), start=1):
         if k_i > m_i:
             raise IntegrityError(f"recovered index {k_i} exceeds bound {m_i} at inning {i}")
@@ -450,5 +448,4 @@ def rothberger_counterplay(
         transcript=path_transcript(tree, picked_path, ROTHBERGER_GAME, audits, f"single({tree.label})"),
         picked_path=picked_path,
         bounds=tuple(bounds),
-        menger_transcript=menger_transcript,
     )

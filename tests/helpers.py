@@ -1,15 +1,29 @@
 """Independent checkers and reference constructions that only the tests use:
 point-by-point checks of sets and selections, the inverse of
-`ProductSpace.split`, the canonical finite-selection witness, and the empty
-open set."""
+`ProductSpace.split`, the canonical finite-selection witness, the empty
+open set, and the history walk and infinitely-often play that the resumable
+counterplay replaced."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from selectiongames.covers import FiniteSelection, Verdict, witness_of
+from selectiongames import hurewicz, products
+from selectiongames.covers import FiniteSelection, IndexedCover, Verdict, witness_of
+from selectiongames.engine import (
+    MENGER_GAME,
+    AliceStrategy,
+    MultiplicityReport,
+    Transcript,
+    covering_innings,
+    make_inning,
+    replay,
+)
+from selectiongames.hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy
 from selectiongames.pairing import pair
+from selectiongames.products import lift_strategy, project_selection
 from selectiongames.selectors import CoverSeq
 from selectiongames.spaces import OpenSet, Point, ProductSpace, SpaceModel, describe, member
 
@@ -99,3 +113,72 @@ def select_sfin(space: SpaceModel, covers: CoverSeq) -> Iterator[FiniteSelection
         if cover.increasing:
             indices = [max(indices)]
         yield FiniteSelection(cover, tuple(sorted(indices)))
+
+
+# ---------------------------------------------------------------------------
+# The plays before they were resumable, kept verbatim as the references.
+
+
+def reference_cover_after(alice: AliceStrategy) -> Callable[[tuple[tuple[int, ...], ...]], IndexedCover]:
+    """The strategy's cover after a play whose selections are `moves`, one
+    index tuple per inning. The covers along each move sequence are kept for
+    as long as the returned function lives, so a sequence asks only for its
+    parent's."""
+    memo: dict[tuple[tuple[int, ...], ...], tuple[IndexedCover, ...]] = {}
+
+    def along(moves: tuple[tuple[int, ...], ...]) -> tuple[IndexedCover, ...]:
+        hit = memo.get(moves)
+        if hit is None:
+            prior = along(moves[:-1]) if moves else ()
+            history = tuple(FiniteSelection(cover, move) for cover, move in zip(prior, moves))
+            hit = memo[moves] = prior + (alice.move(history),)
+        return hit
+
+    return lambda moves: along(moves)[-1]
+
+
+@contextmanager
+def reference_histories():
+    """Normalized and lifted strategies built inside rebuild every history
+    with `reference_cover_after`."""
+    saved = hurewicz.cover_after, products.cover_after
+    hurewicz.cover_after = products.cover_after = reference_cover_after
+    try:
+        yield
+    finally:
+        hurewicz.cover_after, products.cover_after = saved
+
+
+def reference_infinitely_often_play(
+    alice: AliceStrategy,
+    innings: int,
+    horizon: int = 5,
+) -> tuple[Transcript, MultiplicityReport, CounterplayResult]:
+    """A play of the base game, according to the given strategy, in which
+    every enumerated point below the horizon is covered at many distinct
+    innings (growing without bound as the inning count grows).
+
+    Runs the tree counterplay against the lifted strategy on the product
+    space, projects each selection back to the base game, and reports the
+    covering innings per base point.
+    """
+    if innings < 1:
+        raise ValueError("a play needs at least one inning")
+    product, lifted = lift_strategy(alice)
+    tree = normalize_strategy(lifted, product)
+    result = bob_counterplay_menger(tree, raw=lifted, innings=innings)
+
+    # project the lifted play to the base game, and replay the base strategy
+    lifted_innings = result.transcript.innings
+    lifted_moves = [rec.selection for rec in lifted_innings]
+    base_moves = [
+        project_selection(product, FiniteSelection(cover, indices))
+        for cover, indices in zip(replay(lifted, lifted_moves), lifted_moves)
+    ]
+    base_records = []
+    for n, (cover, indices, rec) in enumerate(zip(replay(alice, base_moves), base_moves, lifted_innings), start=1):
+        audit = {**rec.audit_dict(), "lifted_selection": list(rec.selection)}
+        base_records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
+    transcript = Transcript(game=MENGER_GAME, innings=tuple(base_records), label=f"often({alice.name})")
+    covering = covering_innings(transcript, alice.space.points(horizon))
+    return transcript, MultiplicityReport(covering_innings=covering), result

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,8 @@ from selectiongames.spaces import (
     singleton,
     whole,
 )
+
+import helpers
 
 N = CountableDiscrete()
 
@@ -297,3 +300,65 @@ class TestEvaluateWinAgainstTheReference:
         assert len(distinct) == 8 and sum(len(rec.selected_sets) for rec in t.innings) == 36
         assert len(calls) <= len(distinct) * 6
         assert win == reference_evaluate_win(t, 6)
+
+
+class TestCoverAfter:
+    """`cover_after` against the walk it replaced, which rebuilt a node's
+    whole history from its parent's covers (`helpers.reference_cover_after`)."""
+
+    @staticmethod
+    def recording_strategy():
+        """A history-dependent strategy that records every history it is asked
+        about: the cover shifts by the largest index selected so far."""
+        seen = []
+
+        def move(history):
+            seen.append(history)
+            return segment_cover(N, shift=sum(max(sel.indices) for sel in history))
+
+        return AliceStrategy(space=N, move=move, name="recording"), seen
+
+    @staticmethod
+    def counting(monkeypatch, module):
+        built = []
+
+        def counted(cover, indices):
+            built.append(indices)
+            return FiniteSelection(cover, indices)
+
+        monkeypatch.setattr(module, "FiniteSelection", counted)
+        return built
+
+    def test_a_depth_n_path_builds_n_selections(self, monkeypatch):
+        n = 12
+        moves = tuple((i, i + 1) for i in range(1, n + 1))
+        built = self.counting(monkeypatch, engine)
+        alice, seen = self.recording_strategy()
+        engine.cover_after(alice)(moves)
+        assert len(built) == n
+        assert len(seen) == n + 1
+        built = self.counting(monkeypatch, helpers)
+        helpers.reference_cover_after(self.recording_strategy()[0])(moves)
+        assert len(built) == n * (n + 1) // 2
+
+    def test_a_child_history_reuses_its_parents_selections(self):
+        alice, seen = self.recording_strategy()
+        after = engine.cover_after(alice)
+        parent = ((2,), (1, 3))
+        parent_cover = after(parent)
+        for child in ((1,), (4, 2)):
+            after(parent + (child,))
+        parent_history, *children = seen[-3:]
+        assert [sel.indices for sel in parent_history] == list(parent)
+        for history, child in zip(children, ((1,), (4, 2))):
+            assert len(history) == len(parent_history) + 1
+            assert all(a is b for a, b in zip(history, parent_history))
+            assert history[-1].cover is parent_cover and history[-1].indices == child
+        assert after(parent) is parent_cover and len(seen) == 5  # kept, not asked again
+
+    def test_covers_match_the_reference(self):
+        after = engine.cover_after(self.recording_strategy()[0])
+        reference = helpers.reference_cover_after(self.recording_strategy()[0])
+        for depth in range(4):
+            for moves in itertools.product(((1,), (2,), (1, 3)), repeat=depth):
+                assert engine.cover_prefix(after(moves), 6) == engine.cover_prefix(reference(moves), 6), moves

@@ -12,13 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy, singleton_cover
 from selectiongames.covers import CofiniteSpec, IndexedCover, is_cover_up_to, witness_of
-from selectiongames.engine import MENGER_GAME, check_legal, evaluate_win
+from selectiongames.engine import MENGER_GAME, ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, make_inning, replay
 from selectiongames.errors import BudgetError, IntegrityError
 from selectiongames.hurewicz import (
     CounterplayResult,
     ExclusionOracle,
     FiniteWinFound,
-    _emit_counterplay_transcript,
     bob_counterplay_menger,
     cofinite_intersection,
     least_admissible_child,
@@ -30,7 +29,7 @@ from selectiongames.hurewicz import (
 from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index
 from selectiongames.solver import deterministic_strategy
 from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, member
-from selectiongames.trees import TreeStrategy
+from selectiongames.trees import TreeStrategy, path_transcript
 
 from helpers import extensionally_equal, select_sfin
 
@@ -626,6 +625,28 @@ class TestCounterplay:
             chosen = tree.set_at(path[:n])
             for i in range(n):
                 assert member(chosen, N.point(i))
+
+
+def _emit_counterplay_transcript(tree, raw, path, moves, plan):
+    """The transcript emission `bob_counterplay_menger` used before the
+    resumable `Counterplay` driver, kept verbatim as the reference."""
+    label = f"counterplay({tree.label})"
+    if raw is not None and tree.back_map is not None:
+        back = tree.back_map(path)
+        records = []
+        for n, (cover, indices, (chosen, skipped)) in enumerate(zip(replay(raw, back), back, moves), start=1):
+            audit = {
+                "tree_choice": chosen,
+                "excluded_children_probed": list(skipped),
+                "protected_points": len(plan(n)),
+            }
+            records.append(make_inning(MENGER_GAME, n, cover, indices, audit=audit))
+        return Transcript(game=MENGER_GAME, innings=tuple(records), label=label)
+    audits = [
+        {"excluded_children_probed": list(skipped), "protected_points": len(plan(n))}
+        for n, (_, skipped) in enumerate(moves, start=1)
+    ]
+    return path_transcript(tree, path, ROTHBERGER_GAME, audits, label)
 
 
 def reference_drive(tree, raw, innings, plan, probe_limit, game, forced_path):

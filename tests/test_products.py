@@ -1,3 +1,5 @@
+import pytest
+
 from selectiongames.corpus import named_strategies, seeded_strategy, segment_cover
 from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import check_legal
@@ -9,9 +11,10 @@ from selectiongames.products import (
     lifted_cover,
     project_selection,
 )
+from selectiongames.scenarios import transcript_records
 from selectiongames.spaces import CountableDiscrete, ProductSpace, member, whole
 
-from helpers import combine
+from helpers import combine, reference_histories, reference_infinitely_often_play
 
 N = CountableDiscrete()
 
@@ -153,10 +156,33 @@ class TestInfinitelyOften:
         _, r1, _ = infinitely_often_play(alice, innings=12, horizon=4)
         _, r2, _ = infinitely_often_play(alice, innings=24, horizon=4)
         for pid in r1.covering_innings:
-            assert r2.multiplicity(pid) >= r1.multiplicity(pid)
+            assert len(r2.covering_innings[pid]) >= len(r1.covering_innings[pid])
 
     def test_projected_transcript_is_legal(self):
         for name in ("seg_tower", "singletons", "mixed_adversarial"):
             alice = named_strategies(N)[name]
             transcript, _, _ = infinitely_often_play(alice, innings=10, horizon=4)
             assert check_legal(transcript, alice), name
+
+
+NAMED = ("seg_tower", "shifted_seg", "singletons", "whole_head", "mixed_adversarial")
+
+
+class TestAgainstTheReferencePlay:
+    """The play read off the resumable counterplay against the one that
+    emitted, and then discarded, a transcript of the lifted play and rebuilt
+    every history (`helpers.reference_infinitely_often_play`)."""
+
+    @pytest.mark.parametrize("innings", (20, 30))
+    @pytest.mark.parametrize("name", NAMED)
+    def test_records_and_report_match(self, name, innings):
+        with reference_histories():
+            want, want_report, lifted = reference_infinitely_often_play(named_strategies(N)[name], innings, horizon=5)
+        transcript, report, lifted_path = infinitely_often_play(named_strategies(N)[name], innings, horizon=5)
+        assert transcript_records(transcript) == transcript_records(want)
+        assert report == want_report
+        assert lifted_path == lifted.tree_path
+
+    def test_zero_innings_rejected(self):
+        with pytest.raises(ValueError, match="at least one inning"):
+            infinitely_often_play(named_strategies(N)["seg_tower"], innings=0)

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import pytest
 
+from selectiongames import hurewicz
 from selectiongames.corpus import appendix_tree_corpus, rothberger_tree_corpus
-from selectiongames.engine import check_legal, evaluate_win
-from selectiongames.errors import CrossSpaceError, GameError, IntegrityError
+from selectiongames.engine import ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, replay
+from selectiongames.errors import BudgetError, CrossSpaceError, GameError, IntegrityError
 from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
     bounds_from_history,
@@ -13,6 +16,8 @@ from selectiongames.rothberger import (
     select_one_per_family,
 )
 from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to, witness_of
+from selectiongames.hurewicz import secure_child
+from selectiongames.scenarios import transcript_records
 from selectiongames.selectors import select_sone
 from selectiongames.spaces import (
     CountableDiscrete,
@@ -25,9 +30,9 @@ from selectiongames.spaces import (
     singleton,
     whole,
 )
-from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, strategy_from_tree
+from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript, strategy_from_tree
 
-from helpers import extensionally_equal
+from helpers import extensionally_equal, reference_histories, reference_infinitely_often_play
 
 N = CountableDiscrete()
 
@@ -297,3 +302,106 @@ class TestRothbergerCounterplay:
         tree = rothberger_tree_corpus(N)["seg_tower"]
         result = rothberger_counterplay(tree, select_sone, innings=10, horizon=4)
         assert result.picked_path == tuple(r.audit_dict()["pick"] for r in result.transcript.innings)
+
+
+# ---------------------------------------------------------------------------
+# The Rothberger play as it was before its derived play resumed: each doubling
+# of the innings reran the infinitely-often play from scratch. Kept verbatim as
+# the reference, except that its play is `helpers.reference_infinitely_often_play`
+# and it reads a point's multiplicity off the report's covering innings (what the
+# removed `MultiplicityReport.multiplicity` returned).
+
+
+@dataclass(frozen=True)
+class ReferenceRothbergerResult:
+    transcript: Transcript
+    picked_path: Path
+    bounds: Path
+    menger_transcript: Transcript
+
+
+def reference_rothberger_counterplay(
+    tree: TreeStrategy,
+    sone,
+    innings: int,
+    horizon: int = 5,
+    box_limit: int = 20_000,
+) -> ReferenceRothbergerResult:
+    derived = menger_from_rothberger(tree, box_limit=box_limit)
+    # run the finite-selection phase long enough that the point targeted at
+    # stage i+1 is covered at i+1 distinct innings (multiplicity grows without
+    # bound, so doubling terminates; the transcript only gets longer than
+    # requested, never shorter)
+    menger_innings = innings
+    while True:
+        menger_transcript, report, _ = reference_infinitely_often_play(derived, innings=menger_innings, horizon=horizon)
+        pts = tree.space.points(horizon)
+        if all(len(report.covering_innings.get(p.id, ())) >= i + 1 for i, p in enumerate(pts)):
+            break
+        if menger_innings >= innings * 8:
+            raise BudgetError(
+                f"infinitely-often multiplicity did not reach the stage schedule within {menger_innings} innings"
+            )
+        menger_innings *= 2
+
+    # the derived-game covers and selections, replayed for structure
+    sel_indices = [rec.selection for rec in menger_transcript.innings]
+    selections = [
+        FiniteSelection(cover, indices).sets() for cover, indices in zip(replay(derived, sel_indices), sel_indices)
+    ]
+    bounds = [max(indices) for indices in sel_indices]
+    chosen = select_one_per_family(
+        lambda i: selections[i - 1],
+        count=len(selections),
+        sone=sone,
+        space=tree.space,
+        horizon=horizon,
+    )
+
+    # recover the single-selection play: the pick at inning i is a diagonal
+    # refinement member, so its factor record at every box node is its own
+    # member index within the refinement cover
+    picked_path = tuple(indices[pos - 1] for indices, (_, pos) in zip(sel_indices, chosen))
+    for i, (k_i, m_i) in enumerate(zip(picked_path, bounds), start=1):
+        if k_i > m_i:
+            raise IntegrityError(f"recovered index {k_i} exceeds bound {m_i} at inning {i}")
+    audits = [{"bound": m_i, "pick": k_i} for k_i, m_i in zip(picked_path, bounds)]
+    return ReferenceRothbergerResult(
+        transcript=path_transcript(tree, picked_path, ROTHBERGER_GAME, audits, f"single({tree.label})"),
+        picked_path=picked_path,
+        bounds=tuple(bounds),
+        menger_transcript=menger_transcript,
+    )
+
+
+RESTARTING = ("shifted_seg", "mixed_adversarial", "seg_tower", "singletons")  # multiplicity short at 10 innings
+
+
+class TestOnePlayPerCall:
+    @pytest.mark.parametrize("name", RESTARTING)
+    def test_matches_the_restarting_reference(self, name):
+        with reference_histories():
+            want = reference_rothberger_counterplay(rothberger_tree_corpus(N)[name], select_sone, innings=10)
+        got = rothberger_counterplay(rothberger_tree_corpus(N)[name], select_sone, innings=10)
+        assert want.menger_transcript.truncated_at > 10  # the reference restarted
+        assert transcript_records(got.transcript) == transcript_records(want.transcript)
+        assert got.bounds == want.bounds
+        assert got.picked_path == want.picked_path
+
+    def test_each_derived_inning_is_played_once(self, monkeypatch):
+        calls = []
+
+        def counted(tree, path, *args):
+            calls.append(path)
+            return secure_child(tree, path, *args)
+
+        monkeypatch.setattr(hurewicz, "secure_child", counted)
+        rothberger_counterplay(rothberger_tree_corpus(N)["shifted_seg"], select_sone, innings=10)
+        assert len(calls) == 40
+        calls.clear()
+        reference_rothberger_counterplay(rothberger_tree_corpus(N)["shifted_seg"], select_sone, innings=10)
+        assert len(calls) == 10 + 20 + 40
+
+    def test_zero_innings_rejected(self):
+        with pytest.raises(ValueError, match="at least one inning"):
+            rothberger_counterplay(rothberger_tree_corpus(N)["seg_tower"], select_sone, innings=0)

@@ -2,15 +2,21 @@
 """Check every job of a benchmark workload's pool against its pinned digest.
 
     python3 tools/check_pool.py [workload ...]    # default: finite_oracle
+    python3 tools/check_pool.py finite_oracle counterplay tail_cover    # as CI runs it
 
 Runs, once and in this process, every job that any benchmark seed can
 produce (``perfbench/workloads.py`` ``pool``) and compares each digest with
 ``perfbench/digests.json``. Writes nothing. Prints the first 20 failures and
 exits 1 if any job fails its checks, raises (a budget error included),
 differs from its pin, or has no pin; a pinned job the pool no longer makes
-fails too. ``finite_oracle`` has 264 jobs; on a 2-core VM the check takes
-about 15 s, 13 s of it regenerating the instance pool, whose depths come from
-``perfbench/gen.py``'s independent search.
+fails too. On a 2-core VM:
+
+* ``finite_oracle`` has 264 jobs and takes about 15 s, 13 s of it
+  regenerating the instance pool, whose depths come from
+  ``perfbench/gen.py``'s independent search;
+* ``counterplay`` has 107 jobs, every seeded Menger strategy among them, and
+  takes about 1 s;
+* ``tail_cover`` has 118 jobs and takes about 3-4 s.
 """
 
 from __future__ import annotations
