@@ -50,7 +50,7 @@ for name, inst in instances.items():
 
 print()
 print("and a deliberately bad second player is refuted:")
-bad = lambda cover, inning, history: FiniteSelection(cover, (1,))
+bad = lambda cover, inning: FiniteSelection(cover, (1,))
 verdict = cross_check(bad, two, GFIN, selection_cap=2)
 print(f"  always-pick-first on the two-point game: pass={bool(verdict)} ({verdict.reason})")
 if verdict:

@@ -4,8 +4,8 @@ bundled finite game instances.
 
 The theorems quantify over all strategies; a fixed set of named shapes plus
 seeded random generation gives reproducible breadth. All randomness is
-seeded, and history hashing uses an explicit 64-bit fold so the corpus is
-stable across interpreter runs.
+seeded, and move sequences are hashed by an explicit 64-bit fold so the
+corpus is stable across interpreter runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .covers import IndexedCover
-from .engine import AliceStrategy, History
+from .engine import AliceStrategy, Moves, memoized_strategy
 from .solver import FiniteGameInstance, stationary_instance
 from .spaces import FiniteTopological, SpaceModel, initial_segment, singleton, whole
 from .trees import Path, TreeStrategy
@@ -23,12 +23,12 @@ from .trees import Path, TreeStrategy
 _MASK = (1 << 64) - 1
 
 
-def fold_history(history: History) -> int:
-    """Deterministic 64-bit hash of a selection history (indices only)."""
+def fold_moves(moves: Moves) -> int:
+    """Deterministic 64-bit hash of a sequence of index moves."""
     h = 0x9E3779B97F4A7C15
-    for sel in history:
+    for indices in moves:
         h = (h * 1000003 ^ 0xABCDEF) & _MASK
-        for i in sel.indices:
+        for i in indices:
             h = (h * 1000003 ^ i) & _MASK
     return h
 
@@ -74,47 +74,33 @@ def whole_head_cover(space: SpaceModel, label: str | None = None) -> IndexedCove
     )
 
 
-def _memoized_strategy(space: SpaceModel, name: str, cover_for: Callable[[History], IndexedCover]) -> AliceStrategy:
-    memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
-
-    def move(history: History) -> IndexedCover:
-        key = tuple(sel.indices for sel in history)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = cover_for(history)
-        return hit
-
-    return AliceStrategy(space=space, move=move, name=name)
-
-
 def named_strategies(space: SpaceModel) -> dict[str, AliceStrategy]:
     """The five named corpus strategies."""
 
-    def shifted(history: History) -> IndexedCover:
-        shift = max(history[-1].indices) if history else 0
-        return segment_cover(space, shift=shift)
+    def shifted(moves: Moves) -> IndexedCover:
+        return segment_cover(space, shift=max(moves[-1]) if moves else 0)
 
-    def mixed(history: History) -> IndexedCover:
-        shift = sum(max(sel.indices) for sel in history) % 7
-        if len(history) % 2 == 0:
+    def mixed(moves: Moves) -> IndexedCover:
+        shift = sum(map(max, moves)) % 7
+        if len(moves) % 2 == 0:
             return segment_cover(space, shift=shift)
         return singleton_cover(space)
 
     return {
-        "seg_tower": _memoized_strategy(space, "seg_tower", lambda h: segment_cover(space)),
-        "shifted_seg": _memoized_strategy(space, "shifted_seg", shifted),
-        "singletons": _memoized_strategy(space, "singletons", lambda h: singleton_cover(space)),
-        "whole_head": _memoized_strategy(space, "whole_head", lambda h: whole_head_cover(space)),
-        "mixed_adversarial": _memoized_strategy(space, "mixed_adversarial", mixed),
+        "seg_tower": memoized_strategy(space, "seg_tower", lambda moves: segment_cover(space)),
+        "shifted_seg": memoized_strategy(space, "shifted_seg", shifted),
+        "singletons": memoized_strategy(space, "singletons", lambda moves: singleton_cover(space)),
+        "whole_head": memoized_strategy(space, "whole_head", lambda moves: whole_head_cover(space)),
+        "mixed_adversarial": memoized_strategy(space, "mixed_adversarial", mixed),
     }
 
 
 def seeded_strategy(space: SpaceModel, seed: int) -> AliceStrategy:
-    """A deterministic pseudo-random strategy: per history, draw one of the
-    primitive cover shapes with a small random shift."""
+    """A deterministic pseudo-random strategy: per move sequence, draw one of
+    the primitive cover shapes with a small random shift."""
 
-    def cover_for(history: History) -> IndexedCover:
-        rng = random.Random((seed * 0x9E3779B1 ^ fold_history(history)) & _MASK)
+    def cover_for(moves: Moves) -> IndexedCover:
+        rng = random.Random((seed * 0x9E3779B1 ^ fold_moves(moves)) & _MASK)
         shape = rng.choice(["seg", "seg", "seg", "single", "whole"])
         if shape == "seg":
             return segment_cover(space, shift=rng.randrange(0, 5))
@@ -122,7 +108,7 @@ def seeded_strategy(space: SpaceModel, seed: int) -> AliceStrategy:
             return singleton_cover(space)
         return whole_head_cover(space)
 
-    return _memoized_strategy(space, f"seeded{seed}", cover_for)
+    return memoized_strategy(space, f"seeded{seed}", cover_for)
 
 
 def strategy_corpus(space: SpaceModel, n_random: int = 20, seed: int = 0) -> dict[str, AliceStrategy]:

@@ -6,11 +6,13 @@ horizon-relative: the theorems' "Bob wins" conclusions are checked as "for
 every horizon there is an inning count that suffices", with (horizon,
 innings) pairs fixed per test scenario.
 
-Transcripts store, per inning, a structural description of a prefix of the
-cover that was played plus the selected indices. Legality checking replays
-the strategy against the recorded selections and compares descriptions, so
-it needs no live set objects; win evaluation does need them, and is only
-available on transcripts that still carry their selected sets.
+A first-player strategy is a function of the second player's index moves
+so far (`Moves`, one index tuple per inning) to its next cover. Transcripts
+store, per inning, a structural description of a prefix of the cover that
+was played plus the selected indices. Legality checking replays the strategy
+against the recorded indices and compares descriptions, so it needs no live
+set objects; win evaluation does need them, and is only available on
+transcripts that still carry their selected sets.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .covers import FiniteSelection, IndexedCover, Verdict
 from .errors import LegalityError
 from .spaces import OpenSet, Point, SpaceModel, describe, member
 
-History = tuple[FiniteSelection, ...]
+Moves = tuple[tuple[int, ...], ...]  # the second player's index moves, one tuple per inning
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,26 @@ ROTHBERGER_GAME = GameKind("single", 1)
 
 @dataclass(frozen=True, eq=False)
 class AliceStrategy:
-    """A deterministic first-player strategy: prior selections -> next cover."""
+    """A deterministic first-player strategy: the second player's index
+    moves so far -> next cover."""
 
     space: SpaceModel
-    move: Callable[[History], IndexedCover]
+    move: Callable[[Moves], IndexedCover]
     name: str = ""
+
+
+def memoized_strategy(space: SpaceModel, name: str, cover_for: Callable[[Moves], IndexedCover]) -> AliceStrategy:
+    """The strategy playing `cover_for(moves)`, built once per move sequence
+    and kept for as long as the strategy lives."""
+    memo: dict[Moves, IndexedCover] = {}
+
+    def move(moves: Moves) -> IndexedCover:
+        hit = memo.get(moves)
+        if hit is None:
+            hit = memo[moves] = cover_for(moves)
+        return hit
+
+    return AliceStrategy(space=space, move=move, name=name)
 
 
 @dataclass(frozen=True)
@@ -123,35 +140,13 @@ def replay(alice: AliceStrategy, moves: Iterable[tuple[int, ...]]) -> Iterator[I
     """The cover the strategy plays at each inning of a play whose selections
     are `moves`, one index tuple per inning.
 
-    Each move becomes a selection from its inning's cover only when the next
-    cover is asked for, so a consumer can inspect a move (and stop) before
-    bad indices reach :class:`FiniteSelection`.
+    A move reaches the strategy only when the next cover is asked for, so a
+    consumer can inspect it (and stop) before bad indices reach the strategy.
     """
-    history: History = ()
+    played: Moves = ()
     for indices in moves:
-        cover = alice.move(history)
-        yield cover
-        history = history + (FiniteSelection(cover, tuple(indices)),)
-
-
-def cover_after(alice: AliceStrategy) -> Callable[[tuple[tuple[int, ...], ...]], IndexedCover]:
-    """The strategy's cover after a play whose selections are `moves`, one
-    index tuple per inning. Each move sequence keeps one tuple, its history
-    followed by its cover, for as long as the returned function lives; its
-    history is its parent's plus one selection from the parent's cover."""
-    memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
-
-    def along(moves: tuple[tuple[int, ...], ...]) -> tuple:
-        hit = memo.get(moves)
-        if hit is None:
-            history: History = ()
-            if moves:
-                parent = along(moves[:-1])
-                history = parent[:-1] + (FiniteSelection(parent[-1], moves[-1]),)
-            hit = memo[moves] = history + (alice.move(history),)
-        return hit
-
-    return lambda moves: along(moves)[-1]
+        yield alice.move(played)
+        played += (indices,)
 
 
 def check_legal(t: Transcript, alice: AliceStrategy) -> Verdict:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .covers import IndexedCover, witness_of
-from .engine import GameKind, MultiplicityReport, Transcript, covering_innings
+from .engine import GameKind, Moves, MultiplicityReport, Transcript, covering_innings
 from .errors import BudgetError
 from .pairing import finseq_from_index
 from .rothberger import joint_refinement_cover, witness_once
@@ -154,7 +154,7 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
             hit = shared[(cover, removed)] = strip_history(cover, chosen)
         return hit
 
-    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
+    def back_map(path: Path) -> Moves:
         orig_path, _ = resolve(path)
         return tuple((i,) for i in orig_path)
 

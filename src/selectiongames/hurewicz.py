@@ -54,7 +54,7 @@ from .covers import (
     head_normalize,
     witness_of,
 )
-from .engine import AliceStrategy, MENGER_GAME, ROTHBERGER_GAME, Transcript, cover_after, make_inning, replay
+from .engine import AliceStrategy, MENGER_GAME, Moves, ROTHBERGER_GAME, Transcript, make_inning, replay
 from .errors import BudgetError, GameError, IntegrityError
 from .pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
@@ -95,14 +95,13 @@ def normalize_strategy(
     so this is exactly the "a finite selection suffices" escape).
     """
     space = space or raw.space
-    raw_cover = cover_after(raw)
     tree_holder: list[TreeStrategy] = []
 
-    def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
+    def back_map(path: Path) -> Moves:
         return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
 
     def cover_at(path: Path) -> IndexedCover:
-        base = increasing_form(raw_cover(back_map(path)))
+        base = increasing_form(raw.move(back_map(path)))
         if not path:
             return base
         tree = tree_holder[0]
@@ -362,10 +361,11 @@ class Counterplay:
 
     If materializing the tree raises :class:`FiniteWinFound`, the witnessing
     path is the play, with no skipped children: those finitely many choices
-    already cover the working horizon.
+    already cover the working horizon. `probe_limit` bounds each move's
+    search, or for None each new point's witness does (`secure_child`).
     """
 
-    def __init__(self, tree: TreeStrategy, probe_limit: int = 10_000):
+    def __init__(self, tree: TreeStrategy, probe_limit: int | None = 10_000):
         self.tree, self.probe_limit, self.plan = tree, probe_limit, protection_plan(tree.space)
         self.path: Path = ()
         self.finite_win = False

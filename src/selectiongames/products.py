@@ -2,13 +2,14 @@
 play that covers every point infinitely often.
 
 Lifting a cover places one copy of each member at each level of the product,
-enumerated by the Cantor pairing on (member index, level). A selection from
-the lifted cover projects to the base move consisting of the members whose
-lift at some level was selected. Running the tree counterplay against the
-lifted strategy covers the product space progressively; since the copies of
-a base point at different levels are covered at ever-later innings, the
-projected base play covers each base point at more and more distinct innings
-as it is extended.
+enumerated by the Cantor pairing on (member index, level). A lifted index
+move projects to the base index move consisting of the members whose lift at
+some level was selected, and the lifted strategy answers lifted moves with
+the lift of the base strategy's answer to their projections. Running the
+tree counterplay against the lifted strategy covers the product space
+progressively; since the copies of a base point at different levels are
+covered at ever-later innings, the projected base play covers each base
+point at more and more distinct innings as it is extended.
 
 The product of a countable model is again a countable model, so the canonical
 selection schedule applies to it directly; the usual splitting argument for
@@ -24,11 +25,10 @@ from typing import Iterator
 from .covers import FiniteSelection, IndexedCover
 from .engine import (
     AliceStrategy,
-    History,
     MENGER_GAME,
+    Moves,
     MultiplicityReport,
     Transcript,
-    cover_after,
     covering_innings,
     make_inning,
 )
@@ -79,36 +79,32 @@ def lifted_cover(product: ProductSpace, base_cover: IndexedCover) -> IndexedCove
     )
 
 
-def project_selection(product: ProductSpace, sel: FiniteSelection) -> tuple[int, ...]:
-    """Base member indices whose lift at some level was selected, deduplicated
-    and sorted."""
-    out: set[int] = set()
-    for j in sel.indices:
-        a, _ = unpair(j - 1)
-        out.add(a + 1)
-    return tuple(sorted(out))
+def project_selection(product: ProductSpace, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """Base member indices whose lift at some level is among the lifted
+    `indices`, deduplicated and sorted."""
+    return tuple(sorted({unpair(j - 1)[0] + 1 for j in indices}))
 
 
 def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
     """The strategy on the product space that mirrors a base strategy.
 
-    Each lifted reply is computed by projecting the opponent's lifted
-    selections to base moves and re-querying the base strategy. Projections
-    are kept per selected index tuple for as long as the strategy lives.
+    Each lifted reply is computed by projecting the opponent's lifted moves
+    to base moves and re-querying the base strategy. Projections are kept per
+    lifted index tuple, and lifted covers per projected move sequence, for as
+    long as the strategy lives.
     """
     product = ProductSpace(alice.space)
-    base_cover = cover_after(alice)
-    lifted_memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
+    lifted_memo: dict[Moves, IndexedCover] = {}
     projections: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def move(history: History) -> IndexedCover:
-        for sel in history:
-            if sel.indices not in projections:
-                projections[sel.indices] = project_selection(product, sel)
-        projected = tuple(projections[sel.indices] for sel in history)
+    def move(moves: Moves) -> IndexedCover:
+        for indices in moves:
+            if indices not in projections:
+                projections[indices] = project_selection(product, indices)
+        projected = tuple(projections[indices] for indices in moves)
         hit = lifted_memo.get(projected)
         if hit is None:
-            hit = lifted_memo[projected] = lifted_cover(product, base_cover(projected))
+            hit = lifted_memo[projected] = lifted_cover(product, alice.move(projected))
         return hit
 
     return product, AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")
@@ -117,20 +113,18 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
 def often_innings(alice: AliceStrategy) -> Iterator[tuple[FiniteSelection, dict[str, object]]]:
     """The infinitely-often play against `alice`, for as many innings as are
     asked for: per inning, the base selection and its audit (the lifted
-    play's `Counterplay.audit` plus the lifted selection). One `Counterplay`
-    runs against the lifted strategy's normalized tree; each lifted move is
-    read off its path (`raw_move`) and projected to the base game.
+    play's `Counterplay.audit` plus the lifted move). One `Counterplay` runs
+    against the lifted strategy's normalized tree; each lifted move is read
+    off its path (`raw_move`) and projected to the base game.
     """
     product, lifted = lift_strategy(alice)
     play = Counterplay(normalize_strategy(lifted, product))
-    lifted_history: History = ()
-    base_history: History = ()
+    base_moves: Moves = ()
     for n in count(1):
-        lifted_sel = FiniteSelection(lifted.move(lifted_history), raw_move(n - 1, play.extend(n)[n - 1]))
-        base_sel = FiniteSelection(alice.move(base_history), project_selection(product, lifted_sel))
-        yield base_sel, {**play.audit(n), "lifted_selection": list(lifted_sel.indices)}
-        lifted_history += (lifted_sel,)
-        base_history += (base_sel,)
+        lifted_move = raw_move(n - 1, play.extend(n)[n - 1])
+        sel = FiniteSelection(alice.move(base_moves), project_selection(product, lifted_move))
+        yield sel, {**play.audit(n), "lifted_selection": list(lifted_move)}
+        base_moves += (sel.indices,)
 
 
 def infinitely_often_play(

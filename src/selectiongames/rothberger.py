@@ -11,14 +11,15 @@ first member, so exactly one member is chosen from every family and the
 chosen members cover the working horizon.
 
 `menger_from_rothberger` derives a finite-selection strategy from a
-single-selection strategy tree: after the opponent's finite selections have
-pinned down a bound sequence sigma, the derived move is the joint refinement
-of the covers at all nodes coordinatewise below sigma. The refinement is
-enumerated diagonally — its n-th member is the intersection of the n-th
-members of the distinct node covers on the box — so each member carries the
-factor record j = n for every node, recoveries stay bookkeeping, and the
-enumeration is a cover whenever the node covers are increasing (the witness
-is the max of the factor witnesses, rescanned a little for safety).
+single-selection strategy tree: after the opponent's index moves have pinned
+down a bound sequence sigma (each move's largest index), the derived move is
+the joint refinement of the covers at all nodes coordinatewise below sigma.
+The refinement is enumerated diagonally — its n-th member is the
+intersection of the n-th members of the distinct node covers on the box — so
+each member carries the factor record j = n for every node, recoveries stay
+bookkeeping, and the enumeration is a cover whenever the node covers are
+increasing (the witness is the max of the factor witnesses, rescanned a
+little for safety).
 
 `rothberger_counterplay` composes the pieces: play the infinitely-often
 counterplay against the derived strategy, pick one refinement member per
@@ -34,7 +35,7 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .covers import IndexedCover, witness_of
-from .engine import AliceStrategy, History, ROTHBERGER_GAME, Transcript
+from .engine import AliceStrategy, Moves, ROTHBERGER_GAME, Transcript
 from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError
 from .products import often_innings
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
@@ -351,12 +352,12 @@ def joint_refinement_cover(
     )
 
 
-def bounds_from_history(history: History) -> Path:
-    """The bound sequence pinned down by the opponent's selections so far:
-    each selection extends it by the largest index selected (the least bound
-    m such that, by the factor records, the selection refines every node
-    cover's first m members)."""
-    return tuple(max(sel.indices) for sel in history)
+def bounds_from_moves(moves: Sequence[tuple[int, ...]]) -> Path:
+    """The bound sequence pinned down by the opponent's index moves so far:
+    each move extends it by its largest index (the least bound m such that,
+    by the factor records, the move refines every node cover's first m
+    members)."""
+    return tuple(map(max, moves))
 
 
 def menger_from_rothberger(
@@ -372,8 +373,8 @@ def menger_from_rothberger(
 
     memo: dict[Path, IndexedCover] = {}
 
-    def move(history: History) -> IndexedCover:
-        bound = bounds_from_history(history)
+    def move(moves: Moves) -> IndexedCover:
+        bound = bounds_from_moves(moves)
         hit = memo.get(bound)
         if hit is None:
             hit = memo[bound] = joint_refinement_cover(tree, bound, box_limit=box_limit)
@@ -427,7 +428,7 @@ def rothberger_counterplay(
             f"infinitely-often multiplicity did not reach the stage schedule within {innings * 8} innings"
         )
 
-    bounds = [max(indices) for indices in moves]
+    bounds = bounds_from_moves(moves)
     chosen = select_one_per_family(
         lambda i: selections[i - 1],
         count=len(selections),
@@ -447,5 +448,5 @@ def rothberger_counterplay(
     return RothbergerResult(
         transcript=path_transcript(tree, picked_path, ROTHBERGER_GAME, audits, f"single({tree.label})"),
         picked_path=picked_path,
-        bounds=tuple(bounds),
+        bounds=bounds,
     )

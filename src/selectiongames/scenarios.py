@@ -154,7 +154,10 @@ def run_scenario(config_path: str, output_dir: str | None = None) -> int:
     """Execute a scenario; write transcript and report files; return 0 iff
     every verdict in the report passed."""
     config = load_config(config_path)
-    out = output_dir or config.get("output", ".")
+    out = config.get("output", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output must be a string, got {out!r}", key="output")
+    out = output_dir or out
     os.makedirs(out, exist_ok=True)
     construction = config.get("construction")
     if construction is None:
@@ -209,6 +212,15 @@ def _int(mapping: dict, key: str, default: int | None = None) -> int:
     return mapping[key]
 
 
+def _positive(mapping: dict, key: str, default: int | None = None) -> int:
+    """An integer config value of at least 1, as `_int` reads it; a smaller
+    one raises ConfigError naming the key."""
+    value = _int(mapping, key, default)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}", key=key)
+    return value
+
+
 def _named(corpus: dict, name: Any, what: str):
     if isinstance(name, str) and name in corpus:
         return corpus[name]
@@ -239,7 +251,7 @@ def _multiplicity_verdict(check: str, report, need: int) -> dict:
 
 
 def _play_hurewicz(alice, space, cell):
-    horizon, innings = _int(cell, "horizon"), _int(cell, "innings")
+    horizon, innings = _positive(cell, "horizon"), _positive(cell, "innings")
     tree = normalize_strategy(alice, space, finite_win_horizon=horizon)
     transcript = bob_counterplay_menger(tree, raw=alice, innings=innings).transcript
     win = evaluate_win(transcript, horizon)
@@ -251,7 +263,7 @@ def _play_hurewicz(alice, space, cell):
 
 
 def _play_often(alice, space, cell):
-    horizon, innings, need = _int(cell, "horizon"), _int(cell, "innings"), _int(cell, "multiplicity", 2)
+    horizon, innings, need = _positive(cell, "horizon"), _positive(cell, "innings"), _positive(cell, "multiplicity", 2)
     transcript, report, _ = infinitely_often_play(alice, innings=innings, horizon=horizon)
     verdicts = [
         _multiplicity_verdict(f"multiplicity>={need}(h={horizon},n={innings})", report, need),
@@ -262,7 +274,7 @@ def _play_often(alice, space, cell):
 
 
 def _play_rothberger(tree, space, cell):
-    horizon, innings = _int(cell, "horizon"), _int(cell, "innings")
+    horizon, innings = _positive(cell, "horizon"), _positive(cell, "innings")
     result = rothberger_counterplay(tree, select_sone, innings=innings, horizon=horizon)
     win = evaluate_win(result.transcript, horizon)
     legal = check_legal(result.transcript, strategy_from_tree(tree))
@@ -277,8 +289,8 @@ def _play_rothberger(tree, space, cell):
 
 
 def _play_appendix(tree, space, cell):
-    innings, sample_size = _int(cell, "innings"), _int(cell, "sample", 5)
-    need, node_budget = _int(cell, "multiplicity", 2), _int(cell, "node_budget", 12)
+    innings, sample_size = _positive(cell, "innings"), _positive(cell, "sample", 5)
+    need, node_budget = _positive(cell, "multiplicity", 2), _int(cell, "node_budget", 12)
     result = counterplay_large(tree, space.points(sample_size), innings=innings, node_budget=node_budget)
     legal = check_legal(result.transcript, strategy_from_tree(tree))
     verdicts = [
@@ -312,9 +324,9 @@ def _run_grid(name: str, config: dict, space: SpaceModel):
     resolve, play, report_key, cell_keys = CONSTRUCTIONS[name]
     strategy = resolve(config, space)
     grid = config.get("grid", [{"horizon": 5, "innings": 5}])
-    if not isinstance(grid, list) or not all(isinstance(cell, dict) for cell in grid):
-        raise ConfigError("grid must be a list of objects", key="grid")
-    for cell in config.get("grid", ()):
+    if not isinstance(grid, list) or not grid or not all(isinstance(cell, dict) for cell in grid):
+        raise ConfigError("grid must be a nonempty list of objects", key="grid")
+    for cell in grid:
         _known(cell, cell_keys, "a grid cell")
     transcript, verdicts, tables = None, [], {}
     for cell in grid:
@@ -344,9 +356,7 @@ def _run_oracle(config):
     arity = config.get("game", "single")
     if arity not in ("finite", "single"):
         raise ConfigError(f"game must be 'finite' or 'single', got {arity!r}", key="game")
-    cap = _int(config, "cap", 1)
-    if cap < 1:
-        raise ConfigError("cap must be at least 1", key="cap")
+    cap = _positive(config, "cap", 1)
     game = GameKind(arity, 1)
     depth = minimal_winning_depth(instance, game, cap)
     result = solve_finite_game(instance, game, depth, cap)

@@ -18,13 +18,13 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .covers import FiniteSelection, IndexedCover, Verdict
-from .engine import AliceStrategy, GameKind, History
+from .engine import AliceStrategy, GameKind, Moves, memoized_strategy
 from .errors import ResourceLimitError
 from .spaces import FiniteTopological, from_ids
 
 Cover = tuple[frozenset[int], ...]
 OracleHistory = tuple[tuple[int, tuple[int, ...]], ...]  # (option chosen, selection)
-BobMove = Callable[[IndexedCover, int, History], FiniteSelection]
+BobMove = Callable[[IndexedCover, int], FiniteSelection]  # (cover played, inning) -> selection
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,24 +309,16 @@ def deterministic_strategy(instance: FiniteGameInstance, option: int = 0) -> Ali
     """View a single line of an instance (the same option at every position)
     as a lazy-cover strategy for the construction pipeline."""
 
-    memo: dict[tuple[tuple[int, ...], ...], IndexedCover] = {}
-
-    def move(history: History) -> IndexedCover:
-        key = tuple(sel.indices for sel in history)
-        hit = memo.get(key)
-        if hit is None:
-            oracle_history: OracleHistory = ()
-            for indices in key:
-                cover = option_at(instance, oracle_history, option)
-                clamped = tuple(sorted({min(i, len(cover)) for i in indices}))
-                oracle_history = oracle_history + ((option, clamped),)
+    def cover_for(moves: Moves) -> IndexedCover:
+        oracle_history: OracleHistory = ()
+        for indices in moves:
             cover = option_at(instance, oracle_history, option)
-            hit = memo[key] = instance_cover(
-                instance.space, cover, f"{instance.name}@{len(key)}"
-            )
-        return hit
+            clamped = tuple(sorted({min(i, len(cover)) for i in indices}))
+            oracle_history = oracle_history + ((option, clamped),)
+        cover = option_at(instance, oracle_history, option)
+        return instance_cover(instance.space, cover, f"{instance.name}@{len(moves)}")
 
-    return AliceStrategy(space=instance.space, move=move, name=instance.name or "instance")
+    return memoized_strategy(instance.space, instance.name or "instance", cover_for)
 
 
 def restrict_option(instance: FiniteGameInstance, option: int) -> FiniteGameInstance:
@@ -343,24 +335,18 @@ def counterplay_bob_strategy(instance: FiniteGameInstance, option: int = 0) -> B
     move function against one deterministic line of an instance.
 
     The move depends on the inning number alone (the underlying play is
-    deterministic): walk the normalized tree taking, at each step, the least
-    child whose set contains every point of the finite space, and
-    back-translate the tree choice into the instance's selection. The walked
-    path is kept; scans stop at the covers' witnesses, which raise on a point
-    no member contains.
+    deterministic): one `Counterplay` walks the normalized tree taking, at
+    each step, the least child whose set contains every point of the finite
+    space, and the tree choice is back-translated into the instance's
+    selection. The walked path is kept; scans stop at the covers' witnesses,
+    which raise on a point no member contains.
     """
-    from .hurewicz import normalize_strategy, protection_plan, raw_move, secure_child
+    from .hurewicz import Counterplay, normalize_strategy, raw_move
 
-    alice = deterministic_strategy(instance, option)
-    tree = normalize_strategy(alice, instance.space)
-    plan = protection_plan(instance.space)
-    walked: list[int] = []
-    secured: set[int] = set()
+    play = Counterplay(normalize_strategy(deterministic_strategy(instance, option), instance.space), probe_limit=None)
 
-    def move(cover: IndexedCover, inning: int, history: History) -> FiniteSelection:
-        while len(walked) < inning:
-            walked.append(secure_child(tree, tuple(walked), plan(len(walked) + 1), secured, None))
-        return FiniteSelection(cover, raw_move(inning - 1, walked[inning - 1]))
+    def move(cover: IndexedCover, inning: int) -> FiniteSelection:
+        return FiniteSelection(cover, raw_move(inning - 1, play.extend(inning)[inning - 1]))
 
     return move
 
@@ -383,28 +369,24 @@ def cross_check(
     depth = minimal_winning_depth(instance, game, selection_cap, max_depth)
     universe = frozenset(range(instance.space.n_points))
 
-    def walk(oracle_history: OracleHistory, bob_history: History, covered: frozenset[int], inning: int) -> str | None:
+    def walk(oracle_history: OracleHistory, covered: frozenset[int], inning: int) -> str | None:
         if covered == universe:
             return None
         if inning > depth:
             return f"line {tuple(o for o, _ in oracle_history)} left {sorted(universe - covered)} uncovered"
         for opt_idx, cover in enumerate(instance.options_at(oracle_history)):
-            lazy = instance_cover(instance.space, cover, f"{instance.name}/{inning}")
-            sel = constructed(lazy, inning, bob_history)
+            sel = constructed(instance_cover(instance.space, cover, f"{instance.name}/{inning}"), inning)
             clamped = tuple(sorted({min(i, len(cover)) for i in sel.indices}))
             if game.arity == "single" and len(clamped) != 1:
                 return f"arity violation at inning {inning}"
             if game.arity == "finite" and len(clamped) > selection_cap:
                 return f"selection of {len(clamped)} exceeds cap {selection_cap} at inning {inning}"
             bad = walk(
-                oracle_history + ((opt_idx, clamped),),
-                bob_history + (FiniteSelection(lazy, sel.indices),),
-                covered.union(*(cover[i - 1] for i in clamped)),
-                inning + 1,
+                oracle_history + ((opt_idx, clamped),), covered.union(*(cover[i - 1] for i in clamped)), inning + 1
             )
             if bad:
                 return bad
         return None
 
-    failure = walk((), (), frozenset(), 1)
+    failure = walk((), frozenset(), 1)
     return Verdict(failure is None, reason=failure or "")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .covers import IndexedCover
-from .engine import AliceStrategy, GameKind, History, Transcript, make_inning
+from .engine import AliceStrategy, GameKind, Moves, Transcript, make_inning
 from .errors import ResourceLimitError
 from .spaces import OpenSet, SpaceModel
 
@@ -41,7 +41,7 @@ class TreeStrategy:
 
     space: SpaceModel
     cover_at_raw: Callable[[Path], IndexedCover]
-    back_map: Callable[[Path], tuple[tuple[int, ...], ...]] | None = None
+    back_map: Callable[[Path], Moves] | None = None
     box_covers: Callable[[Path], tuple[IndexedCover, ...]] | None = None
     label: str = ""
     _cover_memo: dict[Path, IndexedCover] = field(default_factory=dict, repr=False)
@@ -59,13 +59,11 @@ class TreeStrategy:
 
 
 def strategy_from_tree(tree: TreeStrategy) -> AliceStrategy:
-    """View a tree as a single-selection strategy (for legality replays)."""
-
-    def move(history: History) -> IndexedCover:
-        path = tuple(sel.indices[0] for sel in history)
-        return tree.cover_at(path)
-
-    return AliceStrategy(space=tree.space, move=move, name=tree.label)
+    """View a tree as a single-selection strategy (for legality replays): the
+    cover after single-index moves is the one at the path they spell."""
+    return AliceStrategy(
+        space=tree.space, move=lambda moves: tree.cover_at(tuple(indices[0] for indices in moves)), name=tree.label
+    )
 
 
 def path_transcript(

@@ -1,17 +1,15 @@
 """Independent checkers and reference constructions that only the tests use:
 point-by-point checks of sets and selections, the inverse of
 `ProductSpace.split`, the canonical finite-selection witness, the empty
-open set, and the history walk and infinitely-often play that the resumable
-counterplay replaced."""
+open set, and the infinitely-often play that the resumable counterplay
+replaced."""
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from selectiongames import hurewicz, products
-from selectiongames.covers import FiniteSelection, IndexedCover, Verdict, witness_of
+from selectiongames.covers import FiniteSelection, Verdict, witness_of
 from selectiongames.engine import (
     MENGER_GAME,
     AliceStrategy,
@@ -116,37 +114,7 @@ def select_sfin(space: SpaceModel, covers: CoverSeq) -> Iterator[FiniteSelection
 
 
 # ---------------------------------------------------------------------------
-# The plays before they were resumable, kept verbatim as the references.
-
-
-def reference_cover_after(alice: AliceStrategy) -> Callable[[tuple[tuple[int, ...], ...]], IndexedCover]:
-    """The strategy's cover after a play whose selections are `moves`, one
-    index tuple per inning. The covers along each move sequence are kept for
-    as long as the returned function lives, so a sequence asks only for its
-    parent's."""
-    memo: dict[tuple[tuple[int, ...], ...], tuple[IndexedCover, ...]] = {}
-
-    def along(moves: tuple[tuple[int, ...], ...]) -> tuple[IndexedCover, ...]:
-        hit = memo.get(moves)
-        if hit is None:
-            prior = along(moves[:-1]) if moves else ()
-            history = tuple(FiniteSelection(cover, move) for cover, move in zip(prior, moves))
-            hit = memo[moves] = prior + (alice.move(history),)
-        return hit
-
-    return lambda moves: along(moves)[-1]
-
-
-@contextmanager
-def reference_histories():
-    """Normalized and lifted strategies built inside rebuild every history
-    with `reference_cover_after`."""
-    saved = hurewicz.cover_after, products.cover_after
-    hurewicz.cover_after = products.cover_after = reference_cover_after
-    try:
-        yield
-    finally:
-        hurewicz.cover_after, products.cover_after = saved
+# The play before it was resumable, kept verbatim as the reference.
 
 
 def reference_infinitely_often_play(
@@ -171,10 +139,7 @@ def reference_infinitely_often_play(
     # project the lifted play to the base game, and replay the base strategy
     lifted_innings = result.transcript.innings
     lifted_moves = [rec.selection for rec in lifted_innings]
-    base_moves = [
-        project_selection(product, FiniteSelection(cover, indices))
-        for cover, indices in zip(replay(lifted, lifted_moves), lifted_moves)
-    ]
+    base_moves = [project_selection(product, indices) for indices in lifted_moves]
     base_records = []
     for n, (cover, indices, rec) in enumerate(zip(replay(alice, base_moves), base_moves, lifted_innings), start=1):
         audit = {**rec.audit_dict(), "lifted_selection": list(rec.selection)}

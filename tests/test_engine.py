@@ -1,20 +1,25 @@
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selectiongames import engine
-from selectiongames.corpus import segment_cover, whole_head_cover
+from selectiongames import engine, rothberger, solver
+from selectiongames.corpus import (
+    bundled_instances,
+    named_strategies,
+    rothberger_tree_corpus,
+    segment_cover,
+    whole_head_cover,
+)
 from selectiongames.covers import FiniteSelection, IndexedCover
 from selectiongames.engine import (
     AliceStrategy,
     GameKind,
-    History,
     Inning,
     MENGER_GAME,
+    Moves,
     ROTHBERGER_GAME,
     Transcript,
     WinReport,
@@ -23,6 +28,11 @@ from selectiongames.engine import (
     make_inning,
 )
 from selectiongames.errors import LegalityError
+from selectiongames.hurewicz import bob_counterplay_menger, normalize_strategy
+from selectiongames.products import infinitely_often_play
+from selectiongames.rothberger import rothberger_counterplay
+from selectiongames.selectors import select_sone
+from selectiongames.solver import counterplay_bob_strategy, cross_check, deterministic_strategy
 from selectiongames.spaces import (
     CountableDiscrete,
     FiniteUnion,
@@ -33,8 +43,7 @@ from selectiongames.spaces import (
     singleton,
     whole,
 )
-
-import helpers
+from selectiongames.trees import strategy_from_tree
 
 N = CountableDiscrete()
 
@@ -42,41 +51,40 @@ N = CountableDiscrete()
 @dataclass(frozen=True, eq=False)
 class BobStrategy:
     """A deterministic second-player strategy:
-    (cover just played, inning number, own prior selections) -> selection."""
+    (cover just played, inning number, own prior index moves) -> selection."""
 
-    move: Callable[[IndexedCover, int, History], FiniteSelection]
+    move: Callable[[IndexedCover, int, Moves], FiniteSelection]
     name: str = ""
 
 
 def run_play(game: GameKind, alice: AliceStrategy, bob: BobStrategy, innings: int) -> Transcript:
     """Drive a full play of `innings` innings and record it.
 
-    Each cover is the first player's move on the selection history so far;
+    Each cover is the first player's move on the index moves so far;
     each selection is the second player's reply to that cover. A selection
     with invalid indices raises :class:`LegalityError` naming the inning.
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    history: History = ()
+    moves: Moves = ()
     records: list[Inning] = []
     for n in range(1, innings + 1):
-        cover = alice.move(history)
-        sel = bob.move(cover, n, history)
+        cover = alice.move(moves)
+        sel = bob.move(cover, n, moves)
         if sel.cover is not cover:
             raise LegalityError(f"inning {n}: selection does not reference the played cover", inning=n)
         records.append(make_inning(game, n, cover, sel.indices))
-        history = history + (sel,)
+        moves = moves + (sel.indices,)
     return Transcript(game=game, innings=tuple(records), label=f"play({alice.name or 'alice'})")
 
 
 def memo_strategy(cover_for, name):
     memo = {}
 
-    def move(history):
-        key = tuple(sel.indices for sel in history)
-        if key not in memo:
-            memo[key] = cover_for(key)
-        return memo[key]
+    def move(moves):
+        if moves not in memo:
+            memo[moves] = cover_for(moves)
+        return memo[moves]
 
     return AliceStrategy(space=N, move=move, name=name)
 
@@ -302,63 +310,55 @@ class TestEvaluateWinAgainstTheReference:
         assert win == reference_evaluate_win(t, 6)
 
 
-class TestCoverAfter:
-    """`cover_after` against the walk it replaced, which rebuilt a node's
-    whole history from its parent's covers (`helpers.reference_cover_after`)."""
+def moves_only(alice: AliceStrategy, calls: dict[str, int], label: str) -> AliceStrategy:
+    """`alice`, asserting that every argument is a tuple of legal index moves
+    (nonempty tuples of distinct positive ints), and counting calls under
+    `label`."""
 
-    @staticmethod
-    def recording_strategy():
-        """A history-dependent strategy that records every history it is asked
-        about: the cover shifts by the largest index selected so far."""
-        seen = []
+    def move(moves):
+        assert type(moves) is tuple, moves
+        for indices in moves:
+            assert type(indices) is tuple and indices and len(set(indices)) == len(indices), moves
+            assert all(type(i) is int and i >= 1 for i in indices), moves
+        calls[label] = calls.get(label, 0) + 1
+        return alice.move(moves)
 
-        def move(history):
-            seen.append(history)
-            return segment_cover(N, shift=sum(max(sel.indices) for sel in history))
+    return AliceStrategy(space=alice.space, move=move, name=alice.name)
 
-        return AliceStrategy(space=N, move=move, name="recording"), seen
 
-    @staticmethod
-    def counting(monkeypatch, module):
-        built = []
+class TestStrategiesSeeIndexMoves:
+    def test_every_construction_hands_strategies_legal_index_moves(self, monkeypatch):
+        calls: dict[str, int] = {}
+        shifted = named_strategies(N)["shifted_seg"]
+        alice = moves_only(shifted, calls, "menger")
+        menger = bob_counterplay_menger(normalize_strategy(alice, N, finite_win_horizon=6), raw=alice, innings=6)
+        assert check_legal(menger.transcript, alice)
+        often = moves_only(shifted, calls, "often")
+        assert check_legal(infinitely_often_play(often, innings=8, horizon=4)[0], often)
 
-        def counted(cover, indices):
-            built.append(indices)
-            return FiniteSelection(cover, indices)
+        derive = rothberger.menger_from_rothberger
+        monkeypatch.setattr(
+            rothberger,
+            "menger_from_rothberger",
+            lambda tree, box_limit: moves_only(derive(tree, box_limit=box_limit), calls, "derived"),
+        )
+        tree = rothberger_tree_corpus(N)["shifted_seg"]
+        single = rothberger_counterplay(tree, select_sone, innings=6).transcript
+        assert check_legal(single, moves_only(strategy_from_tree(tree), calls, "tree"))
 
-        monkeypatch.setattr(module, "FiniteSelection", counted)
-        return built
+        inst = bundled_instances()["three_point_singletons"]
+        line = moves_only(deterministic_strategy(inst), calls, "line")
+        assert check_legal(bob_counterplay_menger(normalize_strategy(line), raw=line, innings=3).transcript, line)
+        determine = solver.deterministic_strategy
+        monkeypatch.setattr(
+            solver, "deterministic_strategy", lambda instance, option: moves_only(determine(instance, option), calls, "cross")
+        )
+        assert cross_check(counterplay_bob_strategy(inst), inst, MENGER_GAME, selection_cap=3)
+        assert set(calls) == {"menger", "often", "derived", "tree", "line", "cross"}
 
-    def test_a_depth_n_path_builds_n_selections(self, monkeypatch):
-        n = 12
-        moves = tuple((i, i + 1) for i in range(1, n + 1))
-        built = self.counting(monkeypatch, engine)
-        alice, seen = self.recording_strategy()
-        engine.cover_after(alice)(moves)
-        assert len(built) == n
-        assert len(seen) == n + 1
-        built = self.counting(monkeypatch, helpers)
-        helpers.reference_cover_after(self.recording_strategy()[0])(moves)
-        assert len(built) == n * (n + 1) // 2
-
-    def test_a_child_history_reuses_its_parents_selections(self):
-        alice, seen = self.recording_strategy()
-        after = engine.cover_after(alice)
-        parent = ((2,), (1, 3))
-        parent_cover = after(parent)
-        for child in ((1,), (4, 2)):
-            after(parent + (child,))
-        parent_history, *children = seen[-3:]
-        assert [sel.indices for sel in parent_history] == list(parent)
-        for history, child in zip(children, ((1,), (4, 2))):
-            assert len(history) == len(parent_history) + 1
-            assert all(a is b for a, b in zip(history, parent_history))
-            assert history[-1].cover is parent_cover and history[-1].indices == child
-        assert after(parent) is parent_cover and len(seen) == 5  # kept, not asked again
-
-    def test_covers_match_the_reference(self):
-        after = engine.cover_after(self.recording_strategy()[0])
-        reference = helpers.reference_cover_after(self.recording_strategy()[0])
-        for depth in range(4):
-            for moves in itertools.product(((1,), (2,), (1, 3)), repeat=depth):
-                assert engine.cover_prefix(after(moves), 6) == engine.cover_prefix(reference(moves), 6), moves
+        # a tampered selection is a verdict before it reaches the strategy
+        for change in ((0,), (), (2, 2)):
+            innings = list(menger.transcript.innings)
+            innings[1] = dataclasses.replace(innings[1], selection=change)
+            verdict = check_legal(dataclasses.replace(menger.transcript, innings=tuple(innings)), alice)
+            assert (verdict.ok, verdict.failing_inning) == (False, 2), change

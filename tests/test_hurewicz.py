@@ -65,14 +65,10 @@ class TestNormalize:
         path = (3, 2, 4)
         # independent evaluation: replay the raw strategy over the back-map
         moves = tree.back_map(path)
-        history = ()
         union_members = []
-        from selectiongames.covers import FiniteSelection
-
-        for sel_indices in moves:
-            cover = alice.move(history)
+        for k, sel_indices in enumerate(moves):
+            cover = alice.move(moves[:k])
             union_members.extend(cover.sets(i) for i in sel_indices)
-            history = history + (FiniteSelection(cover, sel_indices),)
         chosen = tree.set_at(path)
         for i in range(15):
             p = N.point(i)

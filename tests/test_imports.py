@@ -45,9 +45,14 @@ def test_the_check_sees_the_package():
 
 
 def definitions(path: pathlib.Path):
-    """(name, first line, last line) of each module-level function and class,
-    and of each method; dunder methods are exempt."""
+    """(name, first line, last line) of each module-level function, class and
+    assigned name (type aliases and constants), and of each method; dunder
+    names are exempt."""
     for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node.lineno, node.end_lineno
         for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
             if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("__"):
                 yield d.name, d.lineno, d.end_lineno
@@ -96,7 +101,7 @@ def test_every_definition_is_named_outside_itself():
     unused = unused_definitions()
     assert sorted(set(unused) - set(UNUSED_KEPT)) == [], "used only in their own definitions"
     assert sorted(set(UNUSED_KEPT) - set(unused)) == [], "kept as unused, but now used: drop the entry"
-    assert "check_legal" in {name for name, _, _ in definitions(PACKAGE / "engine.py")}
+    assert {"check_legal", "Moves", "MENGER_GAME"} <= {name for name, _, _ in definitions(PACKAGE / "engine.py")}
 
 
 def test_the_guard_reads_identifiers_not_prose(tmp_path):
@@ -105,3 +110,9 @@ def test_the_guard_reads_identifiers_not_prose(tmp_path):
     assert sorted(ident for ident, _ in identifier_uses(prose)) == ["print", "subtree", "upper"]
     prose.write_text('"""A subtree, in words."""\n# subtree\nx = "subtree"\n')
     assert list(identifier_uses(prose)) == []
+
+
+def test_the_guard_sees_module_level_names(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('Alias = tuple[int, ...]\n_CAP: int = 12\n__all__ = []\n\n\ndef f():\n    return 1\n')
+    assert [name for name, _, _ in definitions(module)] == ["Alias", "_CAP", "f"]

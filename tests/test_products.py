@@ -1,7 +1,7 @@
 import pytest
 
 from selectiongames.corpus import named_strategies, seeded_strategy, segment_cover
-from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to, witness_of
+from selectiongames.covers import IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import check_legal
 from selectiongames.pairing import pair
 from selectiongames import products
@@ -12,9 +12,9 @@ from selectiongames.products import (
     project_selection,
 )
 from selectiongames.scenarios import transcript_records
-from selectiongames.spaces import CountableDiscrete, ProductSpace, member, whole
+from selectiongames.spaces import CountableDiscrete, ProductSpace, describe, member, whole
 
-from helpers import combine, reference_histories, reference_infinitely_often_play
+from helpers import combine, reference_infinitely_often_play
 
 N = CountableDiscrete()
 
@@ -66,43 +66,39 @@ class TestLiftedCover:
 class TestProjectSelection:
     def test_same_member_at_two_levels_deduplicates(self):
         prod = ProductSpace(N)
-        lifted = lifted_cover(prod, segment_cover(N))
-        sel = FiniteSelection(lifted, (pair(0, 2) + 1, pair(0, 6) + 1))  # member 1 at levels 3 and 7
-        assert project_selection(prod, sel) == (1,)
+        assert project_selection(prod, (pair(0, 2) + 1, pair(0, 6) + 1)) == (1,)  # member 1 at levels 3 and 7
 
     def test_two_members(self):
         prod = ProductSpace(N)
-        lifted = lifted_cover(prod, segment_cover(N))
-        sel = FiniteSelection(lifted, (pair(0, 0) + 1, pair(1, 1) + 1))
-        assert project_selection(prod, sel) == (1, 2)
+        assert project_selection(prod, (pair(0, 0) + 1, pair(1, 1) + 1)) == (1, 2)
 
     def test_round_trip_with_lift(self):
         prod = ProductSpace(N)
         lifted = lifted_cover(prod, segment_cover(N))
         base_indices = (2, 5)
         lifted_indices = tuple(pair(i - 1, level) + 1 for i in base_indices for level in (0, 3))
-        sel = FiniteSelection(lifted, lifted_indices)
-        assert project_selection(prod, sel) == base_indices
+        assert project_selection(prod, lifted_indices) == base_indices
+        assert tuple(sorted({lifted.provenance(j)[0] for j in lifted_indices})) == base_indices
 
 
 class TestLiftStrategy:
     def test_lifted_moves_follow_projected_history(self):
         alice = named_strategies(N)["shifted_seg"]
         prod, lifted = lift_strategy(alice)
-        root = lifted.move(())
-        sel = FiniteSelection(root, (pair(2, 1) + 1,))  # base member 3 at level 2
-        reply = lifted.move((sel,))
+        reply = lifted.move(((pair(2, 1) + 1,),))  # base member 3 at level 2
         # base strategy shifted by max projected index (3)
-        base_reply = alice.move((FiniteSelection(alice.move(()), (3,)),))
+        base_reply = alice.move(((3,),))
         target = combine(prod, N.point(0), 1)
         base_target = N.point(0)
         assert member(reply.sets(1), target) == member(base_reply.sets(1), base_target)
+        expected = lifted_cover(prod, base_reply)
+        assert [describe(reply.sets(j)) for j in range(1, 30)] == [describe(expected.sets(j)) for j in range(1, 30)]
 
 
-def reference_projection_key(product, history):
+def reference_projection_key(product, moves):
     """The projection key lift_strategy.move computed on every call before
     projections were kept per selection."""
-    projected = tuple(project_selection(product, sel) for sel in history)
+    projected = tuple(project_selection(product, indices) for indices in moves)
     return projected
 
 
@@ -110,30 +106,29 @@ class TestLiftStrategyMemo:
     def test_repeated_moves_return_one_cover_and_project_once(self, monkeypatch):
         calls = []
 
-        def counted(product, sel):
-            calls.append(sel.indices)
-            return project_selection(product, sel)
+        def counted(product, indices):
+            calls.append(indices)
+            return project_selection(product, indices)
 
         monkeypatch.setattr(products, "project_selection", counted)
         alice = named_strategies(N)["shifted_seg"]
         prod, lifted = lift_strategy(alice)
-        root = lifted.move(())
-        first = FiniteSelection(root, (pair(2, 1) + 1, pair(0, 4) + 1))  # members 3 and 1
+        first = (pair(2, 1) + 1, pair(0, 4) + 1)  # members 3 and 1
         reply = lifted.move((first,))
-        second = FiniteSelection(reply, (pair(1, 0) + 1,))  # member 2
-        history = (first, second)
-        cover = lifted.move(history)
+        second = (pair(1, 0) + 1,)  # member 2
+        moves = (first, second)
+        cover = lifted.move(moves)
         projected_calls = len(calls)
         assert projected_calls == 2  # one projection per distinct selection
         for _ in range(3):
-            assert lifted.move(history) is cover
+            assert lifted.move(moves) is cover
         assert len(calls) == projected_calls
-        # another lifted history with the same reference key gives the same cover
-        same = FiniteSelection(root, (pair(0, 0) + 1, pair(2, 5) + 1))
-        assert reference_projection_key(prod, (same, second)) == reference_projection_key(prod, history)
+        # another lifted move sequence with the same reference key gives the same cover
+        same = (pair(0, 0) + 1, pair(2, 5) + 1)
+        assert reference_projection_key(prod, (same, second)) == reference_projection_key(prod, moves)
         assert lifted.move((same, second)) is cover
         # and a different key a different one
-        other = FiniteSelection(root, (pair(3, 0) + 1,))
+        other = (pair(3, 0) + 1,)
         assert reference_projection_key(prod, (other,)) != reference_projection_key(prod, (first,))
         assert lifted.move((other,)) is not reply
 
@@ -170,14 +165,13 @@ NAMED = ("seg_tower", "shifted_seg", "singletons", "whole_head", "mixed_adversar
 
 class TestAgainstTheReferencePlay:
     """The play read off the resumable counterplay against the one that
-    emitted, and then discarded, a transcript of the lifted play and rebuilt
-    every history (`helpers.reference_infinitely_often_play`)."""
+    emitted, and then discarded, a transcript of the lifted play
+    (`helpers.reference_infinitely_often_play`)."""
 
     @pytest.mark.parametrize("innings", (20, 30))
     @pytest.mark.parametrize("name", NAMED)
     def test_records_and_report_match(self, name, innings):
-        with reference_histories():
-            want, want_report, lifted = reference_infinitely_often_play(named_strategies(N)[name], innings, horizon=5)
+        want, want_report, lifted = reference_infinitely_often_play(named_strategies(N)[name], innings, horizon=5)
         transcript, report, lifted_path = infinitely_often_play(named_strategies(N)[name], innings, horizon=5)
         assert transcript_records(transcript) == transcript_records(want)
         assert report == want_report

@@ -8,7 +8,7 @@ from selectiongames.engine import ROTHBERGER_GAME, Transcript, check_legal, eval
 from selectiongames.errors import BudgetError, CrossSpaceError, GameError, IntegrityError
 from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
-    bounds_from_history,
+    bounds_from_moves,
     distinct_intersections,
     joint_refinement_cover,
     menger_from_rothberger,
@@ -32,7 +32,7 @@ from selectiongames.spaces import (
 )
 from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript, strategy_from_tree
 
-from helpers import extensionally_equal, reference_histories, reference_infinitely_often_play
+from helpers import extensionally_equal, reference_infinitely_often_play
 
 N = CountableDiscrete()
 
@@ -185,15 +185,10 @@ class TestSelectOnePerFamily:
 
 class TestJointRefinement:
     def test_minimal_bound_from_selection(self):
-        tree = rothberger_tree_corpus(N)["seg_tower"]
-        root = tree.cover_at(())
-        sel = FiniteSelection(root, (1, 3))
-        assert bounds_from_history((sel,)) == (3,)
+        assert bounds_from_moves(((1, 3),)) == (3,)
 
     def test_singleton_selection_gives_bound_one(self):
-        tree = rothberger_tree_corpus(N)["seg_tower"]
-        sel = FiniteSelection(tree.cover_at(()), (1,))
-        assert bounds_from_history((sel,)) == (1,)
+        assert bounds_from_moves(((1,),)) == (1,)
 
     def test_refinement_members_are_subsets_of_factors(self):
         tree = rothberger_tree_corpus(N)["shifted_seg"]
@@ -232,8 +227,7 @@ class TestJointRefinement:
         derived = menger_from_rothberger(tree)
         root = derived.move(())
         assert describe(root.sets(2)) == describe(tree.cover_at(()).sets(2))
-        sel = FiniteSelection(root, (1, 2, 3))
-        reply = derived.move((sel,))
+        reply = derived.move(((1, 2, 3),))
         assert is_cover_up_to(reply, 10)
 
     def test_decreasing_the_bound_falsifies_refinement(self):
@@ -241,10 +235,12 @@ class TestJointRefinement:
         # the first m-1 members of a node cover
         tree = rothberger_tree_corpus(N)["seg_tower"]
         derived = menger_from_rothberger(tree)
-        root = derived.move(())
-        sel = FiniteSelection(root, (3,))
-        m = bounds_from_history((sel,))[0]
+        m = bounds_from_moves(((3,),))[0]
         assert m == 3  # the recorded factor index is 3, so bound 2 fails
+        reply = derived.move(((3,),))
+        assert [describe(reply.sets(n)) for n in (1, 2, 4)] == [
+            describe(joint_refinement_cover(tree, (m,)).sets(n)) for n in (1, 2, 4)
+        ]
 
 
 class TestJointWitness:
@@ -380,8 +376,7 @@ RESTARTING = ("shifted_seg", "mixed_adversarial", "seg_tower", "singletons")  # 
 class TestOnePlayPerCall:
     @pytest.mark.parametrize("name", RESTARTING)
     def test_matches_the_restarting_reference(self, name):
-        with reference_histories():
-            want = reference_rothberger_counterplay(rothberger_tree_corpus(N)[name], select_sone, innings=10)
+        want = reference_rothberger_counterplay(rothberger_tree_corpus(N)[name], select_sone, innings=10)
         got = rothberger_counterplay(rothberger_tree_corpus(N)[name], select_sone, innings=10)
         assert want.menger_transcript.truncated_at > 10  # the reference restarted
         assert transcript_records(got.transcript) == transcript_records(want.transcript)

@@ -73,17 +73,26 @@ class TestConfigErrors:
             ),
             (scenario_config(grid=[{"horizon": 4.7, "innings": 4}]), "horizon"),
             (scenario_config(grid=[{"horizon": True, "innings": 4}]), "horizon"),
+            (scenario_config(grid=[]), "grid"),
+            (scenario_config(grid=[{"horizon": 4, "innings": 0}]), "innings"),
+            (scenario_config(grid=[{"horizon": 4, "innings": -1}]), "innings"),
+            (scenario_config(construction="appendix", strategy="depth_shifted", grid=[{"innings": 4, "sample": 0}]), "sample"),
+            (scenario_config(grid=[{"horizon": 0, "innings": 4}]), "horizon"),
+            (scenario_config(construction="paw-cor", grid=[{"horizon": 3, "innings": 8, "multiplicity": 0}]), "multiplicity"),
+            (scenario_config(output=5), "output"),
         ],
         ids=[
             "cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object",
             "topology-without-the-whole-space", "points-not-an-integer", "inline-topology-without-the-empty-set",
-            "horizon-not-integral", "horizon-a-bool",
+            "horizon-not-integral", "horizon-a-bool", "grid-empty", "innings-zero", "innings-negative", "sample-zero",
+            "horizon-zero", "multiplicity-zero", "output-not-a-string",
         ],
     )
     def test_malformed_values_name_their_key(self, tmp_path, config, key):
         with pytest.raises(ConfigError) as exc:
             run_scenario(write_config(tmp_path, config), output_dir=str(tmp_path / "out"))
         assert exc.value.key == key
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "config, key",

@@ -240,7 +240,7 @@ class TestSolve:
                 minimal_winning_depth(two_point(), G1, 1, max_depth=max_depth)
 
     def test_selection_cap_below_one_is_a_value_error(self):
-        bob = lambda cover, inning, history: FiniteSelection(cover, (1,))
+        bob = lambda cover, inning: FiniteSelection(cover, (1,))
         for cap in (0, -1):
             with pytest.raises(ValueError, match="selection_cap must be at least 1"):
                 solve_finite_game(two_point(), GFIN, 2, cap)
@@ -325,12 +325,12 @@ class TestCrossCheck:
                 assert cross_check(bob, line, GFIN, selection_cap=cap), (name, opt)
 
     def test_index_one_strategy_refuted(self):
-        bob = lambda cover, inning, history: FiniteSelection(cover, (1,))
+        bob = lambda cover, inning: FiniteSelection(cover, (1,))
         verdict = cross_check(bob, two_point(), GFIN, selection_cap=2)
         assert not verdict
 
     def test_any_strategy_wins_on_one_point(self):
-        bob = lambda cover, inning, history: FiniteSelection(cover, (1,))
+        bob = lambda cover, inning: FiniteSelection(cover, (1,))
         assert cross_check(bob, bundled_instances()["one_point"], GFIN, selection_cap=1)
 
 
@@ -348,7 +348,7 @@ def reference_counterplay_bob_strategy(instance, option=0):
             m += 1
         return m
 
-    def move(cover, inning, history):
+    def move(cover, inning):
         path = ()
         for k in range(1, inning):
             path = path + (advance(path, k),)
@@ -374,8 +374,8 @@ def assert_same_moves(instance, option):
     for order in INNING_ORDERS:
         bob = counterplay_bob_strategy(instance, option)
         ref = reference_counterplay_bob_strategy(instance, option)
-        got = [bob(cover, k, ()).indices for k in order]
-        assert got == [ref(cover, k, ()).indices for k in order], (instance.name, order)
+        got = [bob(cover, k).indices for k in order]
+        assert got == [ref(cover, k).indices for k in order], (instance.name, order)
 
 
 class TestCounterplayBobStrategy:
@@ -403,7 +403,7 @@ class TestCounterplayBobStrategy:
         inst = stationary_instance(space, [[[0]]], name="gap")
         bob = counterplay_bob_strategy(inst)
         with pytest.raises(ValueError, match="does not cover point 1"):
-            bob(instance_cover(space, inst.options_at(())[0], "gap@0"), 1, ())
+            bob(instance_cover(space, inst.options_at(())[0], "gap@0"), 1)
 
 
 class TestInstanceValidation:
@@ -430,10 +430,9 @@ class TestDeterministicStrategy:
     def test_clamps_indices_beyond_cover_length(self):
         inst = two_point()
         alice = deterministic_strategy(inst)
-        root = alice.move(())
-        sel = FiniteSelection(root, (1, 5))  # 5 clamps to the last member
-        reply = alice.move((sel,))
-        assert reply is alice.move((sel,))
+        reply = alice.move(((1, 5),))  # 5 clamps to the last member
+        assert reply is alice.move(((1, 5),))
+        assert reply.label == "two_point_singletons@1"
 
     def test_missing_option_raises_a_value_error_naming_the_position(self):
         space = FiniteTopological.discrete(2)
@@ -445,9 +444,9 @@ class TestDeterministicStrategy:
             name="shrinking",
         )
         alice = deterministic_strategy(inst, 1)
-        root = alice.move(())
+        alice.move(())
         with pytest.raises(ValueError, match=r"shrinking has no option 1 after oracle history \(\(1, \(1,\)\),\): 1 offered"):
-            alice.move((FiniteSelection(root, (1,)),))
+            alice.move(((1,),))
         line = restrict_option(inst, 1)
         assert line.options_at(()) == (whole,)
         with pytest.raises(ValueError, match=r"shrinking has no option 1 after oracle history \(\(0, \(1,\)\),\): 1 offered"):
