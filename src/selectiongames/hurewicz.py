@@ -19,7 +19,11 @@ Three pieces live here:
    sets), and `tail_derived_cover` packages the intersections as an indexed
    cover with a constructive witness. Many specs reduce to the same node
    sets, so each level family keeps one expression per distinct
-   intersection, keyed by the node paths it intersects.
+   intersection, keyed by the node paths it intersects; the key is read in
+   one pass per level over the sorted excluded nodes. A tail cover's witness
+   walks a point's omitting nodes in sorted order and hands that list to the
+   member at the index it returns, so only an index no witness produced is
+   decoded back into nodes.
 
 3. `Counterplay` plays against the normalized tree, one inning at a time and
    resumably: at each inning it selects a member of the current cover that
@@ -33,9 +37,10 @@ Three pieces live here:
 Key computational fact used throughout: in a normalized tree the set at a
 child node contains the set at its parent, so the nodes at depth n whose sets
 omit a given point are exactly the descendants of omitting nodes, and their
-exclusion set can be generated level by level from per-node thresholds: a
-node cover's first hit for the point, less one, asked up to its verified
-witness (headed and increasing covers answer by rule, building no member).
+exclusion set can be generated level by level, in sorted order, from
+per-node thresholds: a node cover's first hit for the point, less one, asked
+up to its verified witness (headed and increasing covers answer by rule,
+building no member).
 The set's size grows like the product of the thresholds, which is exponential
 in the depth; the counterplay therefore reads a point's omitting children off
 its first hit, and excluded index sets are materialized only where tests
@@ -159,7 +164,7 @@ def level_family(tree: TreeStrategy, n: int) -> LevelFamily:
     return LevelFamily(tree=tree, level=n)
 
 
-def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
+def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec, nodes: list[Path] | None = None) -> OpenSet:
     """The intersection of the cofinite subfamily of a level family, as one
     flat finite intersection, shared by every spec that reduces to it.
 
@@ -174,10 +179,13 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     cover, is its named child, or child 1 when that is not excluded (at
     level 1, or for an empty spec, the spec's least surviving index).
 
-    The excluded nodes are sorted once. Nodes of one level have one length,
-    so a parent's children sit together in sorted order, and its least absent
-    child is read off the run that follows its child 1. The parents come out
-    sorted and distinct as the next level's nodes: no level sets or sorts.
+    The walk reads the excluded nodes in sorted order: `nodes`, when the
+    caller already holds them so (a witness's omitting nodes), else the
+    spec's indices decoded and sorted once. Nodes of one level have one
+    length, so a parent's children sit together in sorted order. One pass
+    per level reads each parent's least absent child off the run that
+    follows its child 1 and collects the parents, sorted and distinct, as
+    the next level's nodes.
 
     The walk yields node paths only; the key ``((m,), level-2 paths...,
     level-n paths...)`` names the base, then the parts of each level in
@@ -190,20 +198,31 @@ def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec) -> OpenSet:
     if fam.level == 1 or not spec.excluded:
         key: tuple[Path, ...] = ((spec.min_surviving(),),)
     else:
+        if nodes is None:
+            nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
+            nodes.sort()
         paths: list[Path] = []
-        nodes = sorted(decode_tuple(idx, fam.level) for idx in spec.excluded)
         for _ in range(fam.level):
             if not nodes:
                 break
             named: list[Path] = []
-            for i, node in enumerate(nodes):
-                if node[-1] == 1:
+            parents: list[Path] = []
+            expect = None  # the next child of the open run, the run's least absent child
+            for node in nodes:
+                if node == expect:
+                    m += 1
+                    expect = parent + (m,)
+                elif node[-1] == 1:
+                    if expect is not None:
+                        named.append(expect)
+                        parents.append(parent)
                     parent, m = node[:-1], 2
-                    while i + 1 < len(nodes) and nodes[i + 1] == parent + (m,):
-                        i, m = i + 1, m + 1
-                    named.append(parent + (m,))
+                    expect = parent + (2,)
+            if expect is not None:
+                named.append(expect)
+                parents.append(parent)
             paths[:0] = named  # lower levels go first
-            nodes = [path[:-1] for path in named]
+            nodes = parents
         key = tuple(paths) if nodes else ((1,), *paths)
     hit = fam._intersections.get(key)
     if hit is None:
@@ -222,6 +241,7 @@ class ExclusionOracle:
     nodes; per omitting node the omitting children form an initial segment of
     the child indices. Its length is the node cover's first hit for the point
     less one, asked up to the cover's verified witness: exact for any cover.
+    `materialize` leaves the node list it walked on the oracle as `nodes`.
     """
 
     def __init__(self, tree: TreeStrategy, level: int, point: Point):
@@ -242,7 +262,8 @@ class ExclusionOracle:
         return not member(self.tree.set_at(path), self.point)
 
     def excluded_nodes(self, node_limit: int = 500_000) -> Iterator[Path]:
-        """Enumerate every omitting node at this level (ancestors first).
+        """Enumerate every omitting node at this level, in sorted order:
+        each level's nodes are their parents' children in parent order.
 
         The count is the product of the per-node scan thresholds and grows
         exponentially with the level; `node_limit` guards materialization.
@@ -266,7 +287,10 @@ class ExclusionOracle:
         yield from frontier
 
     def materialize(self, node_limit: int = 500_000) -> CofiniteSpec:
-        return CofiniteSpec(frozenset(encode_tuple(p) for p in self.excluded_nodes(node_limit)))
+        """The omitting nodes as a spec of their indices; the sorted node
+        list stays on the oracle as `nodes`."""
+        self.nodes = list(self.excluded_nodes(node_limit))
+        return CofiniteSpec(frozenset(encode_tuple(p) for p in self.nodes))
 
 
 def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCover:
@@ -275,15 +299,26 @@ def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCo
     Members are indexed by the binary-subset bijection on excluded index
     sets; the witness for a point materializes its omitting-node structure
     (exact at this level) and returns the index of the spec excluding it.
+    The witness keeps its spec and sorted node list for the member at that
+    index, so that member is keyed from the nodes the witness walked; only
+    an index no witness produced is decoded. At most one handoff is
+    pending, and each witness replaces it.
     """
+    pending: dict[int, tuple[CofiniteSpec, list[Path]]] = {}
 
     def sets(j: int) -> OpenSet:
+        handoff = pending.pop(j, None)
+        if handoff is not None:
+            return cofinite_intersection(fam, *handoff)
         return cofinite_intersection(fam, CofiniteSpec(excluded_set_from_index(j)))
 
     def witness(p: Point) -> int:
+        pending.clear()
         oracle = ExclusionOracle(fam.tree, fam.level, p)
         spec = oracle.materialize(node_limit)
-        return excluded_set_index(spec.excluded)
+        j = excluded_set_index(spec.excluded)
+        pending[j] = (spec, oracle.nodes)
+        return j
 
     return IndexedCover(
         space=fam.tree.space,

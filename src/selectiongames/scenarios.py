@@ -290,7 +290,7 @@ def _play_rothberger(tree, space, cell):
 
 def _play_appendix(tree, space, cell):
     innings, sample_size = _positive(cell, "innings"), _positive(cell, "sample", 5)
-    need, node_budget = _positive(cell, "multiplicity", 2), _int(cell, "node_budget", 12)
+    need, node_budget = _positive(cell, "multiplicity", 2), _positive(cell, "node_budget", 12)
     result = counterplay_large(tree, space.points(sample_size), innings=innings, node_budget=node_budget)
     legal = check_legal(result.transcript, strategy_from_tree(tree))
     verdicts = [

@@ -26,7 +26,7 @@ from selectiongames.hurewicz import (
     protection_plan,
     tail_derived_cover,
 )
-from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index
+from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
 from selectiongames.solver import deterministic_strategy
 from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, member
 from selectiongames.trees import TreeStrategy, path_transcript
@@ -270,6 +270,80 @@ def reference_walk_key_by_sets(fam, spec):
     return key
 
 
+def reference_walk_key_by_runs(fam, spec):
+    """The key the level walk built before it read each level in one pass,
+    kept verbatim: the indices decoded through a sorted generator, each
+    level's runs read by `enumerate`, and the next level's nodes rebuilt by
+    slicing the named paths."""
+    if fam.level == 1 or not spec.excluded:
+        key = ((spec.min_surviving(),),)
+    else:
+        paths = []
+        nodes = sorted(decode_tuple(idx, fam.level) for idx in spec.excluded)
+        for _ in range(fam.level):
+            if not nodes:
+                break
+            named = []
+            for i, node in enumerate(nodes):
+                if node[-1] == 1:
+                    parent, m = node[:-1], 2
+                    while i + 1 < len(nodes) and nodes[i + 1] == parent + (m,):
+                        i, m = i + 1, m + 1
+                    named.append(parent + (m,))
+            paths[:0] = named  # lower levels go first
+            nodes = [path[:-1] for path in named]
+        key = tuple(paths) if nodes else ((1,), *paths)
+    return key
+
+
+def reference_cofinite_intersection_by_runs(fam, spec):
+    """`cofinite_intersection` as it was with the run walk above: the same
+    table and the same materialization order."""
+    key = reference_walk_key_by_runs(fam, spec)
+    hit = fam._intersections.get(key)
+    if hit is None:
+        # a stable sort by decreasing length is the walk's order, base last
+        sets = {path: fam.tree.set_at(path) for path in sorted(key, key=len, reverse=True)}
+        parts = tuple(sets[path] for path in key)
+        hit = fam._intersections[key] = parts[0] if len(parts) == 1 else FiniteIntersection(parts=parts)
+    return hit
+
+
+def same_expression(a, b):
+    """The same node sets in the same order: one node's set, or flat
+    intersections of identical parts."""
+    if isinstance(a, FiniteIntersection):
+        return type(b) is FiniteIntersection and len(a.parts) == len(b.parts) and all(
+            x is y for x, y in zip(a.parts, b.parts)
+        )
+    return a is b
+
+
+GRID_SPECS = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 26), k)]
+
+
+def walk_trees():
+    """seg_tower and shifted_seg on the countable model, and a bundled finite instance."""
+    inst = bundled_instances()["valley_game"]
+    named = [normalize_strategy(named_strategies(N)[name], N) for name in ("seg_tower", "shifted_seg")]
+    return named + [normalize_strategy(deterministic_strategy(inst), inst.space)]
+
+
+def test_one_pass_walk_matches_the_run_walk_on_the_grid():
+    """Every grid spec at levels 1-4: the same key, and the same expression
+    as the run walk builds in a family of its own."""
+    assert len(GRID_SPECS) == 2626
+    for tree in walk_trees():
+        for level in (1, 2, 3, 4):
+            fam, ref_fam = level_family(tree, level), level_family(tree, level)
+            for excluded in GRID_SPECS:
+                spec = CofiniteSpec(excluded)
+                got = cofinite_intersection(fam, spec)
+                assert fam._intersections[reference_walk_key_by_runs(fam, spec)] is got
+                assert same_expression(got, reference_cofinite_intersection_by_runs(ref_fam, spec))
+            assert set(fam._intersections) == set(ref_fam._intersections)
+
+
 def check_walk(fam, spec, by_key):
     """The walk's expression is describe-equal to the fresh walk's, is filed
     under the key of both reference walks, and is the one object of every
@@ -277,6 +351,7 @@ def check_walk(fam, spec, by_key):
     got = cofinite_intersection(fam, spec)
     key = reference_walk_key(fam, spec)
     assert reference_walk_key_by_sets(fam, spec) == key
+    assert reference_walk_key_by_runs(fam, spec) == key
     assert fam._intersections[key] is got
     assert by_key.setdefault(key, got) is got
     assert describe(got) == describe(reference_cofinite_intersection_fresh(fam, spec))
@@ -483,6 +558,76 @@ class TestTailDerivedCover:
             assert (idx in excluded) == omits
 
 
+def reference_tail_derived_cover(fam, node_limit=500_000):
+    """The tail cover before its witness handed its nodes on, kept verbatim:
+    every member decodes its index."""
+
+    def sets(j):
+        return cofinite_intersection(fam, CofiniteSpec(excluded_set_from_index(j)))
+
+    def witness(p):
+        oracle = ExclusionOracle(fam.tree, fam.level, p)
+        spec = oracle.materialize(node_limit)
+        return excluded_set_index(spec.excluded)
+
+    return IndexedCover(space=fam.tree.space, sets=sets, witness=witness, label=f"tail(level={fam.level})")
+
+
+def decoded_member(fam, j):
+    return cofinite_intersection(fam, CofiniteSpec(excluded_set_from_index(j)))
+
+
+def test_handed_off_members_are_the_decoded_members():
+    """At levels 1-3, the member at each witness index, keyed from the
+    witness's nodes, is the object the decode route files under that index,
+    and the decode route in a family of its own builds the same expression
+    at the same index."""
+    horizon = {1: 30, 2: 16, 3: 10}
+    for tree in walk_trees():
+        for level in (1, 2, 3):
+            fam, ref_fam = level_family(tree, level), level_family(tree, level)
+            cover, ref = tail_derived_cover(fam), reference_tail_derived_cover(ref_fam)
+            points = tree.space.all_points() if tree.space.is_finite else tree.space.points(horizon[level])
+            for p in points:
+                j = witness_of(cover, p)
+                assert cover.sets(j) is decoded_member(fam, j)
+                assert witness_of(ref, p) == j
+                assert same_expression(cover.sets(j), ref.sets(j))
+            assert set(fam._intersections) == set(ref_fam._intersections)
+
+
+def test_a_handoff_is_read_only_at_its_own_index():
+    """Two witnesses, then the first one's member: the pending nodes belong
+    to the second index, so the first member is decoded."""
+    fam = level_family(seg_tree(), 2)
+    cover = tail_derived_cover(fam)
+    j1, j2 = cover.witness(N.point(3)), cover.witness(N.point(6))
+    want1, want2 = decoded_member(level_family(fam.tree, 2), j1), decoded_member(level_family(fam.tree, 2), j2)
+    assert not same_expression(want1, want2)
+    got1 = cover.sets(j1)
+    assert got1 is decoded_member(fam, j1)
+    assert same_expression(got1, want1)
+    assert same_expression(cover.sets(j2), want2)
+    assert member(got1, N.point(3))
+
+
+def test_level_one_and_empty_handoffs_take_the_least_surviving_index(monkeypatch):
+    """A handed-off spec at level 1, or with nothing excluded, is keyed by
+    its least surviving index, as a decoded one is, not by a node walk."""
+    calls = []
+    least = CofiniteSpec.min_surviving
+    monkeypatch.setattr(CofiniteSpec, "min_surviving", lambda spec: calls.append(spec) or least(spec))
+    tree = seg_tree()
+    for level, p in [(1, N.point(0)), (1, N.point(7)), (2, N.point(0)), (3, N.point(0))]:
+        cover = tail_derived_cover(level_family(tree, level))
+        j = cover.witness(p)
+        if level > 1:
+            assert j == 1  # point 0 lies in every node set: nothing is excluded
+        calls.clear()
+        assert member(cover.sets(j), p)
+        assert calls == [CofiniteSpec(excluded_set_from_index(j))]
+
+
 class TestExclusionOracle:
     def test_matches_direct_membership(self):
         tree = seg_tree()
@@ -490,6 +635,18 @@ class TestExclusionOracle:
         for a in range(1, 7):
             for b in range(1, 7):
                 assert oracle.omits((a, b)) == (not member(tree.set_at((a, b)), N.point(4)))
+
+    def test_excluded_nodes_come_sorted(self):
+        for key in THRESHOLD_KEYS:
+            tree = normalized_pair(key)[0]
+            points = tree.space.all_points() if tree.space.is_finite else tree.space.points(8)
+            for level in (1, 2, 3):
+                for p in points:
+                    oracle = ExclusionOracle(tree, level, p)
+                    nodes = list(oracle.excluded_nodes())
+                    assert nodes == sorted(nodes)
+                    oracle.materialize()
+                    assert oracle.nodes == nodes
 
     def test_materialized_nodes_are_exactly_the_omitting_ones(self):
         tree = seg_tree()

@@ -77,6 +77,10 @@ class TestConfigErrors:
             (scenario_config(grid=[{"horizon": 4, "innings": 0}]), "innings"),
             (scenario_config(grid=[{"horizon": 4, "innings": -1}]), "innings"),
             (scenario_config(construction="appendix", strategy="depth_shifted", grid=[{"innings": 4, "sample": 0}]), "sample"),
+            (
+                scenario_config(construction="appendix", strategy="depth_shifted", grid=[{"innings": 4, "node_budget": 0}]),
+                "node_budget",
+            ),
             (scenario_config(grid=[{"horizon": 0, "innings": 4}]), "horizon"),
             (scenario_config(construction="paw-cor", grid=[{"horizon": 3, "innings": 8, "multiplicity": 0}]), "multiplicity"),
             (scenario_config(output=5), "output"),
@@ -85,6 +89,7 @@ class TestConfigErrors:
             "cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object",
             "topology-without-the-whole-space", "points-not-an-integer", "inline-topology-without-the-empty-set",
             "horizon-not-integral", "horizon-a-bool", "grid-empty", "innings-zero", "innings-negative", "sample-zero",
+            "node-budget-zero",
             "horizon-zero", "multiplicity-zero", "output-not-a-string",
         ],
     )
