@@ -34,6 +34,7 @@ from .errors import (
     GameError,
     IntegrityError,
     LegalityError,
+    PreconditionError,
     ResourceLimitError,
 )
 from .evasion import (
@@ -99,6 +100,6 @@ from .spaces import (
     singleton,
     whole,
 )
-from .trees import TreeStrategy, strategy_from_tree, subtree
+from .trees import TreeStrategy, strategy_from_tree
 
 __version__ = "0.1.0"

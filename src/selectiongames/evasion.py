@@ -6,12 +6,15 @@ chosen on the way to that node (largeness of the covers survives the removal
 of finitely many sets, and the stripped play can never re-select an earlier
 choice, so covering a point at k innings means k distinct sets).
 Nodes with the same original cover and the same removed sets share one
-stripped cover. `wedge_tree` then replaces each node's cover by the joint
-refinement of the node covers on the box below it
-(`rothberger.joint_refinement_cover`: member n intersects the n-th members
-of the distinct covers on the box); on increasing covers the wedged covers
-are increasing, refine the originals, and get finer as the node sequence
-grows coordinatewise.
+stripped cover, and a parent's stripped cover fixes, for each child index,
+the child's original index and removed sets: that transition is computed
+once per (stripped cover, child index), not once per node. `wedge_tree`
+then replaces each node's cover by the joint refinement of the node covers
+on the box below it (`rothberger.joint_refinement_cover`: member n
+intersects the n-th members of the distinct covers on the box); on
+increasing covers the wedged covers are increasing, refine the originals,
+and get finer as the node sequence grows coordinatewise. Two distinct
+covers on a box, one not flagged increasing, raise `PreconditionError`.
 
 For a point x, the greedy index trace follows the tree downward, always
 taking the least child index whose set contains x; a node-relative variant is
@@ -125,25 +128,37 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
     (and its member, witness and first-hit memos). Each node keeps its
     original path and an interned entry: the frozenset of the removed sets'
     descriptions, extended from its parent's by one, and the chosen sets of
-    the first node that reached it."""
+    the first node that reached it.
+
+    The parent's stripped cover fixes the source cover and the removed sets,
+    so a child's original index and entry are a function of (parent's
+    stripped cover, child index): each such step is computed once, on the
+    first node that takes it, and later nodes extend their parent's original
+    path by its index. A node still reads its own source cover."""
 
     Removed = tuple[frozenset, tuple[OpenSet, ...]]
-    state: dict[Path, tuple[Path, Removed]] = {(): ((), (frozenset(), ()))}
+    nodes: dict[Path, tuple[Path, Removed]] = {(): ((), (frozenset(), ()))}
+    steps: dict[tuple[IndexedCover, int], tuple[int, Removed]] = {}
     interned: dict[frozenset, Removed] = {}
     shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
     def resolve(path: Path) -> tuple[Path, Removed]:
-        hit = state.get(path)
+        hit = nodes.get(path)
         if hit is None:
-            parent_orig, (parent_removed, parent_chosen) = resolve(path[:-1])
-            stripped_parent = stripped.cover_at(path[:-1])
-            orig_path = parent_orig + (stripped_parent.provenance(path[-1])[0],)
-            chosen_set = tree.set_at(orig_path)
-            removed = parent_removed | {describe(chosen_set)}
-            entry = interned.get(removed)
-            if entry is None:
-                entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
-            hit = state[path] = (orig_path, entry)
+            parent, i = path[:-1], path[-1]
+            parent_orig, parent_entry = resolve(parent)
+            stripped_parent = stripped.cover_at(parent)
+            step = steps.get((stripped_parent, i))
+            if step is None:
+                parent_removed, parent_chosen = parent_entry
+                orig_i = stripped_parent.provenance(i)[0]
+                chosen_set = tree.set_at(parent_orig + (orig_i,))
+                removed = parent_removed | {describe(chosen_set)}
+                entry = interned.get(removed)
+                if entry is None:
+                    entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
+                step = steps[stripped_parent, i] = (orig_i, entry)
+            hit = nodes[path] = (parent_orig + (step[0],), step[1])
         return hit
 
     def cover_at(path: Path) -> IndexedCover:

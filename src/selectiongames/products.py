@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import count, islice
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .covers import FiniteSelection, IndexedCover
 from .engine import (
@@ -85,16 +85,18 @@ def project_selection(product: ProductSpace, indices: tuple[int, ...]) -> tuple[
     return tuple(sorted({unpair(j - 1)[0] + 1 for j in indices}))
 
 
-def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
-    """The strategy on the product space that mirrors a base strategy.
+def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy, Callable[[Moves], IndexedCover]]:
+    """The strategy on the product space that mirrors a base strategy, and
+    the base cover it lifted for each projected move sequence it answered.
 
     Each lifted reply is computed by projecting the opponent's lifted moves
-    to base moves and re-querying the base strategy. Projections are kept per
-    lifted index tuple, and lifted covers per projected move sequence, for as
-    long as the strategy lives.
+    to base moves and querying the base strategy once per projected move
+    sequence. Projections are kept per lifted index tuple, and base covers
+    with their lifts per projected move sequence, for as long as the
+    strategy lives.
     """
     product = ProductSpace(alice.space)
-    lifted_memo: dict[Moves, IndexedCover] = {}
+    answered: dict[Moves, tuple[IndexedCover, IndexedCover]] = {}  # projected moves -> (base cover, its lift)
     projections: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def move(moves: Moves) -> IndexedCover:
@@ -102,12 +104,14 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy]:
             if indices not in projections:
                 projections[indices] = project_selection(product, indices)
         projected = tuple(projections[indices] for indices in moves)
-        hit = lifted_memo.get(projected)
+        hit = answered.get(projected)
         if hit is None:
-            hit = lifted_memo[projected] = lifted_cover(product, alice.move(projected))
-        return hit
+            base = alice.move(projected)
+            hit = answered[projected] = (base, lifted_cover(product, base))
+        return hit[1]
 
-    return product, AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")
+    lifted = AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")
+    return product, lifted, lambda projected: answered[projected][0]
 
 
 def often_innings(alice: AliceStrategy) -> Iterator[tuple[FiniteSelection, dict[str, object]]]:
@@ -115,14 +119,15 @@ def often_innings(alice: AliceStrategy) -> Iterator[tuple[FiniteSelection, dict[
     asked for: per inning, the base selection and its audit (the lifted
     play's `Counterplay.audit` plus the lifted move). One `Counterplay` runs
     against the lifted strategy's normalized tree; each lifted move is read
-    off its path (`raw_move`) and projected to the base game.
+    off its path (`raw_move`) and projected to the base game. The base
+    cover is the one the lifted strategy lifted for that inning's node.
     """
-    product, lifted = lift_strategy(alice)
+    product, lifted, base_cover = lift_strategy(alice)
     play = Counterplay(normalize_strategy(lifted, product))
     base_moves: Moves = ()
     for n in count(1):
         lifted_move = raw_move(n - 1, play.extend(n)[n - 1])
-        sel = FiniteSelection(alice.move(base_moves), project_selection(product, lifted_move))
+        sel = FiniteSelection(base_cover(base_moves), project_selection(product, lifted_move))
         yield sel, {**play.audit(n), "lifted_selection": list(lifted_move)}
         base_moves += (sel.indices,)
 

@@ -21,6 +21,14 @@ bookkeeping, and the enumeration is a cover whenever the node covers are
 increasing (the witness is the max of the factor witnesses, rescanned a
 little for safety).
 
+Precondition: on every box the construction refines, either all nodes
+carry one cover or every distinct cover is flagged increasing. Otherwise
+the diagonal members may miss points (nodes (1,) and (2,) carrying
+({0}, {1}) and ({1}, {0}) on two points give members that contain
+nothing), so `joint_refinement_cover` raises :class:`PreconditionError`,
+naming the box's bound and the covers, before building any member or
+witness. The large-cover wedge (`evasion.wedge_tree`) shares it.
+
 `rothberger_counterplay` composes the pieces: play the infinitely-often
 counterplay against the derived strategy, pick one refinement member per
 inning, and read off the single-selection play whose n-th pick is the
@@ -36,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 from .covers import IndexedCover, witness_of
 from .engine import AliceStrategy, Moves, ROTHBERGER_GAME, Transcript
-from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError
+from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError, PreconditionError
 from .products import often_innings
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
 from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
@@ -326,8 +334,17 @@ def joint_refinement_cover(
     little otherwise, and runs once per point. The distinct covers are
     collected once, from the tree's `box_covers` hook when it has one, else
     by walking the box under `box_limit`.
+
+    Two or more distinct covers, one of them not flagged increasing, raise
+    :class:`PreconditionError` before any member or witness is built: the
+    diagonal need not cover then.
     """
     factors = distinct_covers_on_box(tree, bound, limit=box_limit)
+    if len(factors) > 1 and not all(c.increasing for c in factors):
+        labels = ", ".join(repr(c.label) + ("" if c.increasing else " (not increasing)") for c in factors)
+        raise PreconditionError(
+            f"the diagonal refinement below bound {bound} needs increasing covers; the box holds {labels}"
+        )
 
     def sets(n: int) -> OpenSet:
         if len(factors) == 1:

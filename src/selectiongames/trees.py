@@ -83,17 +83,6 @@ def path_transcript(
     return Transcript(game=game, innings=records, label=label)
 
 
-def subtree(tree: TreeStrategy, start: Path, label: str = "") -> TreeStrategy:
-    """Restrict play to the part of the tree below a designated node."""
-
-    return TreeStrategy(
-        space=tree.space,
-        cover_at_raw=lambda path: tree.cover_at(start + path),
-        back_map=None if tree.back_map is None else (lambda path: tree.back_map(start + path)),
-        label=label or f"{tree.label}@{start}",
-    )
-
-
 def box_paths(bound: Path, limit: int) -> Iterable[Path]:
     """All node sequences coordinatewise between the all-ones sequence and
     `bound`, in lexicographic order. Raises when the box exceeds `limit`."""

@@ -1,8 +1,8 @@
 """Independent checkers and reference constructions that only the tests use:
 point-by-point checks of sets and selections, the inverse of
-`ProductSpace.split`, the canonical finite-selection witness, the empty
-open set, and the infinitely-often play that the resumable counterplay
-replaced."""
+`ProductSpace.split`, play restricted below a tree node, the canonical
+finite-selection witness, the empty open set, and the infinitely-often play
+that the resumable counterplay replaced."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from selectiongames.pairing import pair
 from selectiongames.products import lift_strategy, project_selection
 from selectiongames.selectors import CoverSeq
 from selectiongames.spaces import OpenSet, Point, ProductSpace, SpaceModel, describe, member
+from selectiongames.trees import Path, TreeStrategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +89,17 @@ def combine(product: ProductSpace, base_point: Point, level: int) -> Point:
     return product.point(pair(base_point.id, level - 1))
 
 
+def subtree(tree: TreeStrategy, start: Path, label: str = "") -> TreeStrategy:
+    """Restrict play to the part of the tree below a designated node."""
+
+    return TreeStrategy(
+        space=tree.space,
+        cover_at_raw=lambda path: tree.cover_at(start + path),
+        back_map=None if tree.back_map is None else (lambda path: tree.back_map(start + path)),
+        label=label or f"{tree.label}@{start}",
+    )
+
+
 def _clamped_count(space: SpaceModel, n: int) -> int:
     return min(n, space.size) if space.size is not None else n
 
@@ -132,7 +144,7 @@ def reference_infinitely_often_play(
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    product, lifted = lift_strategy(alice)
+    product, lifted, _ = lift_strategy(alice)
     tree = normalize_strategy(lifted, product)
     result = bob_counterplay_menger(tree, raw=lifted, innings=innings)
 

@@ -8,7 +8,7 @@ import pytest
 from selectiongames import engine, evasion
 from selectiongames.corpus import appendix_tree_corpus, segment_cover, strategy_corpus
 from selectiongames.covers import IndexedCover, is_cover_up_to, witness_of
-from selectiongames.engine import check_legal, evaluate_win
+from selectiongames.engine import Moves, check_legal, evaluate_win
 from selectiongames.errors import BudgetError, CrossSpaceError, ResourceLimitError
 from selectiongames.evasion import (
     BaireFunction,
@@ -30,9 +30,9 @@ from selectiongames.spaces import (
     initial_segment,
     member,
 )
-from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree, subtree
+from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree
 
-from helpers import extensionally_equal, is_large_up_to
+from helpers import extensionally_equal, is_large_up_to, subtree
 
 N = CountableDiscrete()
 
@@ -228,6 +228,109 @@ def reference_shared_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
         label=f"stripped({tree.label})",
     )
     return stripped
+
+
+# ---------------------------------------------------------------------------
+# The stripped tree before a child became a transition from its parent: each
+# node reads its original index through its parent's stripped cover, its set
+# through the source tree, and extends and interns its parent's frozenset of
+# removed descriptions. Kept verbatim as the reference.
+
+
+def reference_interned_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
+    """Remove, from each node's cover, the sets chosen on the way to that
+    node. Node sequences of the result are indices into the stripped covers;
+    `back_map` translates them to original single-index selections.
+
+    A stripped cover depends only on the original cover and on the removed
+    sets' descriptions, so nodes that agree on both share one cover object
+    (and its member, witness and first-hit memos). Each node keeps its
+    original path and an interned entry: the frozenset of the removed sets'
+    descriptions, extended from its parent's by one, and the chosen sets of
+    the first node that reached it."""
+
+    Removed = tuple[frozenset, tuple[OpenSet, ...]]
+    state: dict[Path, tuple[Path, Removed]] = {(): ((), (frozenset(), ()))}
+    interned: dict[frozenset, Removed] = {}
+    shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
+
+    def resolve(path: Path) -> tuple[Path, Removed]:
+        hit = state.get(path)
+        if hit is None:
+            parent_orig, (parent_removed, parent_chosen) = resolve(path[:-1])
+            stripped_parent = stripped.cover_at(path[:-1])
+            orig_path = parent_orig + (stripped_parent.provenance(path[-1])[0],)
+            chosen_set = tree.set_at(orig_path)
+            removed = parent_removed | {describe(chosen_set)}
+            entry = interned.get(removed)
+            if entry is None:
+                entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
+            hit = state[path] = (orig_path, entry)
+        return hit
+
+    def cover_at(path: Path) -> IndexedCover:
+        orig_path, (removed, chosen) = resolve(path)
+        cover = tree.cover_at(orig_path)
+        hit = shared.get((cover, removed))
+        if hit is None:
+            hit = shared[(cover, removed)] = strip_history(cover, chosen)
+        return hit
+
+    def back_map(path: Path) -> Moves:
+        orig_path, _ = resolve(path)
+        return tuple((i,) for i in orig_path)
+
+    stripped = TreeStrategy(
+        space=tree.space,
+        cover_at_raw=cover_at,
+        back_map=back_map,
+        label=f"stripped({tree.label})",
+    )
+    return stripped
+
+
+TRANSITION_BOXES = [(30,), (30, 30), (10, 10, 10), (5, 5, 5, 5)]  # one box per depth, each within 2,000 nodes
+
+
+def _every_corpus_tree():
+    """The named appendix trees and the seeded ones of seeds 0-3."""
+    for seed in range(4):
+        for name, tree in appendix_tree_corpus(N, n_random=2, seed=seed).items():
+            if seed == 0 or name.startswith("seeded"):
+                yield name, tree
+
+
+def _stripped_walk(stripped: TreeStrategy) -> list[tuple]:
+    """Per node of each transition box, in box order: the first node whose
+    stripped cover is this node's (its sharing class), the back-map, and for
+    a class's first node the descriptions of members 1-5; or the library
+    error the node raised, with its message."""
+    first: dict[int, Path] = {}
+    walk: list[tuple] = []
+    for bound in TRANSITION_BOXES:
+        for node in box_paths(bound, 2_000):
+            try:
+                cover = stripped.cover_at(node)
+                row = [node, first.setdefault(id(cover), node), stripped.back_map(node)]
+                if row[1] == node:
+                    row.append(tuple(describe(cover.sets(j)) for j in range(1, 6)))
+            except (BudgetError, ResourceLimitError) as exc:
+                row = [node, type(exc), str(exc)]
+            walk.append(tuple(row))
+    return walk
+
+
+def test_stripped_children_are_transitions_of_the_reference_walk():
+    """The transition table gives every node of the boxes the reference's
+    sharing class, back-map and members, and raises where it raises."""
+    failing = set()
+    for name, tree in _every_corpus_tree():
+        got = _stripped_walk(strip_chosen_tree(tree))
+        # the reference walks a fresh copy of the tree, so no source memo is shared
+        fresh = dict(_every_corpus_tree())[name]
+        assert got == _stripped_walk(reference_interned_strip_chosen_tree(fresh)), name
+        failing.update(name for row in got if row[1] is BudgetError)
+    assert failing == {"whole_tree"}
 
 
 BOX = 200  # largest node box the comparisons walk

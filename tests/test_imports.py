@@ -59,9 +59,7 @@ def definitions(path: pathlib.Path):
 
 
 # Definitions kept although nothing outside the tests uses them, with the reason.
-UNUSED_KEPT = {
-    "trees.subtree": "public tree-strategy API: play restricted below a designated node (ROADMAP item 4)",
-}
+UNUSED_KEPT: dict[str, str] = {}
 
 
 def identifier_uses(path: pathlib.Path):

@@ -2,7 +2,7 @@ import pytest
 
 from selectiongames.corpus import named_strategies, seeded_strategy, segment_cover
 from selectiongames.covers import IndexedCover, is_cover_up_to, witness_of
-from selectiongames.engine import check_legal
+from selectiongames.engine import AliceStrategy, check_legal
 from selectiongames.pairing import pair
 from selectiongames import products
 from selectiongames.products import (
@@ -84,7 +84,7 @@ class TestProjectSelection:
 class TestLiftStrategy:
     def test_lifted_moves_follow_projected_history(self):
         alice = named_strategies(N)["shifted_seg"]
-        prod, lifted = lift_strategy(alice)
+        prod, lifted, _ = lift_strategy(alice)
         reply = lifted.move(((pair(2, 1) + 1,),))  # base member 3 at level 2
         # base strategy shifted by max projected index (3)
         base_reply = alice.move(((3,),))
@@ -112,7 +112,7 @@ class TestLiftStrategyMemo:
 
         monkeypatch.setattr(products, "project_selection", counted)
         alice = named_strategies(N)["shifted_seg"]
-        prod, lifted = lift_strategy(alice)
+        prod, lifted, _ = lift_strategy(alice)
         first = (pair(2, 1) + 1, pair(0, 4) + 1)  # members 3 and 1
         reply = lifted.move((first,))
         second = (pair(1, 0) + 1,)  # member 2
@@ -152,6 +152,17 @@ class TestInfinitelyOften:
         _, r2, _ = infinitely_often_play(alice, innings=24, horizon=4)
         for pid in r1.covering_innings:
             assert len(r2.covering_innings[pid]) >= len(r1.covering_innings[pid])
+
+    def test_the_base_strategy_is_asked_once_per_move_sequence(self):
+        """The play reads each inning's base cover from the lift that the
+        lifted strategy built, so a base strategy building its cover on every
+        call builds each one once."""
+        alice = named_strategies(N)["mixed_adversarial"]
+        asked: list = []
+        wrapped = AliceStrategy(space=N, move=lambda moves: asked.append(moves) or alice.move(moves), name=alice.name)
+        transcript, _, _ = infinitely_often_play(wrapped, innings=30, horizon=5)
+        assert len(asked) == len(set(asked)) == 30
+        assert check_legal(transcript, alice)
 
     def test_projected_transcript_is_legal(self):
         for name in ("seg_tower", "singletons", "mixed_adversarial"):

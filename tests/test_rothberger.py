@@ -2,10 +2,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from selectiongames import hurewicz
+from selectiongames import evasion, hurewicz
 from selectiongames.corpus import appendix_tree_corpus, rothberger_tree_corpus
 from selectiongames.engine import ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, replay
-from selectiongames.errors import BudgetError, CrossSpaceError, GameError, IntegrityError
+from selectiongames.errors import BudgetError, CrossSpaceError, GameError, IntegrityError, PreconditionError
 from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
     bounds_from_moves,
@@ -19,9 +19,11 @@ from selectiongames.covers import FiniteSelection, IndexedCover, is_cover_up_to,
 from selectiongames.hurewicz import secure_child
 from selectiongames.scenarios import transcript_records
 from selectiongames.selectors import select_sone
+from selectiongames.solver import instance_cover
 from selectiongames.spaces import (
     CountableDiscrete,
     FiniteIntersection,
+    FiniteTopological,
     OpenSet,
     Point,
     describe,
@@ -81,15 +83,18 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _two_cover_tree() -> TreeStrategy:
+def _two_cover_tree(increasing: bool = False) -> TreeStrategy:
     """Nodes (1,) and (2,) carry covers that contain point 0 only at member 1
-    and only at member 2, so no joint member contains it."""
+    and only at member 2, so no joint member contains it. `increasing` flags
+    both covers increasing (falsely), which passes the refinement's
+    precondition check."""
 
     def cover(at: int) -> IndexedCover:
         return IndexedCover(
             space=N,
             sets=lambda j: singleton(N, 0 if j == at else 100 + j),
             witness=lambda p: at,
+            increasing=increasing,
             label=f"only{at}",
         )
 
@@ -271,10 +276,54 @@ class TestJointWitness:
             cover.witness(CountableDiscrete("M").point(3))
 
     def test_a_scan_that_raises_stores_nothing(self):
-        cover = joint_refinement_cover(_two_cover_tree(), (2,), rescan=3)
+        cover = joint_refinement_cover(_two_cover_tree(increasing=True), (2,), rescan=3)
         for _ in range(2):
             with pytest.raises(IntegrityError, match="within 3 of the factor witnesses"):
                 cover.witness(N.point(0))
+
+
+def _two_point_tree(reads: list) -> TreeStrategy:
+    """The 2-point discrete space: the root and every node ending in 1 carry
+    ({0}, {1}), every node ending in 2 carries ({1}, {0}); neither cover is
+    increasing. Member reads are appended to `reads`."""
+    space = FiniteTopological.discrete(2)
+
+    def cover(first: int, label: str) -> IndexedCover:
+        source = instance_cover(space, (frozenset({first}), frozenset({1 - first})), label)
+        return IndexedCover(
+            space=space,
+            sets=lambda j: reads.append((label, j)) or source.sets(j),
+            witness=source.witness,
+            label=label,
+        )
+
+    a, b = cover(0, "a"), cover(1, "b")
+    return TreeStrategy(space=space, cover_at_raw=lambda path: b if path[-1:] == (2,) else a, label="two_point")
+
+
+class TestRefinementPrecondition:
+    """The diagonal refinement needs one cover per box or increasing covers;
+    otherwise it fails, naming the box and the covers, before any search."""
+
+    def test_two_covers_not_increasing_raise_before_any_member(self):
+        reads: list = []
+        tree = _two_point_tree(reads)
+        with pytest.raises(PreconditionError, match=r"bound \(2,\).*'a' \(not increasing\), 'b' \(not increasing\)"):
+            joint_refinement_cover(tree, (2,))
+        with pytest.raises(PreconditionError, match=r"bound \(2,\)"):
+            evasion.wedge_tree(tree).cover_at((2,))
+        assert reads == []
+
+    def test_the_play_raises_at_the_first_mixed_box(self):
+        with pytest.raises(PreconditionError, match=r"bound \(1, 2\)"):
+            rothberger_counterplay(_two_point_tree([]), select_sone, innings=4, horizon=2)
+
+    def test_one_cover_or_increasing_covers_pass(self):
+        tree = _two_point_tree([])
+        for bound in [(), (1,), (1, 1), (2, 1)]:
+            assert len(distinct_covers_on_box(tree, bound)) == 1
+            assert joint_refinement_cover(tree, bound).sets(1) is tree.cover_at(()).sets(1)
+        assert joint_refinement_cover(_two_cover_tree(increasing=True), (2,)).increasing
 
 
 class TestRothbergerCounterplay:
