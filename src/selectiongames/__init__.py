@@ -36,6 +36,7 @@ from .errors import (
     LegalityError,
     PreconditionError,
     ResourceLimitError,
+    StripExhaustedError,
 )
 from .evasion import (
     BaireFunction,

@@ -128,11 +128,13 @@ def path_keyed_tree(
     space: SpaceModel,
     name: str,
     key_of: Callable[[Path], object],
+    child_key: Callable[[object, int], object],
     keys_on_box: Callable[[Path], Sequence[object]],
     cover_of_key: Callable[[object], IndexedCover],
 ) -> TreeStrategy:
     """A tree whose node cover depends on the node only through a small key.
 
+    `child_key(key_of(path), i)` must equal `key_of(path + (i,))` (the tree's `keys`).
     `keys_on_box(bound)` must list exactly the keys attained on the box of
     nodes coordinatewise below `bound`; the box hook then answers joint
     refinements without enumerating the box.
@@ -159,6 +161,7 @@ def path_keyed_tree(
         space=space,
         cover_at_raw=lambda path: cover_for(key_of(path)),
         box_covers=box_covers,
+        keys=(key_of(()), child_key, cover_for),
         label=name,
     )
 
@@ -169,12 +172,12 @@ _last = itemgetter(-1)  # a capped tree's aggregate: the node's last entry
 
 def const_tree(space: SpaceModel, name: str, cover: Callable[[], IndexedCover]) -> TreeStrategy:
     """A tree with one cover at every node."""
-    return path_keyed_tree(space, name, lambda path: None, lambda bound: [None], lambda key: cover())
+    return path_keyed_tree(space, name, lambda path: None, lambda key, i: None, lambda bound: [None], lambda key: cover())
 
 
 def depth_tree(space: SpaceModel, name: str, cover_of_depth: Callable[[int], IndexedCover]) -> TreeStrategy:
     """A tree whose node cover depends only on the node's depth."""
-    return path_keyed_tree(space, name, len, lambda bound: [len(bound)], cover_of_depth)
+    return path_keyed_tree(space, name, len, lambda key, i: key + 1, lambda bound: [len(bound)], cover_of_depth)
 
 
 def capped_tree(
@@ -195,7 +198,7 @@ def capped_tree(
             return [0]
         return list(range(1, min(aggregate(bound), _CAP) + 1))
 
-    return path_keyed_tree(space, name, key_of, keys_on_box, cover_of_key)
+    return path_keyed_tree(space, name, key_of, lambda k, i: min(aggregate((k, i)), _CAP), keys_on_box, cover_of_key)
 
 
 def rothberger_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) -> dict[str, TreeStrategy]:

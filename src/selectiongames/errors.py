@@ -28,6 +28,10 @@ class BudgetError(GameError):
     """A bounded scan or enumeration ran out of budget; raise the budget to retry."""
 
 
+class StripExhaustedError(BudgetError):
+    """Removing chosen sets left no member of a cover within the scan budget."""
+
+
 class PreconditionError(GameError):
     """A construction's input fails a hypothesis it needs; raised before any search."""
 

@@ -33,11 +33,11 @@ actually consumes; they are known recursively when g(n) is computed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .covers import IndexedCover, witness_of
 from .engine import GameKind, Moves, MultiplicityReport, Transcript, covering_innings
-from .errors import BudgetError
+from .errors import BudgetError, StripExhaustedError
 from .pairing import finseq_from_index
 from .rothberger import joint_refinement_cover, witness_once
 from .spaces import OpenSet, Point, describe, member
@@ -74,8 +74,8 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
 
     The witness is repaired by scanning forward from the old witness, once
     per point; a large cover guarantees the scan succeeds, and running past
-    the budget raises :class:`BudgetError`. Provenance maps each new index to
-    the original one.
+    the budget raises :class:`BudgetError`, and no surviving member within
+    it :class:`StripExhaustedError`. Provenance maps new to original indices.
     """
     gone = {describe(s) for s in chosen}
     surviving: list[int] = []  # original indices, in order
@@ -88,7 +88,7 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
                 while nxt < limit and describe(cover.sets(nxt)) in gone:
                     nxt += 1
                 if nxt >= limit:
-                    raise BudgetError(
+                    raise StripExhaustedError(
                         f"no member of cover {cover.label!r} survives within {scan_budget} of index {start}"
                     )
             surviving.append(nxt)
@@ -125,53 +125,55 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
 
     A stripped cover depends only on the original cover and on the removed
     sets' descriptions, so nodes that agree on both share one cover object
-    (and its member, witness and first-hit memos). Each node keeps its
-    original path and an interned entry: the frozenset of the removed sets'
+    (and its member, witness and first-hit memos). Each node keeps its source
+    key and an interned entry: the frozenset of the removed sets'
     descriptions, extended from its parent's by one, and the chosen sets of
     the first node that reached it.
 
     The parent's stripped cover fixes the source cover and the removed sets,
     so a child's original index and entry are a function of (parent's
     stripped cover, child index): each such step is computed once, on the
-    first node that takes it, and later nodes extend their parent's original
-    path by its index. A node still reads its own source cover."""
+    first node that takes it. A child steps to the tree's child key of (its
+    parent's key, its original index) and reads the source cover of its key,
+    so a tree with `keys` is never read at a node path (a tree without them
+    is keyed by its paths); `back_map` reads the stripped provenance."""
 
+    root_key, child_key, source_cover = tree.keys or ((), lambda path, i: path + (i,), tree.cover_at)
     Removed = tuple[frozenset, tuple[OpenSet, ...]]
-    nodes: dict[Path, tuple[Path, Removed]] = {(): ((), (frozenset(), ()))}
+    nodes: dict[Path, tuple[Hashable, Removed]] = {(): (root_key, (frozenset(), ()))}
     steps: dict[tuple[IndexedCover, int], tuple[int, Removed]] = {}
     interned: dict[frozenset, Removed] = {}
     shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
-    def resolve(path: Path) -> tuple[Path, Removed]:
+    def resolve(path: Path) -> tuple[Hashable, Removed]:
         hit = nodes.get(path)
         if hit is None:
             parent, i = path[:-1], path[-1]
-            parent_orig, parent_entry = resolve(parent)
+            parent_key, parent_entry = resolve(parent)
             stripped_parent = stripped.cover_at(parent)
             step = steps.get((stripped_parent, i))
             if step is None:
                 parent_removed, parent_chosen = parent_entry
                 orig_i = stripped_parent.provenance(i)[0]
-                chosen_set = tree.set_at(parent_orig + (orig_i,))
+                chosen_set = source_cover(parent_key).sets(orig_i)
                 removed = parent_removed | {describe(chosen_set)}
                 entry = interned.get(removed)
                 if entry is None:
                     entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
                 step = steps[stripped_parent, i] = (orig_i, entry)
-            hit = nodes[path] = (parent_orig + (step[0],), step[1])
+            hit = nodes[path] = (child_key(parent_key, step[0]), step[1])
         return hit
 
     def cover_at(path: Path) -> IndexedCover:
-        orig_path, (removed, chosen) = resolve(path)
-        cover = tree.cover_at(orig_path)
+        key, (removed, chosen) = resolve(path)
+        cover = source_cover(key)
         hit = shared.get((cover, removed))
         if hit is None:
             hit = shared[(cover, removed)] = strip_history(cover, chosen)
         return hit
 
     def back_map(path: Path) -> Moves:
-        orig_path, _ = resolve(path)
-        return tuple((i,) for i in orig_path)
+        return tuple((stripped.cover_at(path[:k]).provenance(i)[0],) for k, i in enumerate(path))
 
     stripped = TreeStrategy(
         space=tree.space,
@@ -215,15 +217,18 @@ def greedy_index_function(
     """The greedy index trace of a point through a tree: entry n is the least
     child index whose set contains the point, after the path fixed by the
     prefix (whose entries are returned verbatim for arguments up to its
-    length)."""
+    length). A budget error names the node it ran out at."""
 
     entries: list[int] = list(prefix)
 
     def eval_raw(n: int) -> int:
         while len(entries) < n:
             at = tuple(entries)
-            cover = tree.cover_at(at)
-            bound = min(witness_of(cover, point), scan_budget)
+            try:
+                cover = tree.cover_at(at)
+                bound = min(witness_of(cover, point), scan_budget)
+            except BudgetError as exc:
+                raise type(exc)(f"{exc} at node {at}") from exc
             pick = cover.first_hit(point, bound)
             if pick > bound:
                 raise BudgetError(f"no covering child within {scan_budget} at node {at}")
@@ -312,9 +317,9 @@ def counterplay_large(
 
     When stripping empties a node cover — the tree offers a finite subcover,
     so the removal budget runs out on structurally identical members — the
-    play short-circuits to the unstripped tree: the second player is
-    winning trivially there, and the report's `stripped_play` flag records
-    that the distinctness guarantee was not in force.
+    play short-circuits to the unstripped tree, where the second player wins
+    trivially; the report's `stripped_play` flag records that distinctness
+    was not guaranteed. Other budget errors propagate.
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
@@ -328,7 +333,7 @@ def counterplay_large(
         stripped = strip_chosen_tree(tree)
         path = evasion_path(stripped)
         orig_path = tuple(m[0] for m in stripped.back_map(path))
-    except BudgetError:
+    except StripExhaustedError:
         stripped_play = False
         path = orig_path = evasion_path(tree)
 

@@ -331,7 +331,9 @@ def joint_refinement_cover(
     Every member refines each node cover by construction and records factor
     index n at every node. The witness starts at the max of the factor
     witnesses (exact when all factors are increasing), rescans forward a
-    little otherwise, and runs once per point. The distinct covers are
+    little otherwise, and runs once per point. It tests candidate n on the
+    refinement's own memoized member n, whose membership memo `witness_of`
+    then reads instead of testing every factor again. The distinct covers are
     collected once, from the tree's `box_covers` hook when it has one, else
     by walking the box under `box_limit`.
 
@@ -354,19 +356,20 @@ def joint_refinement_cover(
     def witness(p: Point) -> int:
         start = max(witness_of(c, p) for c in factors)
         for n in range(start, start + rescan + 1):
-            if all(member(c.sets(n), p) for c in factors):
+            if member(joint.sets(n), p):
                 return n
         raise IntegrityError(
             f"no joint member within {rescan} of the factor witnesses contains {p!r}"
         )
 
-    return IndexedCover(
+    joint = IndexedCover(
         space=tree.space,
         sets=sets,
         witness=witness_once(tree.space, witness),
         increasing=all(c.increasing for c in factors),
         label=f"refine{bound}",
     )
+    return joint
 
 
 def bounds_from_moves(moves: Sequence[tuple[int, ...]]) -> Path:

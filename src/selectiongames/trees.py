@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .covers import IndexedCover
 from .engine import AliceStrategy, GameKind, Moves, Transcript, make_inning
@@ -37,12 +37,14 @@ class TreeStrategy:
     indices in `path`; the set at a nonempty node is its parent's member at
     the node's last index. back_map, when present, translates a tree path to
     the per-inning selections of the strategy this tree was derived from.
+    keys, when present, is (root key, child key of (key, i), cover of a key).
     """
 
     space: SpaceModel
     cover_at_raw: Callable[[Path], IndexedCover]
     back_map: Callable[[Path], Moves] | None = None
     box_covers: Callable[[Path], tuple[IndexedCover, ...]] | None = None
+    keys: tuple[Hashable, Callable[[Any, int], Hashable], Callable[[Any], IndexedCover]] | None = None
     label: str = ""
     _cover_memo: dict[Path, IndexedCover] = field(default_factory=dict, repr=False)
 

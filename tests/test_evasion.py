@@ -6,10 +6,18 @@ from typing import Sequence
 import pytest
 
 from selectiongames import engine, evasion
-from selectiongames.corpus import appendix_tree_corpus, segment_cover, strategy_corpus
+from selectiongames.corpus import (
+    appendix_tree_corpus,
+    capped_tree,
+    const_tree,
+    depth_tree,
+    rothberger_tree_corpus,
+    segment_cover,
+    strategy_corpus,
+)
 from selectiongames.covers import IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import Moves, check_legal, evaluate_win
-from selectiongames.errors import BudgetError, CrossSpaceError, ResourceLimitError
+from selectiongames.errors import BudgetError, CrossSpaceError, ResourceLimitError, StripExhaustedError
 from selectiongames.evasion import (
     BaireFunction,
     counterplay_large,
@@ -29,6 +37,7 @@ from selectiongames.spaces import (
     describe,
     initial_segment,
     member,
+    singleton,
 )
 from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree
 
@@ -329,8 +338,61 @@ def test_stripped_children_are_transitions_of_the_reference_walk():
         # the reference walks a fresh copy of the tree, so no source memo is shared
         fresh = dict(_every_corpus_tree())[name]
         assert got == _stripped_walk(reference_interned_strip_chosen_tree(fresh)), name
-        failing.update(name for row in got if row[1] is BudgetError)
+        failing.update(name for row in got if row[1] is StripExhaustedError)
     assert failing == {"whole_tree"}
+
+
+def _key_shapes() -> dict[str, TreeStrategy]:
+    """One tree per corpus key shape whose cover at a key is the key itself,
+    so `cover_at(path)` reads the shape's `key_of(path)`."""
+
+    def reveal(key: object) -> tuple:
+        return ("key", key)
+
+    return {
+        "const": const_tree(N, "const", lambda: reveal(None)),
+        "depth": depth_tree(N, "depth", reveal),
+        "capped last": capped_tree(N, "capped last", lambda path: path[-1], reveal),
+        "capped max": capped_tree(N, "capped max", max, reveal),
+    }
+
+
+def test_child_keys_are_the_keys_of_the_children():
+    """key_of(path + (i,)) == child_key(key_of(path), i) on every key shape,
+    and folding child keys from the root reaches each corpus tree's own
+    cover object at every node of the transition boxes."""
+    for name, tree in _key_shapes().items():
+        root_key, child_key, _ = tree.keys
+        assert tree.cover_at(()) == ("key", root_key), name
+        for bound in TRANSITION_BOXES:
+            for node in box_paths(bound, 2_000):
+                parent_key = tree.cover_at(node[:-1])[1]
+                assert tree.cover_at(node) == ("key", child_key(parent_key, node[-1])), (name, node)
+    trees = {**rothberger_tree_corpus(N, n_random=6), **dict(_every_corpus_tree())}
+    for name, tree in trees.items():
+        root_key, child_key, cover_of_key = tree.keys
+        keys = {(): root_key}
+        for bound in TRANSITION_BOXES:
+            for node in box_paths(bound, 2_000):
+                key = keys[node] = child_key(keys[node[:-1]], node[-1])
+                assert cover_of_key(key) is tree.cover_at(node), (name, node)
+
+
+def test_stripping_a_keyed_tree_never_reads_it_at_a_node_path():
+    for name, tree in appendix_tree_corpus(N, n_random=2).items():
+        _stripped_walk(strip_chosen_tree(tree))
+        assert set(tree._cover_memo) <= {()}, name
+
+
+def test_trees_without_keys_strip_by_their_paths():
+    """A corpus tree rewrapped without keys is keyed by its paths, and its
+    stripped walk is the reference's, node by node."""
+    for name, tree in appendix_tree_corpus(N, n_random=2).items():
+        unkeyed = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, label=tree.label)
+        got = _stripped_walk(strip_chosen_tree(unkeyed))
+        fresh = appendix_tree_corpus(N, n_random=2)[name]
+        assert got == _stripped_walk(reference_interned_strip_chosen_tree(fresh)), name
+        assert (name == "whole_tree") == any(row[1] is StripExhaustedError for row in got), name
 
 
 BOX = 200  # largest node box the comparisons walk
@@ -338,9 +400,13 @@ POINTS = [N.point(i) for i in range(16)]
 
 
 def _outcome(fn):
-    """A value, or the type of the library error computing it raised."""
+    """A value, or the type of the library error computing it raised. A
+    `StripExhaustedError` reads as its base `BudgetError`, which is what the
+    verbatim references raise in its place."""
     try:
         return fn()
+    except StripExhaustedError:
+        return BudgetError
     except (BudgetError, ResourceLimitError) as exc:
         return type(exc)
 
@@ -766,6 +832,31 @@ class TestCounterplayLarge:
         result = counterplay_large(appendix_tree_corpus(N)["depth_shifted"], N.points(4), innings=10)
         assert result.stripped_play
         assert result.report.distinct_selections
+
+    @pytest.mark.parametrize(
+        "again, witness, message",
+        [
+            (20_000, 20_000, r"^no covering child within 10000 at node \(1,\)$"),
+            (500, 1, r"^witness repair exhausted budget 200 for p0@N at node \(1,\)$"),
+        ],
+    )
+    def test_only_an_emptied_cover_falls_back_to_the_unstripped_tree(self, again, witness, message):
+        """Point 0 lies in member 1 and then only from member `again` on, so
+        at node (1,) the stripped trace runs past its scan budget (the
+        cover's witness names member `again`) or the stripped cover's witness
+        repair runs past its own (the witness names member 1). Either budget
+        error propagates, naming the node; an unstripped replay would select
+        member 1 at every inning."""
+
+        def sets(j: int) -> OpenSet:
+            if j == 1:
+                return singleton(N, 0)
+            return initial_segment(N, j) if j >= again else singleton(N, j)
+
+        late = IndexedCover(space=N, sets=sets, witness=lambda p: p.id if p.id >= 2 else witness, label="late")
+        with pytest.raises(BudgetError, match=message) as info:
+            counterplay_large(const_tree(N, "late", lambda: late), [N.point(0)], innings=3)
+        assert not isinstance(info.value, StripExhaustedError)
 
     def test_start_node_restriction(self):
         tree = appendix_tree_corpus(N)["depth_shifted"]

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -24,6 +25,7 @@ from selectiongames.spaces import (
     CountableDiscrete,
     FiniteIntersection,
     FiniteTopological,
+    Named,
     OpenSet,
     Point,
     describe,
@@ -280,6 +282,39 @@ class TestJointWitness:
         for _ in range(2):
             with pytest.raises(IntegrityError, match="within 3 of the factor witnesses"):
                 cover.witness(N.point(0))
+
+
+def _counting_tree(tests: Counter) -> TreeStrategy:
+    """The root and every node ending in 1 carry c1, nodes ending in 2 or 3
+    carry c2 or c3; member j of ci holds the points with id <= j - i, so
+    each ci is increasing with witness id + i. Every membership test of a
+    member is counted in `tests` by (i, j, point id)."""
+
+    def cover(i: int) -> IndexedCover:
+        def sets(j: int) -> OpenSet:
+            return Named(space=N, label=f"c{i}:{j}", pred=lambda p: tests.update([(i, j, p.id)]) or p.id <= j - i)
+
+        return IndexedCover(space=N, sets=sets, witness=lambda p: p.id + i, increasing=True, label=f"c{i}")
+
+    covers = {i: cover(i) for i in (1, 2, 3)}
+    return TreeStrategy(space=N, cover_at_raw=lambda path: covers[path[-1] if path else 1], label="counting")
+
+
+def test_the_joint_witness_tests_each_factor_member_once():
+    """witness_of(joint, p) tests each factor's member at the witness index
+    once per point: the witness tests the refinement's own member, and
+    `witness_of` reads its memo. c3's member there is tested once more, by
+    c3's own witness check."""
+    tests: Counter = Counter()
+    joint = joint_refinement_cover(_counting_tree(tests), (3,))
+    for p in N.points(6):
+        tests.clear()
+        n = witness_of(joint, p)
+        assert n == p.id + 3
+        assert {(i, j): c for (i, j, _), c in tests.items() if j == n} == {(1, n): 1, (2, n): 1, (3, n): 2}
+        tests.clear()
+        assert witness_of(joint, p) == n
+        assert tests == Counter()
 
 
 def _two_point_tree(reads: list) -> TreeStrategy:

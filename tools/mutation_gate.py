@@ -1,0 +1,246 @@
+#!/usr/bin/env python3
+"""Check that the tests still kill a table of named mutants of the library.
+
+    python3 tools/mutation_gate.py              # every mutant, as CI runs it
+    python3 tools/mutation_gate.py NAME ...     # only the named mutants
+    python3 tools/mutation_gate.py --list       # the table
+
+Each mutant is one small edit of one function's syntax tree: every
+expression or statement in the function whose ``ast.unparse`` text is
+``old`` is replaced by ``new``. For each mutant the gate copies ``src/`` and
+``tests/`` to a fresh temporary directory, rewrites the mutated module there,
+and runs only the test ids the table lists for it, with pytest, on the copy
+(``tests/conftest.py`` puts the copy's ``src/`` first on the path). The
+working tree is only read. Before any mutant, the listed tests must pass on
+an unmutated copy.
+
+The gate fails, naming the mutant, when its edit site is gone (the function
+or the ``old`` text is not found), when the edit leaves the module's syntax
+tree unchanged, when the listed tests all pass on the mutant (it survived),
+or when pytest ends in anything other than passing or failing tests (a test
+id that no longer exists, say). Standard library only.
+
+Add a mutant here whenever a change is checked by a hand-made mutation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file under src/selectiongames/
+    function: str  # dotted path of nested definitions, e.g. "outer.inner"
+    old: str  # ast.unparse text of the nodes to replace
+    new: str  # source of the replacement (an expression, or statements)
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+    why: str
+
+
+EV = "tests/test_evasion.py::"
+RB = "tests/test_rothberger.py::"
+HW = "tests/test_hurewicz.py::"
+WALK = EV + "test_stripped_children_are_transitions_of_the_reference_walk"
+
+MUTANTS: tuple[Mutant, ...] = (
+    # keyed stripped trees and the joint witness
+    Mutant(
+        "capped-child-key-uncapped", "corpus.py", "capped_tree",
+        "min(aggregate((k, i)), _CAP)", "aggregate((k, i))",
+        (EV + "test_child_keys_are_the_keys_of_the_children", WALK),
+        "a capped tree's child key without the cap of 12",
+    ),
+    Mutant(
+        "stripped-child-by-stripped-index", "evasion.py", "strip_chosen_tree.resolve",
+        "child_key(parent_key, step[0])", "child_key(parent_key, i)",
+        (WALK,),
+        "a stripped child stepped by its stripped index, not its original one",
+    ),
+    Mutant(
+        "child-keeps-parent-key", "evasion.py", "strip_chosen_tree.resolve",
+        "child_key(parent_key, step[0])", "parent_key",
+        (WALK,),
+        "a stripped child keeps its parent's source key",
+    ),
+    Mutant(
+        "joint-witness-returns-start", "rothberger.py", "joint_refinement_cover.witness",
+        "for n in range(start, start + rescan + 1):\n    if member(joint.sets(n), p):\n        return n",
+        "return start",
+        (RB + "TestJointWitness::test_a_scan_that_raises_stores_nothing",),
+        "the joint witness returns the max of the factor witnesses untested",
+    ),
+    # stripped children as transitions from their parents
+    Mutant(
+        "transition-keyed-by-child-index", "evasion.py", "strip_chosen_tree.resolve",
+        "(stripped_parent, i)", "i",
+        (WALK,),
+        "a transition keyed by the child index alone",
+    ),
+    Mutant(
+        "transition-keyed-by-source-cover", "evasion.py", "strip_chosen_tree.resolve",
+        "(stripped_parent, i)", "(source_cover(parent_key), i)",
+        (WALK,),
+        "a transition keyed by the parent's source cover instead of its stripped cover",
+    ),
+    # tail-cover witnesses hand their nodes to the member at their index
+    Mutant(
+        "handoff-nodes-reversed", "hurewicz.py", "tail_derived_cover.witness",
+        "oracle.nodes", "oracle.nodes[::-1]",
+        (HW + "test_handed_off_members_are_the_decoded_members", HW + "test_a_handoff_is_read_only_at_its_own_index"),
+        "a handoff with its sorted nodes reversed",
+    ),
+    Mutant(
+        "sibling-run-scan-dropped", "hurewicz.py", "cofinite_intersection",
+        "node == expect", "False",
+        (HW + "test_one_pass_walk_matches_the_run_walk_on_the_grid",),
+        "the one-pass walk never extends a parent's run of excluded children",
+    ),
+    Mutant(
+        "level-one-handoff-walked", "hurewicz.py", "cofinite_intersection",
+        "fam.level == 1 or not spec.excluded", "False",
+        (HW + "test_level_one_and_empty_handoffs_take_the_least_surviving_index",),
+        "a level-1 or empty spec keyed by the node walk instead of min_surviving",
+    ),
+    Mutant(
+        "handoff-read-at-any-index", "hurewicz.py", "tail_derived_cover.sets",
+        "pending.pop(j, None)", "pending.popitem()[1] if pending else None",
+        (HW + "test_a_handoff_is_read_only_at_its_own_index",),
+        "a pending handoff read for whatever index is asked",
+    ),
+)
+
+
+class GateError(Exception):
+    """The mutant cannot be applied or judged."""
+
+
+def _find_function(tree: ast.AST, dotted: str) -> ast.AST:
+    scope = tree
+    for name in dotted.split("."):
+        found = [
+            node
+            for node in ast.walk(scope)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name == name
+            and node is not scope
+        ]
+        if len(found) != 1:
+            raise GateError(f"edit site gone: {len(found)} definitions named {name!r} on the way to {dotted!r}")
+        scope = found[0]
+    return scope
+
+
+class _Replace(ast.NodeTransformer):
+    def __init__(self, targets: set[int], new: str):
+        self.targets = targets
+        self.new = new
+
+    def visit(self, node: ast.AST):
+        if id(node) in self.targets:
+            if isinstance(node, ast.stmt):
+                return ast.parse(self.new).body
+            return ast.parse(self.new, mode="eval").body
+        return super().visit(node)
+
+
+def mutate_source(source: str, mutant: Mutant) -> str:
+    """The module's source with the mutant's edit applied, or GateError."""
+    module = ast.parse(source)
+    before = ast.unparse(module)
+    function = _find_function(module, mutant.function)
+    targets = {id(node) for node in ast.walk(function) if ast.unparse(node) == mutant.old}
+    if not targets:
+        raise GateError(f"edit site gone: no {mutant.old!r} in {mutant.module}:{mutant.function}")
+    _Replace(targets, mutant.new).visit(function)
+    after = ast.unparse(ast.fix_missing_locations(module))
+    if after == before:
+        raise GateError(f"the edit changes nothing in {mutant.module}:{mutant.function}")
+    return after
+
+
+def _copy_tree(into: Path) -> None:
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "tests", into / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    lines = (done.stdout + done.stderr).strip().splitlines()
+    return done.returncode, lines[-1] if lines else ""
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed ...' when a listed test fails on the mutant; GateError otherwise."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        _copy_tree(copy)
+        target = copy / "src" / "selectiongames" / mutant.module
+        target.write_text(mutate_source(target.read_text(), mutant))
+        code, last = _pytest(copy, mutant.tests)
+    if code == 1:
+        return f"killed ({last})"
+    if code == 0:
+        raise GateError(f"survived: every listed test passes ({last})")
+    raise GateError(f"pytest exited {code}: {last}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the named mutants against the tests that must kill them.")
+    parser.add_argument("names", nargs="*", help="mutant names (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the table and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.module}:{m.function}: {m.why}")
+        return 0
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
+
+    started = time.perf_counter()
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as tmp:
+        _copy_tree(Path(tmp))
+        code, last = _pytest(Path(tmp), tests)
+    if code != 0:
+        print(f"baseline: the listed tests do not pass on an unmutated copy (pytest exited {code}: {last})")
+        return 1
+    failed = []
+    for m in chosen:
+        t0 = time.perf_counter()
+        try:
+            verdict = run_mutant(m)
+        except GateError as exc:
+            failed.append(m.name)
+            verdict = f"FAILED: {exc}"
+        print(f"{m.name}: {verdict} [{time.perf_counter() - t0:.1f} s]", flush=True)
+    print(f"{len(chosen) - len(failed)} of {len(chosen)} mutants killed in {time.perf_counter() - started:.1f} s")
+    if failed:
+        print("not killed: " + ", ".join(failed))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
