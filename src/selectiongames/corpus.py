@@ -11,8 +11,9 @@ corpus is stable across interpreter runs.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Any, Callable, Hashable
 
 from .covers import IndexedCover
 from .engine import AliceStrategy, Moves, memoized_strategy
@@ -127,41 +128,25 @@ def strategy_corpus(space: SpaceModel, n_random: int = 20, seed: int = 0) -> dic
 def path_keyed_tree(
     space: SpaceModel,
     name: str,
-    key_of: Callable[[Path], object],
-    child_key: Callable[[object, int], object],
-    keys_on_box: Callable[[Path], Sequence[object]],
-    cover_of_key: Callable[[object], IndexedCover],
+    root_key: Hashable,
+    child_key: Callable[[Any, int], Hashable],
+    cover_of_key: Callable[[Any], IndexedCover],
 ) -> TreeStrategy:
-    """A tree whose node cover depends on the node only through a small key.
+    """A tree whose node cover depends on the node only through a small key:
+    the root's is `root_key`, and a child's is `child_key(parent's key, i)`
+    (the tree's `keys`). Each key's cover is built once."""
+    cover_memo: dict[Hashable, IndexedCover] = {}
 
-    `child_key(key_of(path), i)` must equal `key_of(path + (i,))` (the tree's `keys`).
-    `keys_on_box(bound)` must list exactly the keys attained on the box of
-    nodes coordinatewise below `bound`; the box hook then answers joint
-    refinements without enumerating the box.
-    """
-    cover_memo: dict[object, IndexedCover] = {}
-
-    def cover_for(key: object) -> IndexedCover:
+    def cover_for(key: Hashable) -> IndexedCover:
         hit = cover_memo.get(key)
         if hit is None:
             hit = cover_memo[key] = cover_of_key(key)
         return hit
 
-    def box_covers(bound: Path) -> tuple[IndexedCover, ...]:
-        out: list[IndexedCover] = []
-        seen: set[int] = set()
-        for key in keys_on_box(bound):
-            c = cover_for(key)
-            if id(c) not in seen:
-                seen.add(id(c))
-                out.append(c)
-        return tuple(out)
-
     return TreeStrategy(
         space=space,
-        cover_at_raw=lambda path: cover_for(key_of(path)),
-        box_covers=box_covers,
-        keys=(key_of(()), child_key, cover_for),
+        cover_at_raw=lambda path: cover_for(reduce(child_key, path, root_key)),
+        keys=(root_key, child_key, cover_for),
         label=name,
     )
 
@@ -172,12 +157,12 @@ _last = itemgetter(-1)  # a capped tree's aggregate: the node's last entry
 
 def const_tree(space: SpaceModel, name: str, cover: Callable[[], IndexedCover]) -> TreeStrategy:
     """A tree with one cover at every node."""
-    return path_keyed_tree(space, name, lambda path: None, lambda key, i: None, lambda bound: [None], lambda key: cover())
+    return path_keyed_tree(space, name, None, lambda key, i: None, lambda key: cover())
 
 
 def depth_tree(space: SpaceModel, name: str, cover_of_depth: Callable[[int], IndexedCover]) -> TreeStrategy:
     """A tree whose node cover depends only on the node's depth."""
-    return path_keyed_tree(space, name, len, lambda key, i: key + 1, lambda bound: [len(bound)], cover_of_depth)
+    return path_keyed_tree(space, name, 0, lambda key, i: key + 1, cover_of_depth)
 
 
 def capped_tree(
@@ -186,24 +171,15 @@ def capped_tree(
     aggregate: Callable[[Path], int],
     cover_of_key: Callable[[int], IndexedCover],
 ) -> TreeStrategy:
-    """A tree keyed by min(aggregate(node), 12), and the root by 0. The
-    aggregate (the last entry, or the max) is monotone in each entry, so the
-    box below a bound attains every key from 1 up to the bound's."""
-
-    def key_of(path: Path) -> int:
-        return min(aggregate(path), _CAP) if path else 0
-
-    def keys_on_box(bound: Path) -> Sequence[int]:
-        if not bound:
-            return [0]
-        return list(range(1, min(aggregate(bound), _CAP) + 1))
-
-    return path_keyed_tree(space, name, key_of, lambda k, i: min(aggregate((k, i)), _CAP), keys_on_box, cover_of_key)
+    """A tree keyed by 0 at the root and by min(aggregate((key, i)), 12) at
+    child i of a node keyed `key`. For the aggregates used (the last entry,
+    or the max) that is min(aggregate(node), 12) at every nonempty node."""
+    return path_keyed_tree(space, name, 0, lambda k, i: min(aggregate((k, i)), _CAP), cover_of_key)
 
 
 def rothberger_tree_corpus(space: SpaceModel, n_random: int = 0, seed: int = 0) -> dict[str, TreeStrategy]:
-    """Single-selection strategy trees mirroring the strategy corpus, with
-    box hooks so the joint-refinement machinery stays small.
+    """Single-selection strategy trees mirroring the strategy corpus, keyed
+    so the joint-refinement machinery reads few key states per box.
 
     Key shapes: constant (node-independent covers), last entry (the reply
     depends on the opponent's previous pick), depth, and depth-parity mixes.

@@ -105,7 +105,7 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
             if limit is None and oj >= old:
                 limit = k + scan_budget
             if limit is not None and k >= limit:
-                raise BudgetError(f"witness repair exhausted budget {scan_budget} for {p!r}")
+                raise BudgetError(f"witness repair exhausted budget {scan_budget} in cover {cover.label!r} for {p!r}")
             k += 1
 
     return IndexedCover(
@@ -196,9 +196,9 @@ def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
     holds: for tau <= sigma and m <= n the new set at sigma + (m,) is
     contained in the new set at tau + (n,).
 
-    The distinct covers come from the tree's `box_covers` hook when it has
-    one, at any box size; otherwise the box is walked, and a box of more than
-    `box_limit` nodes raises :class:`ResourceLimitError`.
+    The distinct covers of a tree with `keys` are read by key states, at any
+    box size; otherwise the box is walked, and a box of more than `box_limit`
+    nodes raises :class:`ResourceLimitError`.
     """
     return TreeStrategy(
         space=tree.space,

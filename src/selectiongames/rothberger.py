@@ -18,8 +18,8 @@ The refinement is enumerated diagonally — its n-th member is the
 intersection of the n-th members of the distinct node covers on the box — so
 each member carries the factor record j = n for every node, recoveries stay
 bookkeeping, and the enumeration is a cover whenever the node covers are
-increasing (the witness is the max of the factor witnesses, rescanned a
-little for safety).
+increasing (the witness is the max of the factor witnesses, verified by
+one membership test).
 
 Precondition: on every box the construction refines, either all nodes
 carry one cover or every distinct cover is flagged increasing. Otherwise
@@ -322,24 +322,23 @@ def joint_refinement_cover(
     tree: TreeStrategy,
     bound: Path,
     box_limit: int = 20_000,
-    rescan: int = 64,
 ) -> IndexedCover:
     """The joint refinement of the node covers on the box below `bound`,
     enumerated diagonally: member n is the intersection of the n-th members
     of the distinct covers on the box.
 
     Every member refines each node cover by construction and records factor
-    index n at every node. The witness starts at the max of the factor
-    witnesses (exact when all factors are increasing), rescans forward a
-    little otherwise, and runs once per point. It tests candidate n on the
-    refinement's own memoized member n, whose membership memo `witness_of`
-    then reads instead of testing every factor again. The distinct covers are
-    collected once, from the tree's `box_covers` hook when it has one, else
-    by walking the box under `box_limit`.
+    index n at every node. The distinct covers are collected once by
+    `distinct_covers_on_box`: by key states on a tree with `keys`, at any box
+    size, else by walking the box under `box_limit`.
 
     Two or more distinct covers, one of them not flagged increasing, raise
     :class:`PreconditionError` before any member or witness is built: the
-    diagonal need not cover then.
+    diagonal need not cover then. Otherwise the max of the factor witnesses
+    is a hit, and the witness returns it after one test on the refinement's
+    own memoized member, whose membership memo `witness_of` then reads; a
+    miss (a cover falsely flagged increasing) raises
+    :class:`IntegrityError`. The witness runs once per point.
     """
     factors = distinct_covers_on_box(tree, bound, limit=box_limit)
     if len(factors) > 1 and not all(c.increasing for c in factors):
@@ -355,11 +354,10 @@ def joint_refinement_cover(
 
     def witness(p: Point) -> int:
         start = max(witness_of(c, p) for c in factors)
-        for n in range(start, start + rescan + 1):
-            if member(joint.sets(n), p):
-                return n
+        if member(joint.sets(start), p):
+            return start
         raise IntegrityError(
-            f"no joint member within {rescan} of the factor witnesses contains {p!r}"
+            f"joint member {start} below bound {bound}, the max of the factor witnesses, does not contain {p!r}"
         )
 
     joint = IndexedCover(

@@ -7,12 +7,13 @@ the second player picked) and the normalized finite-selection strategies use
 this shape; the normalization invariants (increasing covers, head condition)
 are guaranteed by specific constructors, not by the type.
 
-A tree may carry a `box_covers` hook returning the distinct cover objects
-attached to the nodes of a coordinatewise-bounded box. Joint refinements
-intersect over such boxes, whose node count is the product of the bound's
-entries; the hook lets trees with few distinct covers (constant, or keyed by
-depth or by a bounded aggregate of the node sequence) answer without
-enumerating the box.
+Joint refinements intersect the distinct covers on a coordinatewise-bounded
+box of nodes, whose node count is the product of the bound's entries. A tree
+may declare `keys` when its node covers depend on a node only through a key
+folded from the root key by a child key of (key, i); its boxes are then read
+one level of distinct key states at a time, so trees with few keys (constant,
+or keyed by depth or by a capped aggregate of the node sequence) answer
+without enumerating the box. Other trees walk the box.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ class TreeStrategy:
     indices in `path`; the set at a nonempty node is its parent's member at
     the node's last index. back_map, when present, translates a tree path to
     the per-inning selections of the strategy this tree was derived from.
-    keys, when present, is (root key, child key of (key, i), cover of a key).
+    keys, when present, is (root key, child key of (key, i), cover of a key):
+    the cover at a path is the cover of the key folded along it from the root
+    key, and `distinct_covers_on_box` reads boxes by those key states.
     """
 
     space: SpaceModel
     cover_at_raw: Callable[[Path], IndexedCover]
     back_map: Callable[[Path], Moves] | None = None
-    box_covers: Callable[[Path], tuple[IndexedCover, ...]] | None = None
     keys: tuple[Hashable, Callable[[Any, int], Hashable], Callable[[Any], IndexedCover]] | None = None
     label: str = ""
     _cover_memo: dict[Path, IndexedCover] = field(default_factory=dict, repr=False)
@@ -100,16 +102,26 @@ def box_paths(bound: Path, limit: int) -> Iterable[Path]:
 
 def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) -> list[IndexedCover]:
     """The distinct cover objects attached to the nodes of the box below
-    `bound`, in first-appearance order.
+    `bound`, in the box's lexicographic first-appearance order.
 
-    Uses the tree's hook when available; otherwise walks the box, guarded by
+    A tree with `keys` is read by key states: level j + 1 holds the child keys
+    of level j's keys, in order, at indices 1..bound[j], each kept at its
+    first appearance, and the last level's keys give the covers. A state's
+    least path is its first parent's least path plus the least index that
+    reaches it, so the order is the box walk's. A level of more than `limit`
+    keys raises ResourceLimitError. A tree without keys walks the box under
     `limit`.
     """
-    if tree.box_covers is not None:
-        return list(tree.box_covers(bound))
-    cover_at = tree.cover_at
-    covers: dict[int, IndexedCover] = {}
-    for path in box_paths(bound, limit):
-        cover = cover_at(path)
-        covers.setdefault(id(cover), cover)
-    return list(covers.values())
+    if tree.keys is None:
+        covers = map(tree.cover_at, box_paths(bound, limit))
+    else:
+        root_key, child_key, cover_of_key = tree.keys
+        if any(b < 1 for b in bound):
+            raise ValueError("box bounds must be positive")
+        level = [root_key]
+        for b in bound:
+            level = list(dict.fromkeys(child_key(k, i) for k in level for i in range(1, b + 1)))
+            if len(level) > limit:
+                raise ResourceLimitError(f"{len(level)} key states below bound {bound} exceed limit {limit}")
+        covers = map(cover_of_key, level)
+    return list({id(c): c for c in covers}.values())

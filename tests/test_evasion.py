@@ -11,7 +11,6 @@ from selectiongames.corpus import (
     capped_tree,
     const_tree,
     depth_tree,
-    rothberger_tree_corpus,
     segment_cover,
     strategy_corpus,
 )
@@ -342,9 +341,32 @@ def test_stripped_children_are_transitions_of_the_reference_walk():
     assert failing == {"whole_tree"}
 
 
+# ---------------------------------------------------------------------------
+# The corpus key shapes' keys of a whole path, from before a keyed tree was
+# described by its child key alone: constant, depth, and the capped aggregate
+# (the root keyed 0). Kept verbatim as the reference the folded child keys
+# must reach.
+
+_CAP = 12
+
+
+def reference_capped_key_of(aggregate):
+    def key_of(path: Path) -> int:
+        return min(aggregate(path), _CAP) if path else 0
+
+    return key_of
+
+
+REFERENCE_KEY_OF = {
+    "const": lambda path: None,
+    "depth": len,
+    "capped last": reference_capped_key_of(lambda path: path[-1]),
+    "capped max": reference_capped_key_of(max),
+}
+
+
 def _key_shapes() -> dict[str, TreeStrategy]:
-    """One tree per corpus key shape whose cover at a key is the key itself,
-    so `cover_at(path)` reads the shape's `key_of(path)`."""
+    """One tree per corpus key shape whose cover at a key is the key itself."""
 
     def reveal(key: object) -> tuple:
         return ("key", key)
@@ -358,24 +380,14 @@ def _key_shapes() -> dict[str, TreeStrategy]:
 
 
 def test_child_keys_are_the_keys_of_the_children():
-    """key_of(path + (i,)) == child_key(key_of(path), i) on every key shape,
-    and folding child keys from the root reaches each corpus tree's own
-    cover object at every node of the transition boxes."""
+    """Folding each shape's child key from its root key reaches the
+    reference key of every node of the transition boxes, whose entries go
+    past the cap: cover_at(node) is the cover of the reference key."""
     for name, tree in _key_shapes().items():
-        root_key, child_key, _ = tree.keys
-        assert tree.cover_at(()) == ("key", root_key), name
-        for bound in TRANSITION_BOXES:
+        key_of, (_, _, cover_of_key) = REFERENCE_KEY_OF[name], tree.keys
+        for bound in [()] + TRANSITION_BOXES:
             for node in box_paths(bound, 2_000):
-                parent_key = tree.cover_at(node[:-1])[1]
-                assert tree.cover_at(node) == ("key", child_key(parent_key, node[-1])), (name, node)
-    trees = {**rothberger_tree_corpus(N, n_random=6), **dict(_every_corpus_tree())}
-    for name, tree in trees.items():
-        root_key, child_key, cover_of_key = tree.keys
-        keys = {(): root_key}
-        for bound in TRANSITION_BOXES:
-            for node in box_paths(bound, 2_000):
-                key = keys[node] = child_key(keys[node[:-1]], node[-1])
-                assert cover_of_key(key) is tree.cover_at(node), (name, node)
+                assert tree.cover_at(node) is cover_of_key(key_of(node)), (name, node)
 
 
 def test_stripping_a_keyed_tree_never_reads_it_at_a_node_path():
@@ -415,9 +427,9 @@ def _pipelines():
     """(name, current tree, reference tree) for every appendix corpus tree,
     unstripped and stripped, each side wedged by its own pipeline.
 
-    Corpus trees carry a box hook, which the current wedge answers from at
+    Corpus trees carry keys, which the current wedge reads by key states at
     any box size; the reference walks their boxes under a larger limit.
-    Stripped trees have no hook, so both sides walk under the same limit.
+    Stripped trees have no keys, so both sides walk under the same limit.
     """
     for name, tree in appendix_tree_corpus(N, n_random=2, seed=5).items():
         yield name, wedge_tree(tree), reference_wedge_tree(tree, box_limit=100_000)
@@ -541,7 +553,7 @@ class TestStripWitnessMemo:
         cover = _lonely_cover()
         stripped = strip_history(cover, [cover.sets(3)], scan_budget=5)
         for _ in range(2):
-            with pytest.raises(BudgetError, match="witness repair exhausted budget 5"):
+            with pytest.raises(BudgetError, match=r"^witness repair exhausted budget 5 in cover 'lonely' for p2@N$"):
                 stripped.witness(N.point(2))
         assert stripped.witness(N.point(4)) == 4
 
@@ -837,7 +849,7 @@ class TestCounterplayLarge:
         "again, witness, message",
         [
             (20_000, 20_000, r"^no covering child within 10000 at node \(1,\)$"),
-            (500, 1, r"^witness repair exhausted budget 200 for p0@N at node \(1,\)$"),
+            (500, 1, r"^witness repair exhausted budget 200 in cover 'late' for p0@N at node \(1,\)$"),
         ],
     )
     def test_only_an_emptied_cover_falls_back_to_the_unstripped_tree(self, again, witness, message):

@@ -1,12 +1,21 @@
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 from selectiongames import evasion, hurewicz
-from selectiongames.corpus import appendix_tree_corpus, rothberger_tree_corpus
+from selectiongames.corpus import appendix_tree_corpus, path_keyed_tree, rothberger_tree_corpus, segment_cover
 from selectiongames.engine import ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, replay
-from selectiongames.errors import BudgetError, CrossSpaceError, GameError, IntegrityError, PreconditionError
+from selectiongames.errors import (
+    BudgetError,
+    CrossSpaceError,
+    GameError,
+    IntegrityError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
     bounds_from_moves,
@@ -278,9 +287,9 @@ class TestJointWitness:
             cover.witness(CountableDiscrete("M").point(3))
 
     def test_a_scan_that_raises_stores_nothing(self):
-        cover = joint_refinement_cover(_two_cover_tree(increasing=True), (2,), rescan=3)
+        cover = joint_refinement_cover(_two_cover_tree(increasing=True), (2,))
         for _ in range(2):
-            with pytest.raises(IntegrityError, match="within 3 of the factor witnesses"):
+            with pytest.raises(IntegrityError, match=r"^joint member 2 below bound \(2,\), the max of the factor"):
                 cover.witness(N.point(0))
 
 
@@ -315,6 +324,20 @@ def test_the_joint_witness_tests_each_factor_member_once():
         tests.clear()
         assert witness_of(joint, p) == n
         assert tests == Counter()
+
+
+def test_the_joint_witness_tests_one_joint_member():
+    """The joint witness itself (not `witness_of`) verifies each factor
+    witness and then tests the one joint member at their max: each factor's
+    member there once, and c3's once more, as its own witness is that index."""
+    tests: Counter = Counter()
+    joint = joint_refinement_cover(_counting_tree(tests), (3,))
+    for p in N.points(6):
+        tests.clear()
+        n = joint.witness(p)
+        assert n == p.id + 3
+        factor_checks = {(1, n - 2, p.id): 1, (2, n - 1, p.id): 1}
+        assert tests == Counter({**factor_checks, (1, n, p.id): 1, (2, n, p.id): 1, (3, n, p.id): 2})
 
 
 def _two_point_tree(reads: list) -> TreeStrategy:
@@ -359,6 +382,63 @@ class TestRefinementPrecondition:
             assert len(distinct_covers_on_box(tree, bound)) == 1
             assert joint_refinement_cover(tree, bound).sets(1) is tree.cover_at(()).sets(1)
         assert joint_refinement_cover(_two_cover_tree(increasing=True), (2,)).increasing
+
+
+WALK_ENTRIES = (1, 2, 3, 5, 12, 13, 30)  # 12 and 13 straddle the capped trees' cap
+WALK_BOUNDS = [
+    bound
+    for depth in range(4)
+    for bound in itertools.product(WALK_ENTRIES, repeat=depth)
+    if math.prod(bound) <= 2_000
+]
+
+
+def _scrambled_tree() -> TreeStrategy:
+    """A keyed tree whose child keys do not grow with the index and whose
+    five keys share three cover objects, so both the order of a level and
+    the dedup by cover identity show."""
+    covers = [segment_cover(N, shift=s) for s in range(3)]
+    return path_keyed_tree(N, "scrambled", 0, lambda k, i: (3 * k + i) % 5, lambda k: covers[k % 3])
+
+
+def _keyed_trees() -> dict[str, TreeStrategy]:
+    trees = {f"rothberger {name}": tree for name, tree in rothberger_tree_corpus(N, n_random=6).items()}
+    trees.update((f"appendix {name}", tree) for name, tree in appendix_tree_corpus(N, n_random=4).items())
+    trees["scrambled"] = _scrambled_tree()
+    return trees
+
+
+class TestKeyStateWalk:
+    """A tree with `keys` is read by key states; the same tree without keys
+    is walked box by box, and both give the same cover objects in order."""
+
+    def test_the_state_walk_is_the_box_walk(self):
+        for name, tree in _keyed_trees().items():
+            assert tree.keys is not None, name
+            walked = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
+            for bound in WALK_BOUNDS:
+                got = distinct_covers_on_box(tree, bound, limit=2_000)
+                want = distinct_covers_on_box(walked, bound, limit=2_000)
+                assert list(map(id, got)) == list(map(id, want)), (name, bound)
+
+    def test_an_entry_below_one_raises_on_both_routes(self):
+        tree = _scrambled_tree()
+        walked = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
+        for bound in [(0,), (2, 0), (3, 0, 2)]:
+            for route in (tree, walked):
+                with pytest.raises(ValueError, match="positive"):
+                    distinct_covers_on_box(route, bound)
+
+    def test_a_tree_keyed_by_its_paths_raises_past_the_limit(self):
+        tree = rothberger_tree_corpus(N)["shifted_seg"]
+        path_keys = ((), lambda path, i: path + (i,), tree.cover_at)
+        by_path = TreeStrategy(space=N, cover_at_raw=tree.cover_at, keys=path_keys)
+        got = distinct_covers_on_box(by_path, (2, 5), limit=10)
+        assert list(map(id, got)) == list(map(id, distinct_covers_on_box(tree, (2, 5))))
+        with pytest.raises(ResourceLimitError, match="11 key states below bound"):
+            distinct_covers_on_box(by_path, (11,), limit=10)
+        with pytest.raises(ResourceLimitError, match="25 key states below bound"):
+            distinct_covers_on_box(by_path, (5, 5, 1), limit=10)
 
 
 class TestRothbergerCounterplay:

@@ -54,6 +54,7 @@ class Mutant:
 EV = "tests/test_evasion.py::"
 RB = "tests/test_rothberger.py::"
 HW = "tests/test_hurewicz.py::"
+KEYS = RB + "TestKeyStateWalk::"
 WALK = EV + "test_stripped_children_are_transitions_of_the_reference_walk"
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -61,7 +62,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "capped-child-key-uncapped", "corpus.py", "capped_tree",
         "min(aggregate((k, i)), _CAP)", "aggregate((k, i))",
-        (EV + "test_child_keys_are_the_keys_of_the_children", WALK),
+        (EV + "test_child_keys_are_the_keys_of_the_children",),
         "a capped tree's child key without the cap of 12",
     ),
     Mutant(
@@ -78,10 +79,30 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "joint-witness-returns-start", "rothberger.py", "joint_refinement_cover.witness",
-        "for n in range(start, start + rescan + 1):\n    if member(joint.sets(n), p):\n        return n",
+        "if member(joint.sets(start), p):\n    return start",
         "return start",
-        (RB + "TestJointWitness::test_a_scan_that_raises_stores_nothing",),
+        (RB + "test_the_joint_witness_tests_one_joint_member",),
         "the joint witness returns the max of the factor witnesses untested",
+    ),
+    # keyed boxes read by key states
+    Mutant(
+        "key-walk-last-index-only", "trees.py", "distinct_covers_on_box",
+        "range(1, b + 1)", "range(b, b + 1)",
+        (KEYS + "test_the_state_walk_is_the_box_walk",),
+        "a key level stepped only by the bound's own entry",
+    ),
+    Mutant(
+        "key-walk-keeps-parent-keys", "trees.py", "distinct_covers_on_box",
+        "child_key(k, i)", "k",
+        (KEYS + "test_the_state_walk_is_the_box_walk",),
+        "a key level that keeps its parents' keys",
+    ),
+    Mutant(
+        "key-walk-index-major", "trees.py", "distinct_covers_on_box",
+        "(child_key(k, i) for k in level for i in range(1, b + 1))",
+        "(child_key(k, i) for i in range(1, b + 1) for k in level)",
+        (KEYS + "test_the_state_walk_is_the_box_walk",),
+        "a key level ordered by child index before parent key",
     ),
     # stripped children as transitions from their parents
     Mutant(
