@@ -5,13 +5,12 @@ Preprocessing: `strip_chosen_tree` removes from each node's cover the sets
 chosen on the way to that node (largeness of the covers survives the removal
 of finitely many sets, and the stripped play can never re-select an earlier
 choice, so covering a point at k innings means k distinct sets).
-Nodes with the same original cover and the same removed sets share one
-stripped cover, and a parent's stripped cover fixes, for each child index,
-the child's original index and removed sets: that transition is computed
-once per (stripped cover, child index), not once per node. `wedge_tree`
-then replaces each node's cover by the joint refinement of the node covers
-on the box below it (`rothberger.joint_refinement_cover`: member n
-intersects the n-th members of the distinct covers on the box); on
+The stripped tree steps between interned (source key, removed descriptions)
+states, each step computed once per (state, child index), not once per
+node; states with the same source cover and removed sets share one stripped
+cover. `wedge_tree` then replaces each node's cover by the joint refinement
+of the node covers on the box below it (`rothberger.joint_refinement_cover`:
+member n intersects the n-th members of the distinct covers on the box); on
 increasing covers the wedged covers are increasing, refine the originals,
 and get finer as the node sequence grows coordinatewise. Two distinct
 covers on a box, one not flagged increasing, raise `PreconditionError`.
@@ -118,70 +117,81 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
     )
 
 
+_Removed = tuple[frozenset, tuple[OpenSet, ...]]  # removed descriptions, and the chosen sets first reaching them
+
+
+@dataclass(eq=False, slots=True)
+class _StripState:
+    """A stripped tree's state: a source key, an interned removed entry and a
+    stripped cover. States hash by identity."""
+
+    key: Hashable
+    entry: _Removed
+    cover: IndexedCover
+
+
 def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
     """Remove, from each node's cover, the sets chosen on the way to that
     node. Node sequences of the result are indices into the stripped covers;
     `back_map` translates them to original single-index selections.
 
-    A stripped cover depends only on the original cover and on the removed
-    sets' descriptions, so nodes that agree on both share one cover object
-    (and its member, witness and first-hit memos). Each node keeps its source
-    key and an interned entry: the frozenset of the removed sets'
-    descriptions, extended from its parent's by one, and the chosen sets of
-    the first node that reached it.
-
-    The parent's stripped cover fixes the source cover and the removed sets,
-    so a child's original index and entry are a function of (parent's
-    stripped cover, child index): each such step is computed once, on the
-    first node that takes it. A child steps to the tree's child key of (its
-    parent's key, its original index) and reads the source cover of its key,
-    so a tree with `keys` is never read at a node path (a tree without them
-    is keyed by its paths); `back_map` reads the stripped provenance."""
+    The result is a machine over interned states, one per (source key,
+    removed descriptions), each holding an entry (the removed descriptions
+    and the chosen sets of the first node that reached them) and a stripped
+    cover. Stripped covers are shared by (source cover, removed descriptions),
+    with their member, witness and first-hit memos. A child's state is a
+    function of (parent's state, child index), computed on the first node
+    that takes it from the parent's stripped provenance and member and the
+    child key of (parent's key, original index). So a tree with `keys` is
+    read once per state and never at a node path; a tree without them is
+    keyed by its paths, one state per node. (root state, step, state cover)
+    is a `keys` triple for the stripped tree; it declares none, so its boxes
+    are walked node by node."""
 
     root_key, child_key, source_cover = tree.keys or ((), lambda path, i: path + (i,), tree.cover_at)
-    Removed = tuple[frozenset, tuple[OpenSet, ...]]
-    nodes: dict[Path, tuple[Hashable, Removed]] = {(): (root_key, (frozenset(), ()))}
-    steps: dict[tuple[IndexedCover, int], tuple[int, Removed]] = {}
-    interned: dict[frozenset, Removed] = {}
+    states: dict[tuple[Hashable, frozenset], _StripState] = {}
+    steps: dict[tuple[_StripState, int], _StripState] = {}
+    interned: dict[frozenset, _Removed] = {}
     shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
-    def resolve(path: Path) -> tuple[Hashable, Removed]:
-        hit = nodes.get(path)
+    def state(key: Hashable, entry: _Removed) -> _StripState:
+        hit = states.get((key, entry[0]))
         if hit is None:
-            parent, i = path[:-1], path[-1]
-            parent_key, parent_entry = resolve(parent)
-            stripped_parent = stripped.cover_at(parent)
-            step = steps.get((stripped_parent, i))
-            if step is None:
-                parent_removed, parent_chosen = parent_entry
-                orig_i = stripped_parent.provenance(i)[0]
-                chosen_set = source_cover(parent_key).sets(orig_i)
-                removed = parent_removed | {describe(chosen_set)}
-                entry = interned.get(removed)
-                if entry is None:
-                    entry = interned[removed] = (removed, parent_chosen + (chosen_set,))
-                step = steps[stripped_parent, i] = (orig_i, entry)
-            hit = nodes[path] = (child_key(parent_key, step[0]), step[1])
+            cover = source_cover(key)
+            stripped_cover = shared.get((cover, entry[0]))
+            if stripped_cover is None:
+                stripped_cover = shared[cover, entry[0]] = strip_history(cover, entry[1])
+            hit = states[key, entry[0]] = _StripState(key, entry, stripped_cover)
         return hit
 
-    def cover_at(path: Path) -> IndexedCover:
-        key, (removed, chosen) = resolve(path)
-        cover = source_cover(key)
-        hit = shared.get((cover, removed))
+    nodes: dict[Path, _StripState] = {(): state(root_key, (frozenset(), ()))}
+
+    def resolve(path: Path) -> _StripState:
+        hit = nodes.get(path)
         if hit is None:
-            hit = shared[(cover, removed)] = strip_history(cover, chosen)
+            parent = resolve(path[:-1])
+            i = path[-1]
+            hit = steps.get((parent, i))
+            if hit is None:
+                orig_i = parent.cover.provenance(i)[0]
+                chosen_set = parent.cover.sets(i)
+                removed = parent.entry[0] | {describe(chosen_set)}
+                entry = interned.get(removed)
+                if entry is None:
+                    entry = interned[removed] = (removed, parent.entry[1] + (chosen_set,))
+                hit = steps[parent, i] = state(child_key(parent.key, orig_i), entry)
+            nodes[path] = hit
         return hit
 
     def back_map(path: Path) -> Moves:
-        return tuple((stripped.cover_at(path[:k]).provenance(i)[0],) for k, i in enumerate(path))
+        return tuple((resolve(path[:k]).cover.provenance(i)[0],) for k, i in enumerate(path))
 
-    stripped = TreeStrategy(
+    return TreeStrategy(
         space=tree.space,
-        cover_at_raw=cover_at,
+        cover_at_raw=lambda path: resolve(path).cover,
         back_map=back_map,
         label=f"stripped({tree.label})",
     )
-    return stripped
 
 
 def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:

@@ -11,9 +11,9 @@ Joint refinements intersect the distinct covers on a coordinatewise-bounded
 box of nodes, whose node count is the product of the bound's entries. A tree
 may declare `keys` when its node covers depend on a node only through a key
 folded from the root key by a child key of (key, i); its boxes are then read
-one level of distinct key states at a time, so trees with few keys (constant,
-or keyed by depth or by a capped aggregate of the node sequence) answer
-without enumerating the box. Other trees walk the box.
+one level of distinct key states at a time, one level past the walked
+prefix, so trees with few keys (constant, depth or a capped aggregate of the
+node sequence) answer without enumerating the box. Other trees walk it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class TreeStrategy:
     keys: tuple[Hashable, Callable[[Any, int], Hashable], Callable[[Any], IndexedCover]] | None = None
     label: str = ""
     _cover_memo: dict[Path, IndexedCover] = field(default_factory=dict, repr=False)
+    _key_levels: dict[Path, tuple[Iterable[Hashable], int]] = field(default_factory=dict, repr=False)
 
     def cover_at(self, path: Path) -> IndexedCover:
         hit = self._cover_memo.get(path)
@@ -108,9 +109,12 @@ def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) 
     of level j's keys, in order, at indices 1..bound[j], each kept at its
     first appearance, and the last level's keys give the covers. A state's
     least path is its first parent's least path plus the least index that
-    reaches it, so the order is the box walk's. A level of more than `limit`
-    keys raises ResourceLimitError. A tree without keys walks the box under
-    `limit`.
+    reaches it, so the order is the box walk's. The tree keeps each walked
+    bound's last level and the widest level along it, so a bound whose prefix
+    was walked takes one level step from it, unless a level along the prefix
+    holds more than `limit` keys; other bounds walk from the root key. A level
+    reaching more than `limit` keys raises ResourceLimitError before it is
+    complete. A tree without keys walks the box under `limit`.
     """
     if tree.keys is None:
         covers = map(tree.cover_at, box_paths(bound, limit))
@@ -118,10 +122,16 @@ def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) 
         root_key, child_key, cover_of_key = tree.keys
         if any(b < 1 for b in bound):
             raise ValueError("box bounds must be positive")
-        level = [root_key]
-        for b in bound:
-            level = list(dict.fromkeys(child_key(k, i) for k in level for i in range(1, b + 1)))
-            if len(level) > limit:
-                raise ResourceLimitError(f"{len(level)} key states below bound {bound} exceed limit {limit}")
+        hit = tree._key_levels.get(bound[:-1]) if bound else None
+        start, (level, widest) = (len(bound) - 1, hit) if hit and hit[1] <= limit else (0, ((root_key,), 1))
+        for j in range(start, len(bound)):
+            states: dict[Hashable, None] = {}
+            for k in level:
+                for i in range(1, bound[j] + 1):
+                    states[child_key(k, i)] = None
+                    if len(states) > limit:
+                        raise ResourceLimitError(f"more than {limit} key states at level {j + 1} below bound {bound}")
+            level, widest = states, max(widest, len(states))
+            tree._key_levels[bound[: j + 1]] = (level, widest)
         covers = map(cover_of_key, level)
     return list({id(c): c for c in covers}.values())

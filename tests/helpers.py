@@ -1,14 +1,16 @@
 """Independent checkers and reference constructions that only the tests use:
 point-by-point checks of sets and selections, the inverse of
 `ProductSpace.split`, play restricted below a tree node, the canonical
-finite-selection witness, the empty open set, and the infinitely-often play
-that the resumable counterplay replaced."""
+finite-selection witness, the empty open set, the infinitely-often play
+that the resumable counterplay replaced, and a keyed tree whose keys repeat
+out of order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from selectiongames.corpus import path_keyed_tree, segment_cover
 from selectiongames.covers import FiniteSelection, Verdict, witness_of
 from selectiongames.engine import (
     MENGER_GAME,
@@ -159,3 +161,12 @@ def reference_infinitely_often_play(
     transcript = Transcript(game=MENGER_GAME, innings=tuple(base_records), label=f"often({alice.name})")
     covering = covering_innings(transcript, alice.space.points(horizon))
     return transcript, MultiplicityReport(covering_innings=covering), result
+
+
+def scrambled_tree(space: SpaceModel) -> TreeStrategy:
+    """A keyed tree whose child keys do not grow with the index and whose
+    five keys share three cover objects, so both the order of a key level
+    and the dedup by cover identity show, and two states of one stripped
+    cover step to different keys."""
+    covers = [segment_cover(space, shift=s) for s in range(3)]
+    return path_keyed_tree(space, "scrambled", 0, lambda k, i: (3 * k + i) % 5, lambda k: covers[k % 3])

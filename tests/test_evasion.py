@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import reduce
 from typing import Sequence
 
 import pytest
@@ -40,7 +41,7 @@ from selectiongames.spaces import (
 )
 from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree
 
-from helpers import extensionally_equal, is_large_up_to, subtree
+from helpers import extensionally_equal, is_large_up_to, scrambled_tree, subtree
 
 N = CountableDiscrete()
 
@@ -301,11 +302,14 @@ TRANSITION_BOXES = [(30,), (30, 30), (10, 10, 10), (5, 5, 5, 5)]  # one box per 
 
 
 def _every_corpus_tree():
-    """The named appendix trees and the seeded ones of seeds 0-3."""
+    """The named appendix trees, the seeded ones of seeds 0-3, and the
+    scrambled tree, whose states of one stripped cover step to different
+    keys (where steps keyed by the stripped cover would go wrong)."""
     for seed in range(4):
         for name, tree in appendix_tree_corpus(N, n_random=2, seed=seed).items():
             if seed == 0 or name.startswith("seeded"):
                 yield name, tree
+    yield "scrambled", scrambled_tree(N)
 
 
 def _stripped_walk(stripped: TreeStrategy) -> list[tuple]:
@@ -394,6 +398,31 @@ def test_stripping_a_keyed_tree_never_reads_it_at_a_node_path():
     for name, tree in appendix_tree_corpus(N, n_random=2).items():
         _stripped_walk(strip_chosen_tree(tree))
         assert set(tree._cover_memo) <= {()}, name
+
+
+def test_the_cover_of_a_key_is_read_once_per_state():
+    """Walking the transition boxes of a stripped keyed tree reads the cover
+    of a key at most once per distinct (source key, removed descriptions)."""
+    for name, tree in _every_corpus_tree():
+        root_key, child_key, cover_of_key = tree.keys
+        reads = Counter()
+
+        def counted(key, cover_of_key=cover_of_key, reads=reads):
+            reads[key] += 1
+            return cover_of_key(key)
+
+        counted_tree = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=(root_key, child_key, counted))
+        stripped = strip_chosen_tree(counted_tree)
+        states = set()
+        for node in [()] + [node for bound in TRANSITION_BOXES for node in box_paths(bound, 2_000)]:
+            try:
+                stripped.cover_at(node)
+            except StripExhaustedError:
+                continue
+            orig = tuple(move[0] for move in stripped.back_map(node))
+            removed = frozenset(describe(tree.set_at(orig[:k])) for k in range(1, len(orig) + 1))
+            states.add((reduce(child_key, orig, root_key), removed))
+        assert sum(reads.values()) <= len(states), name
 
 
 def test_trees_without_keys_strip_by_their_paths():

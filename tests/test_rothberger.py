@@ -1,12 +1,14 @@
 import itertools
 import math
+import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 from selectiongames import evasion, hurewicz
-from selectiongames.corpus import appendix_tree_corpus, path_keyed_tree, rothberger_tree_corpus, segment_cover
+from selectiongames.corpus import appendix_tree_corpus, rothberger_tree_corpus
 from selectiongames.engine import ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, replay
 from selectiongames.errors import (
     BudgetError,
@@ -45,7 +47,7 @@ from selectiongames.spaces import (
 )
 from selectiongames.trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript, strategy_from_tree
 
-from helpers import extensionally_equal, reference_infinitely_often_play
+from helpers import extensionally_equal, reference_infinitely_often_play, scrambled_tree
 
 N = CountableDiscrete()
 
@@ -393,18 +395,10 @@ WALK_BOUNDS = [
 ]
 
 
-def _scrambled_tree() -> TreeStrategy:
-    """A keyed tree whose child keys do not grow with the index and whose
-    five keys share three cover objects, so both the order of a level and
-    the dedup by cover identity show."""
-    covers = [segment_cover(N, shift=s) for s in range(3)]
-    return path_keyed_tree(N, "scrambled", 0, lambda k, i: (3 * k + i) % 5, lambda k: covers[k % 3])
-
-
 def _keyed_trees() -> dict[str, TreeStrategy]:
     trees = {f"rothberger {name}": tree for name, tree in rothberger_tree_corpus(N, n_random=6).items()}
     trees.update((f"appendix {name}", tree) for name, tree in appendix_tree_corpus(N, n_random=4).items())
-    trees["scrambled"] = _scrambled_tree()
+    trees["scrambled"] = scrambled_tree(N)
     return trees
 
 
@@ -421,9 +415,54 @@ class TestKeyStateWalk:
                 want = distinct_covers_on_box(walked, bound, limit=2_000)
                 assert list(map(id, got)) == list(map(id, want)), (name, bound)
 
+    def test_a_resumed_walk_is_the_walk_from_the_root(self):
+        """Bounds asked in a seeded shuffled order, prefixes both before and
+        after their extensions, give a fresh tree's covers in its order."""
+        order = random.Random(24).sample(WALK_BOUNDS, len(WALK_BOUNDS))
+        position = {bound: n for n, bound in enumerate(order)}
+        prefix_first = [position[bound[:-1]] < position[bound] for bound in order if len(bound) > 1]
+        assert any(prefix_first) and not all(prefix_first)
+        for name, tree in _keyed_trees().items():
+            for bound in order:
+                fresh = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=tree.keys)
+                got = distinct_covers_on_box(tree, bound, limit=2_000)
+                want = distinct_covers_on_box(fresh, bound, limit=2_000)
+                assert list(map(id, got)) == list(map(id, want)), (name, bound)
+
+    def test_a_bound_extending_a_walked_bound_takes_one_level_step(self):
+        root_key, child_key, cover_of_key = scrambled_tree(N).keys
+        steps = Counter()
+
+        def counted(k, i):
+            steps[k, i] += 1
+            return child_key(k, i)
+
+        tree = TreeStrategy(space=N, cover_at_raw=lambda path: None, keys=(root_key, counted, cover_of_key))
+        for depth in range(1, 4):
+            distinct_covers_on_box(tree, (30,) * depth)
+        # the root's 30 children, then 30 children of each of the 5 keys at levels 1 and 2
+        assert sum(steps.values()) == 30 + 150 + 150
+
+    def test_a_walk_under_a_larger_limit_raises_as_a_fresh_one(self):
+        """A memoized level wider than the call's limit is not resumed from:
+        the error is a fresh tree's, naming the same level."""
+        shifted = rothberger_tree_corpus(N)["shifted_seg"]  # 12 capped keys below (30,), one below (30, 1)
+        path_keys = ((), lambda path, i: path + (i,), shifted.cover_at)
+        by_path = TreeStrategy(space=N, cover_at_raw=shifted.cover_at, keys=path_keys)
+        for tree, bound in [(shifted, (30, 1)), (by_path, (11, 1)), (by_path, (5, 5, 1))]:
+            fresh = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=tree.keys)
+            with pytest.raises(ResourceLimitError) as want:
+                distinct_covers_on_box(fresh, bound, limit=10)
+            distinct_covers_on_box(tree, bound, limit=20_000)
+            with pytest.raises(ResourceLimitError) as got:
+                distinct_covers_on_box(tree, bound, limit=10)
+            assert str(got.value) == str(want.value), bound
+
     def test_an_entry_below_one_raises_on_both_routes(self):
-        tree = _scrambled_tree()
+        tree = scrambled_tree(N)
         walked = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
+        for bound in [(2,), (3,)]:  # memoized prefixes are not read before the entries are checked
+            distinct_covers_on_box(tree, bound)
         for bound in [(0,), (2, 0), (3, 0, 2)]:
             for route in (tree, walked):
                 with pytest.raises(ValueError, match="positive"):
@@ -435,10 +474,23 @@ class TestKeyStateWalk:
         by_path = TreeStrategy(space=N, cover_at_raw=tree.cover_at, keys=path_keys)
         got = distinct_covers_on_box(by_path, (2, 5), limit=10)
         assert list(map(id, got)) == list(map(id, distinct_covers_on_box(tree, (2, 5))))
-        with pytest.raises(ResourceLimitError, match="11 key states below bound"):
+        with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 1 below bound \(11,\)"):
             distinct_covers_on_box(by_path, (11,), limit=10)
-        with pytest.raises(ResourceLimitError, match="25 key states below bound"):
+        with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 2 below bound \(5, 5, 1\)"):
             distinct_covers_on_box(by_path, (5, 5, 1), limit=10)
+
+    def test_a_level_past_the_limit_raises_before_it_is_built(self):
+        tree = rothberger_tree_corpus(N)["shifted_seg"]
+        path_keys = ((), lambda path, i: path + (i,), tree.cover_at)
+        by_path = TreeStrategy(space=N, cover_at_raw=tree.cover_at, keys=path_keys)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 1 below bound \(300000,\)"):
+                distinct_covers_on_box(by_path, (300_000,), limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRothbergerCounterplay:

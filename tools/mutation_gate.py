@@ -57,6 +57,12 @@ HW = "tests/test_hurewicz.py::"
 KEYS = RB + "TestKeyStateWalk::"
 WALK = EV + "test_stripped_children_are_transitions_of_the_reference_walk"
 
+KEY_LOOP = """for k in level:
+    for i in range(1, bound[j] + 1):
+        states[child_key(k, i)] = None
+        if len(states) > limit:
+            raise ResourceLimitError(f'more than {limit} key states at level {j + 1} below bound {bound}')"""
+
 MUTANTS: tuple[Mutant, ...] = (
     # keyed stripped trees and the joint witness
     Mutant(
@@ -67,13 +73,13 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "stripped-child-by-stripped-index", "evasion.py", "strip_chosen_tree.resolve",
-        "child_key(parent_key, step[0])", "child_key(parent_key, i)",
+        "child_key(parent.key, orig_i)", "child_key(parent.key, i)",
         (WALK,),
         "a stripped child stepped by its stripped index, not its original one",
     ),
     Mutant(
         "child-keeps-parent-key", "evasion.py", "strip_chosen_tree.resolve",
-        "child_key(parent_key, step[0])", "parent_key",
+        "child_key(parent.key, orig_i)", "parent.key",
         (WALK,),
         "a stripped child keeps its parent's source key",
     ),
@@ -87,7 +93,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # keyed boxes read by key states
     Mutant(
         "key-walk-last-index-only", "trees.py", "distinct_covers_on_box",
-        "range(1, b + 1)", "range(b, b + 1)",
+        "range(1, bound[j] + 1)", "range(bound[j], bound[j] + 1)",
         (KEYS + "test_the_state_walk_is_the_box_walk",),
         "a key level stepped only by the bound's own entry",
     ),
@@ -99,23 +105,61 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "key-walk-index-major", "trees.py", "distinct_covers_on_box",
-        "(child_key(k, i) for k in level for i in range(1, b + 1))",
-        "(child_key(k, i) for i in range(1, b + 1) for k in level)",
+        KEY_LOOP,
+        KEY_LOOP.replace("for k in level:", "for i in range(1, bound[j] + 1):", 1).replace(
+            "    for i in range(1, bound[j] + 1):", "    for k in level:", 1
+        ),
         (KEYS + "test_the_state_walk_is_the_box_walk",),
         "a key level ordered by child index before parent key",
     ),
-    # stripped children as transitions from their parents
+    Mutant(
+        "key-walk-resumes-past-the-limit", "trees.py", "distinct_covers_on_box",
+        "hit[1] <= limit", "True",
+        (KEYS + "test_a_walk_under_a_larger_limit_raises_as_a_fresh_one",),
+        "a memoized prefix resumed from although its widest level exceeds the call's limit",
+    ),
+    Mutant(
+        "key-walk-never-resumes", "trees.py", "distinct_covers_on_box",
+        "tree._key_levels.get(bound[:-1]) if bound else None", "None",
+        (KEYS + "test_a_bound_extending_a_walked_bound_takes_one_level_step",),
+        "every keyed box walked from the root key",
+    ),
+    Mutant(
+        "key-walk-memo-under-the-short-prefix", "trees.py", "distinct_covers_on_box",
+        "bound[:j + 1]", "bound[:j]",
+        (KEYS + "test_a_resumed_walk_is_the_walk_from_the_root",),
+        "a walked level memoized under the prefix one entry shorter",
+    ),
+    Mutant(
+        "key-level-checked-per-parent", "trees.py", "distinct_covers_on_box",
+        "len(states) > limit", "len(states) > limit and i == bound[j]",
+        (KEYS + "test_a_level_past_the_limit_raises_before_it_is_built",),
+        "the limit checked only after a parent key's last child",
+    ),
+    # stripped trees step by interned (source key, removed) states
     Mutant(
         "transition-keyed-by-child-index", "evasion.py", "strip_chosen_tree.resolve",
-        "(stripped_parent, i)", "i",
+        "(parent, i)", "i",
         (WALK,),
         "a transition keyed by the child index alone",
     ),
     Mutant(
-        "transition-keyed-by-source-cover", "evasion.py", "strip_chosen_tree.resolve",
-        "(stripped_parent, i)", "(source_cover(parent_key), i)",
+        "transition-keyed-by-stripped-cover", "evasion.py", "strip_chosen_tree.resolve",
+        "(parent, i)", "(parent.cover, i)",
         (WALK,),
-        "a transition keyed by the parent's source cover instead of its stripped cover",
+        "a transition keyed by the parent's stripped cover instead of its state",
+    ),
+    Mutant(
+        "states-interned-by-removed-set", "evasion.py", "strip_chosen_tree.state",
+        "(key, entry[0])", "entry[0]",
+        (WALK,),
+        "states interned by their removed descriptions alone, dropping the source key",
+    ),
+    Mutant(
+        "transition-reads-the-source-cover", "evasion.py", "strip_chosen_tree.resolve",
+        "parent.cover.sets(i)", "source_cover(parent.key).sets(orig_i)",
+        (EV + "test_the_cover_of_a_key_is_read_once_per_state",),
+        "a transition reads the chosen member through the cover of the parent's key",
     ),
     # tail-cover witnesses hand their nodes to the member at their index
     Mutant(
