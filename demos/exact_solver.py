@@ -12,7 +12,7 @@ import sys
 from selectiongames import GameKind, cross_check, minimal_winning_depth, solve_finite_game
 from selectiongames.corpus import bundled_instances
 from selectiongames.covers import FiniteSelection
-from selectiongames.solver import counterplay_bob_strategy, restrict_option
+from selectiongames.solver import counterplay_bob_strategy, decision_table, restrict_option
 
 G1 = GameKind("single")
 GFIN = GameKind("finite")
@@ -27,9 +27,9 @@ valley = instances["valley_game"]
 print(f"  valley space, one pick per inning                : {minimal_winning_depth(valley, G1, 1)}")
 
 print()
-print("depth-1 losses are real: the solver returns the refuting option")
+print("depth-1 losses are real: the decision table names the refuting option")
 result = solve_finite_game(two, G1, 1, 1)
-refuting = result.strategy.get(("alice", (), ()))
+refuting = decision_table(two, G1, 1, 1).get(("alice", (), ()))
 print(f"  two-point singleton game at depth 1: winner = {result.winner}, refuting option = {refuting}")
 if result.winner != "alice":
     failures.append("two-point singleton game won by bob at depth 1")

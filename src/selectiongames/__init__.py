@@ -45,7 +45,6 @@ from .evasion import (
     greedy_index_function,
     strip_chosen_tree,
     strip_history,
-    wedge_tree,
 )
 from .hurewicz import (
     ExclusionOracle,
@@ -69,12 +68,14 @@ from .rothberger import (
     menger_from_rothberger,
     rothberger_counterplay,
     select_one_per_family,
+    wedge_tree,
 )
 from .scenarios import emit_transcript, parse_transcript, run_scenario, transcript_records
 from .selectors import select_sone
 from .solver import (
     FiniteGameInstance,
     cross_check,
+    decision_table,
     deterministic_strategy,
     minimal_winning_depth,
     solve_finite_game,

@@ -5,12 +5,12 @@ Preprocessing: `strip_chosen_tree` removes from each node's cover the sets
 chosen on the way to that node (largeness of the covers survives the removal
 of finitely many sets, and the stripped play can never re-select an earlier
 choice, so covering a point at k innings means k distinct sets).
-The stripped tree steps between interned (source key, removed descriptions)
-states, each step computed once per (state, child index), not once per
-node; states with the same source cover and removed sets share one stripped
-cover. `wedge_tree` then replaces each node's cover by the joint refinement
-of the node covers on the box below it (`rothberger.joint_refinement_cover`:
-member n intersects the n-th members of the distinct covers on the box); on
+The stripped tree steps between (source key, removed descriptions) states,
+each step computed once per (state, child index), not once per node; states
+with the same source cover and removed descriptions share one stripped
+cover. `rothberger.wedge_tree` then replaces each node's cover by the joint
+refinement of the node covers on the box below it (member n intersects the
+n-th members of the distinct covers on the box); on
 increasing covers the wedged covers are increasing, refine the originals,
 and get finer as the node sequence grows coordinatewise. Two distinct
 covers on a box, one not flagged increasing, raise `PreconditionError`.
@@ -38,8 +38,8 @@ from .covers import IndexedCover, witness_of
 from .engine import GameKind, Moves, MultiplicityReport, Transcript, covering_innings
 from .errors import BudgetError, StripExhaustedError
 from .pairing import finseq_from_index
-from .rothberger import joint_refinement_cover, witness_once
-from .spaces import OpenSet, Point, describe, member
+from .rothberger import wedge_tree, witness_once
+from .spaces import Point, describe, member
 from .trees import Path, TreeStrategy, path_transcript
 
 
@@ -67,24 +67,23 @@ class BaireFunction:
         return tuple(self(i) for i in range(1, n + 1))
 
 
-def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: int = 200) -> IndexedCover:
-    """The subfamily excluding the given sets (matched structurally),
-    reindexed order-preservingly.
+def strip_history(cover: IndexedCover, removed: frozenset, scan_budget: int = 200) -> IndexedCover:
+    """The subfamily excluding the members whose descriptions are in
+    `removed` (sets matched structurally), reindexed order-preservingly.
 
     The witness is repaired by scanning forward from the old witness, once
     per point; a large cover guarantees the scan succeeds, and running past
     the budget raises :class:`BudgetError`, and no surviving member within
     it :class:`StripExhaustedError`. Provenance maps new to original indices.
     """
-    gone = {describe(s) for s in chosen}
     surviving: list[int] = []  # original indices, in order
 
     def original_index(j: int) -> int:
         while len(surviving) < j:
             start = nxt = surviving[-1] + 1 if surviving else 1
-            if gone:
+            if removed:
                 limit = nxt + scan_budget
-                while nxt < limit and describe(cover.sets(nxt)) in gone:
+                while nxt < limit and describe(cover.sets(nxt)) in removed:
                     nxt += 1
                 if nxt >= limit:
                     raise StripExhaustedError(
@@ -117,16 +116,13 @@ def strip_history(cover: IndexedCover, chosen: Sequence[OpenSet], scan_budget: i
     )
 
 
-_Removed = tuple[frozenset, tuple[OpenSet, ...]]  # removed descriptions, and the chosen sets first reaching them
-
-
 @dataclass(eq=False, slots=True)
 class _StripState:
-    """A stripped tree's state: a source key, an interned removed entry and a
+    """A stripped tree's state: a source key, the removed descriptions and a
     stripped cover. States hash by identity."""
 
     key: Hashable
-    entry: _Removed
+    removed: frozenset
     cover: IndexedCover
 
 
@@ -135,14 +131,13 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
     node. Node sequences of the result are indices into the stripped covers;
     `back_map` translates them to original single-index selections.
 
-    The result is a machine over interned states, one per (source key,
-    removed descriptions), each holding an entry (the removed descriptions
-    and the chosen sets of the first node that reached them) and a stripped
-    cover. Stripped covers are shared by (source cover, removed descriptions),
-    with their member, witness and first-hit memos. A child's state is a
-    function of (parent's state, child index), computed on the first node
-    that takes it from the parent's stripped provenance and member and the
-    child key of (parent's key, original index). So a tree with `keys` is
+    The result is a machine over states, one per (source key, removed
+    descriptions), each holding those two and a stripped cover. Stripped
+    covers are shared by (source cover, removed descriptions), with their
+    member, witness and first-hit memos. A child's state is a function of
+    (parent's state, child index), computed on the first node that takes it
+    from the parent's stripped provenance and member and the child key of
+    (parent's key, original index). So a tree with `keys` is
     read once per state and never at a node path; a tree without them is
     keyed by its paths, one state per node. (root state, step, state cover)
     is a `keys` triple for the stripped tree; it declares none, so its boxes
@@ -151,20 +146,19 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
     root_key, child_key, source_cover = tree.keys or ((), lambda path, i: path + (i,), tree.cover_at)
     states: dict[tuple[Hashable, frozenset], _StripState] = {}
     steps: dict[tuple[_StripState, int], _StripState] = {}
-    interned: dict[frozenset, _Removed] = {}
     shared: dict[tuple[IndexedCover, frozenset], IndexedCover] = {}
 
-    def state(key: Hashable, entry: _Removed) -> _StripState:
-        hit = states.get((key, entry[0]))
+    def state(key: Hashable, removed: frozenset) -> _StripState:
+        hit = states.get((key, removed))
         if hit is None:
             cover = source_cover(key)
-            stripped_cover = shared.get((cover, entry[0]))
+            stripped_cover = shared.get((cover, removed))
             if stripped_cover is None:
-                stripped_cover = shared[cover, entry[0]] = strip_history(cover, entry[1])
-            hit = states[key, entry[0]] = _StripState(key, entry, stripped_cover)
+                stripped_cover = shared[cover, removed] = strip_history(cover, removed)
+            hit = states[key, removed] = _StripState(key, removed, stripped_cover)
         return hit
 
-    nodes: dict[Path, _StripState] = {(): state(root_key, (frozenset(), ()))}
+    nodes: dict[Path, _StripState] = {(): state(root_key, frozenset())}
 
     def resolve(path: Path) -> _StripState:
         hit = nodes.get(path)
@@ -174,12 +168,8 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
             hit = steps.get((parent, i))
             if hit is None:
                 orig_i = parent.cover.provenance(i)[0]
-                chosen_set = parent.cover.sets(i)
-                removed = parent.entry[0] | {describe(chosen_set)}
-                entry = interned.get(removed)
-                if entry is None:
-                    entry = interned[removed] = (removed, parent.entry[1] + (chosen_set,))
-                hit = steps[parent, i] = state(child_key(parent.key, orig_i), entry)
+                removed = parent.removed | {describe(parent.cover.sets(i))}
+                hit = steps[parent, i] = state(child_key(parent.key, orig_i), removed)
             nodes[path] = hit
         return hit
 
@@ -191,30 +181,6 @@ def strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
         cover_at_raw=lambda path: resolve(path).cover,
         back_map=back_map,
         label=f"stripped({tree.label})",
-    )
-
-
-def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
-    """Replace each node's cover by the joint refinement of the covers at all
-    nodes coordinatewise below it.
-
-    The new set at node sigma + (n,) is the intersection of the n-th members
-    of the distinct covers at the nodes tau <= sigma, and the witness is the
-    max of their witnesses (see `rothberger.joint_refinement_cover`). On
-    increasing covers the new covers stay increasing, each refines the
-    original at the same node, and the finer-with-larger-nodes monotonicity
-    holds: for tau <= sigma and m <= n the new set at sigma + (m,) is
-    contained in the new set at tau + (n,).
-
-    The distinct covers of a tree with `keys` are read by key states, at any
-    box size; otherwise the box is walked, and a box of more than `box_limit`
-    nodes raises :class:`ResourceLimitError`.
-    """
-    return TreeStrategy(
-        space=tree.space,
-        cover_at_raw=lambda path: joint_refinement_cover(tree, path, box_limit=box_limit),
-        back_map=tree.back_map,
-        label=f"wedge({tree.label})",
     )
 
 

@@ -100,7 +100,6 @@ def normalize_strategy(
     so this is exactly the "a finite selection suffices" escape).
     """
     space = space or raw.space
-    tree_holder: list[TreeStrategy] = []
 
     def back_map(path: Path) -> Moves:
         return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
@@ -109,8 +108,7 @@ def normalize_strategy(
         base = increasing_form(raw.move(back_map(path)))
         if not path:
             return base
-        tree = tree_holder[0]
-        chosen = tree.set_at(path)
+        chosen = tree.set_at(path)  # `tree` is bound below, before any node is read
         if finite_win_horizon is not None:
             if all(member(chosen, p) for p in space.points(finite_win_horizon)):
                 raise FiniteWinFound(path)
@@ -122,7 +120,6 @@ def normalize_strategy(
         back_map=back_map,
         label=f"normalized({raw.name})" if raw.name else "normalized",
     )
-    tree_holder.append(tree)
     return tree
 
 

@@ -13,13 +13,14 @@ chosen members cover the working horizon.
 `menger_from_rothberger` derives a finite-selection strategy from a
 single-selection strategy tree: after the opponent's index moves have pinned
 down a bound sequence sigma (each move's largest index), the derived move is
-the joint refinement of the covers at all nodes coordinatewise below sigma.
-The refinement is enumerated diagonally — its n-th member is the
-intersection of the n-th members of the distinct node covers on the box — so
-each member carries the factor record j = n for every node, recoveries stay
-bookkeeping, and the enumeration is a cover whenever the node covers are
-increasing (the witness is the max of the factor witnesses, verified by
-one membership test).
+the `wedge_tree` cover at sigma, the joint refinement of the covers at all
+nodes coordinatewise below sigma (the large-cover play wedges too). The
+refinement is enumerated diagonally — its n-th member is the intersection of
+the n-th members of the distinct node covers on the box — so each member
+carries the factor record j = n for every node, recoveries stay bookkeeping,
+and the enumeration is a cover whenever the node covers are increasing (the
+witness is the max of the factor witnesses, verified by one membership
+test).
 
 Precondition: on every box the construction refines, either all nodes
 carry one cover or every distinct cover is flagged increasing. Otherwise
@@ -27,7 +28,7 @@ the diagonal members may miss points (nodes (1,) and (2,) carrying
 ({0}, {1}) and ({1}, {0}) on two points give members that contain
 nothing), so `joint_refinement_cover` raises :class:`PreconditionError`,
 naming the box's bound and the covers, before building any member or
-witness. The large-cover wedge (`evasion.wedge_tree`) shares it.
+witness. `wedge_tree`'s covers share it.
 
 `rothberger_counterplay` composes the pieces: play the infinitely-often
 counterplay against the derived strategy, pick one refinement member per
@@ -43,21 +44,13 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .covers import IndexedCover, witness_of
-from .engine import AliceStrategy, Moves, ROTHBERGER_GAME, Transcript
+from .engine import AliceStrategy, ROTHBERGER_GAME, Transcript
 from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError, PreconditionError
 from .products import often_innings
-from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
+from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, first_space, member
 from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
 
 SoneSelector = Callable[[SpaceModel, Callable[[int], IndexedCover]], Iterator[int]]
-
-
-@dataclass(frozen=True)
-class IntersectionRecord:
-    """Which member of which source family each factor of an intersection
-    came from (family indices strictly increasing)."""
-
-    factors: tuple[tuple[int, int], ...]  # (family index, member index) pairs
 
 
 def _symmetric_sums(values: Sequence[int], k: int) -> list[int]:
@@ -73,18 +66,20 @@ def distinct_intersections(
     families: Callable[[int], Sequence[OpenSet]],
     n: int,
     family_limit: int = 200,
-) -> tuple[IndexedCover, Callable[[int], IntersectionRecord]]:
-    """The cover of n-fold intersections over n distinct families.
+) -> tuple[IndexedCover, Callable[[int], tuple[tuple[int, int], ...]]]:
+    """The cover of n-fold intersections over n distinct families, and the
+    record of a member: its factors' (family index, member index) pairs,
+    family indices strictly increasing.
 
     Members are enumerated by increasing largest family index, then
-    lexicographically in the family-index tuple, then lexicographically in
-    the member choices; each member records its factors. Ranks are computed
-    arithmetically (block sizes are elementary symmetric sums of the family
-    sizes), so both member lookup and the witness work at any index without
-    materializing the enumeration. The witness takes the first n distinct
-    families whose listed members contain the point — they exist when the
-    point is covered infinitely often — and returns the exact rank of that
-    combination, raising :class:`BudgetError` past `family_limit` families.
+    lexicographically in the family-index tuple, then lexicographically in the
+    member choices. Ranks are computed arithmetically (block sizes are
+    elementary symmetric sums of the family sizes), so both member lookup and
+    the witness work at any index without materializing the enumeration. The
+    witness takes the first n distinct families whose listed members contain
+    the point — they exist when the point is covered infinitely often — and
+    returns the exact rank of that combination, raising :class:`BudgetError`
+    past `family_limit` families.
     """
     if n < 1:
         raise ValueError("intersection arity must be positive")
@@ -164,9 +159,9 @@ def distinct_intersections(
             member_rank = member_rank * size(i) + (c - 1)
         return total + member_rank + 1
 
-    def record(j: int) -> IntersectionRecord:
+    def record(j: int) -> tuple[tuple[int, int], ...]:
         fams, choices = unrank(j)
-        return IntersectionRecord(factors=tuple(zip(fams, choices)))
+        return tuple(zip(fams, choices))
 
     def sets(j: int) -> OpenSet:
         fams, choices = unrank(j)
@@ -190,21 +185,16 @@ def distinct_intersections(
             i += 1
         return rank(fams, choices)
 
+    space = first_space(fam(1))
+    if space is None:
+        raise ValueError("cannot infer the space from the families")
     cover = IndexedCover(
-        space=_space_of_families(fam(1)),
+        space=space,
         sets=sets,
         witness=witness,
         label=f"distinct({n})",
     )
     return cover, record
-
-
-def _space_of_families(fam: Sequence[OpenSet]) -> SpaceModel:
-    for s in fam:
-        hint = s.space_hint()
-        if hint is not None:
-            return hint
-    raise ValueError("cannot infer the space from the families")
 
 
 def check_infinitely_often(
@@ -251,7 +241,7 @@ def select_one_per_family(
     stage_cap = max(horizon, 1) + 5
     check_infinitely_often(families, space, horizon, count)
 
-    covers: dict[int, tuple[IndexedCover, Callable[[int], IntersectionRecord]]] = {}
+    covers: dict[int, tuple[IndexedCover, Callable[[int], tuple[tuple[int, int], ...]]]] = {}
 
     def cover_for(n: int) -> IndexedCover:
         if n not in covers:
@@ -262,8 +252,7 @@ def select_one_per_family(
     picks = sone(space, cover_for)
     for stage in range(1, stage_cap + 1):
         j = next(picks)
-        record = covers[stage][1](j)
-        for fam_idx, member_idx in record.factors:
+        for fam_idx, member_idx in covers[stage][1](j):
             if fam_idx not in assigned:
                 assigned[fam_idx] = member_idx
                 break
@@ -274,8 +263,7 @@ def select_one_per_family(
         if _assigned_cover(families, assigned, space, horizon):
             break
     else:
-        if not _assigned_cover(families, assigned, space, horizon):
-            raise BudgetError(f"no covering assignment within {stage_cap} stages")
+        raise BudgetError(f"no covering assignment within {stage_cap} stages")
 
     out: list[tuple[int, int]] = []
     for i in range(1, count + 1):
@@ -370,6 +358,30 @@ def joint_refinement_cover(
     return joint
 
 
+def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
+    """Replace each node's cover by the joint refinement of the covers at all
+    nodes coordinatewise below it.
+
+    The new set at node sigma + (n,) is the intersection of the n-th members
+    of the distinct covers at the nodes tau <= sigma, and the witness is the
+    max of their witnesses (see `joint_refinement_cover`). On increasing
+    covers the new covers stay increasing, each refines the original at the
+    same node, and the finer-with-larger-nodes monotonicity holds: for
+    tau <= sigma and m <= n the new set at sigma + (m,) is contained in the
+    new set at tau + (n,).
+
+    The distinct covers of a tree with `keys` are read by key states, at any
+    box size; otherwise the box is walked, and a box of more than `box_limit`
+    nodes raises :class:`ResourceLimitError`.
+    """
+    return TreeStrategy(
+        space=tree.space,
+        cover_at_raw=lambda path: joint_refinement_cover(tree, path, box_limit=box_limit),
+        back_map=tree.back_map,
+        label=f"wedge({tree.label})",
+    )
+
+
 def bounds_from_moves(moves: Sequence[tuple[int, ...]]) -> Path:
     """The bound sequence pinned down by the opponent's index moves so far:
     each move extends it by its largest index (the least bound m such that,
@@ -386,19 +398,12 @@ def menger_from_rothberger(
 
     The opening move is the root cover; after selections with bounds
     (m_1, ..., m_k) the move is the joint refinement over the box below that
-    bound sequence.
+    bound sequence: the wedged tree's memoized cover at that node.
     """
-
-    memo: dict[Path, IndexedCover] = {}
-
-    def move(moves: Moves) -> IndexedCover:
-        bound = bounds_from_moves(moves)
-        hit = memo.get(bound)
-        if hit is None:
-            hit = memo[bound] = joint_refinement_cover(tree, bound, box_limit=box_limit)
-        return hit
-
-    return AliceStrategy(space=tree.space, move=move, name=f"refined({tree.label})")
+    wedged = wedge_tree(tree, box_limit=box_limit)
+    return AliceStrategy(
+        space=tree.space, move=lambda moves: wedged.cover_at(bounds_from_moves(moves)), name=f"refined({tree.label})"
+    )
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,7 @@ def space_from_config(config: dict) -> SpaceModel:
     if kind == "finite":
         _known(spec, {"kind", "points", "topology"}, "space")
         points, topology = spec.get("points"), spec.get("topology")
-        opens = isinstance(topology, list) and all(isinstance(s, list) and all(map(_is_int, s)) for s in topology)
-        if not _is_int(points) or not opens:
+        if not _is_int(points) or not _list_of(topology, lambda s: _list_of(s, _is_int)):
             raise ConfigError("finite space needs integer 'points' and 'topology' as lists of ids", key="space")
         try:
             return FiniteTopological(points, topology)
@@ -191,6 +190,11 @@ def run_scenario(config_path: str, output_dir: str | None = None) -> int:
 def _is_int(value: Any) -> bool:
     """A JSON integer: not a bool, a float or a string."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(value: Any, test) -> bool:
+    """A JSON list whose items all pass `test`."""
+    return isinstance(value, list) and all(map(test, value))
 
 
 def _known(mapping: dict, keys: set[str], where: str) -> None:
@@ -344,10 +348,14 @@ def _run_oracle(config):
         space = space_from_config(spec)
         if not isinstance(space, FiniteTopological):
             raise ConfigError("oracle instances need a finite space", key="instance")
-        if "covers" not in spec:
-            raise ConfigError("inline instance needs 'covers'", key="instance")
-        instance = stationary_instance(space, spec["covers"], name=spec.get("name", "inline"))
-        instance.validate()
+        covers, name = spec.get("covers"), spec.get("name", "inline")
+        if not (_list_of(covers, lambda cover: _list_of(cover, lambda s: _list_of(s, _is_int))) and isinstance(name, str)):
+            raise ConfigError("inline instance needs 'covers' as lists of lists of ids and a string 'name'", key="instance")
+        instance = stationary_instance(space, covers, name=name)
+        try:
+            instance.validate()
+        except ValueError as e:
+            raise ConfigError(f"invalid instance: {e}", key="instance")
     else:
         instances = bundled_instances()
         if spec not in instances:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .covers import FiniteSelection, IndexedCover, Verdict
 from .engine import AliceStrategy, GameKind, Moves, memoized_strategy
@@ -32,8 +32,8 @@ class FiniteGameInstance:
     """A finite game instance: the space and, per position, the first
     player's cover options (each a finite tuple of open id-sets).
 
-    `options_at` must be a pure function of the history: a solve may search
-    again, and a decision table is built by a second search on first read."""
+    `options_at` must be a pure function of the history: `decision_table`
+    searches again, so it reads the options a solve read."""
 
     space: FiniteTopological
     options_at: Callable[[OracleHistory], Sequence[Cover]]
@@ -41,7 +41,10 @@ class FiniteGameInstance:
 
     def validate(self) -> None:
         universe = frozenset(range(self.space.n_points))
-        for opt_idx, cover in enumerate(self.options_at(())):
+        options = tuple(self.options_at(()))
+        if not options:
+            raise ValueError(f"{self.name}: no option at the root")
+        for opt_idx, cover in enumerate(options):
             if not cover:
                 raise ValueError(f"{self.name}: option {opt_idx} is empty")
             if frozenset().union(*cover) != universe:
@@ -67,42 +70,10 @@ def _selections(cover: Cover, cap: int, arity: str) -> list[tuple[int, ...]]:
     return out
 
 
-class _DecisionTable(Mapping):
-    """A solve's decision table, written on first read by running the solve's
-    search again; the search is deterministic, so it holds what the first one
-    decided, in the same order."""
-
-    __slots__ = ("_build", "_table")
-
-    def __init__(self, build: Callable[[dict], object]):
-        self._build = build
-        self._table: dict | None = None
-
-    def _entries(self) -> dict:
-        if self._table is None:
-            table: dict[tuple, object] = {}
-            self._build(table)
-            self._table, self._build = table, None
-        return self._table
-
-    def __getitem__(self, key):
-        return self._entries()[key]
-
-    def __iter__(self):
-        return iter(self._entries())
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def __repr__(self) -> str:
-        return repr(self._entries())
-
-
 @dataclass(frozen=True)
 class SolveResult:
     winner: str
     depth: int
-    strategy: Mapping[tuple, object]
     nodes: int
 
 
@@ -118,11 +89,8 @@ def solve_finite_game(
     The second player wins a position iff, for every cover option, some
     selection (of at most `selection_cap` indices, exactly one in
     single-selection games) leads to a covered space or to a winning deeper
-    position. The decision table maps second-player states (position, option
-    faced, covered set) to a winning selection, and first-player states to a
-    refuting option index; covered sets appear in keys as sorted id tuples.
-    The solve itself writes no table: `strategy` builds it on first read by
-    searching once more with the same arguments.
+    position. The solve writes no decision table; `decision_table` searches
+    once more with the same arguments to write one.
 
     Positions hold the covered set as a bitmask over point ids. Each distinct
     cover met during the solve gets one table of its selections, in order,
@@ -134,11 +102,25 @@ def solve_finite_game(
     soon as the count exceeds `node_limit`; a `selection_cap` below 1 is a
     `ValueError`.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     won, nodes = _search(instance, game, depth, selection_cap, node_limit, None)
-    strategy = _DecisionTable(lambda table: _search(instance, game, depth, selection_cap, node_limit, table))
-    return SolveResult(winner="bob" if won else "alice", depth=depth, strategy=strategy, nodes=nodes)
+    return SolveResult(winner="bob" if won else "alice", depth=depth, nodes=nodes)
+
+
+def decision_table(
+    instance: FiniteGameInstance,
+    game: GameKind,
+    depth: int,
+    selection_cap: int,
+    node_limit: int = 200_000,
+) -> dict[tuple, object]:
+    """The decision table of `solve_finite_game`'s search, written in order
+    by one search with the same arguments: second-player states (position,
+    option faced, covered set) map to a winning selection, first-player
+    states to a refuting option index; covered sets appear in keys as sorted
+    id tuples."""
+    table: dict[tuple, object] = {}
+    _search(instance, game, depth, selection_cap, node_limit, table)
+    return table
 
 
 def _over_budget(instance: FiniteGameInstance, depth: int, node_limit: int) -> ResourceLimitError:
@@ -162,6 +144,8 @@ def _search(
     its depths share; such a search reports no node count, so with two or
     more innings left a position tries its selections by how many points
     they leave covered, most first (ties in scan order)."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if selection_cap < 1:
         raise ValueError("selection_cap must be at least 1")
     n_points = instance.space.n_points

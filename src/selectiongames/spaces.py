@@ -19,7 +19,7 @@ union. The cover's table lives exactly as long as the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Iterable, TYPE_CHECKING
 
 from .errors import CrossSpaceError
 from .pairing import unpair
@@ -267,7 +267,7 @@ class FiniteUnion(OpenSet):
     parts: tuple[OpenSet, ...]
 
     def __post_init__(self) -> None:
-        self._init_state(_first_space(self.parts), {})
+        self._init_state(first_space(self.parts), {})
 
     def _member(self, p: Point) -> bool:
         for part in self.parts:
@@ -284,7 +284,7 @@ class FiniteIntersection(OpenSet):
     parts: tuple[OpenSet, ...]
 
     def __post_init__(self) -> None:
-        self._init_state(_first_space(self.parts), {})
+        self._init_state(first_space(self.parts), {})
 
     def _member(self, p: Point) -> bool:
         for part in self.parts:
@@ -333,7 +333,8 @@ class Lifted(OpenSet):
         return ("lift", self.level, describe(self.base))
 
 
-def _first_space(parts: tuple[OpenSet, ...]) -> SpaceModel | None:
+def first_space(parts: Iterable[OpenSet]) -> SpaceModel | None:
+    """The space hinted by the first of `parts` that hints one, else None."""
     for part in parts:
         space = part.space_hint()
         if space is not None:

@@ -46,6 +46,11 @@ from helpers import extensionally_equal, is_large_up_to, scrambled_tree, subtree
 N = CountableDiscrete()
 
 
+def descriptions(sets) -> frozenset:
+    """The descriptions of the given sets, as `strip_history` removes them."""
+    return frozenset(map(describe, sets))
+
+
 # ---------------------------------------------------------------------------
 # The large-cover pipeline as it was before stripped covers were shared and
 # wedged covers became joint refinements: one fresh stripped cover per node,
@@ -69,7 +74,7 @@ def reference_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
 
     def cover_at(path: Path) -> IndexedCover:
         orig_path, chosen = resolve(path)
-        return strip_history(tree.cover_at(orig_path), chosen)
+        return strip_history(tree.cover_at(orig_path), descriptions(chosen))
 
     def back_map(path: Path) -> tuple[tuple[int, ...], ...]:
         orig_path, _ = resolve(path)
@@ -282,7 +287,7 @@ def reference_interned_strip_chosen_tree(tree: TreeStrategy) -> TreeStrategy:
         cover = tree.cover_at(orig_path)
         hit = shared.get((cover, removed))
         if hit is None:
-            hit = shared[(cover, removed)] = strip_history(cover, chosen)
+            hit = shared[(cover, removed)] = strip_history(cover, removed)
         return hit
 
     def back_map(path: Path) -> Moves:
@@ -555,7 +560,8 @@ class TestAgainstTheReferenceStrip:
     def test_same_witnesses_under_a_small_budget(self):
         cover = segment_cover(N)
         chosen = [initial_segment(N, j) for j in (1, 2, 4, 5, 6)]
-        new, ref = strip_history(cover, chosen, scan_budget=3), reference_strip_history(cover, chosen, scan_budget=3)
+        new = strip_history(cover, descriptions(chosen), scan_budget=3)
+        ref = reference_strip_history(cover, chosen, scan_budget=3)
         for p in POINTS:
             assert _outcome(lambda: new.witness(p)) == _outcome(lambda: ref.witness(p)), p
 
@@ -573,14 +579,14 @@ def _lonely_cover() -> IndexedCover:
 
 class TestStripWitnessMemo:
     def test_point_of_another_space_is_refused_before_the_lookup(self):
-        stripped = strip_history(segment_cover(N), [initial_segment(N, 1)])
+        stripped = strip_history(segment_cover(N), descriptions([initial_segment(N, 1)]))
         assert stripped.witness(N.point(2)) == 2
         with pytest.raises(CrossSpaceError):
             stripped.witness(CountableDiscrete("M").point(2))
 
     def test_a_scan_that_raises_stores_nothing(self):
         cover = _lonely_cover()
-        stripped = strip_history(cover, [cover.sets(3)], scan_budget=5)
+        stripped = strip_history(cover, descriptions([cover.sets(3)]), scan_budget=5)
         for _ in range(2):
             with pytest.raises(BudgetError, match=r"^witness repair exhausted budget 5 in cover 'lonely' for p2@N$"):
                 stripped.witness(N.point(2))
@@ -595,7 +601,7 @@ def test_each_witness_scan_runs_once_per_point(monkeypatch):
     real_strip, real_member = evasion.strip_history, engine.member
     scans: Counter = Counter()
 
-    def counting_strip(cover, chosen, scan_budget=200):
+    def counting_strip(cover, removed, scan_budget=200):
         def witness(p):
             scans[id(proxy), p.id] += 1
             return cover.witness(p)
@@ -608,7 +614,7 @@ def test_each_witness_scan_runs_once_per_point(monkeypatch):
             increasing=cover.increasing,
             label=cover.label,
         )
-        return real_strip(proxy, chosen, scan_budget)
+        return real_strip(proxy, removed, scan_budget)
 
     monkeypatch.setattr(evasion, "strip_history", counting_strip)
     result = counterplay_large(appendix_tree_corpus(N)["max_shifted"], N.points(5), innings=15)
@@ -652,39 +658,39 @@ class TestStripHistory:
     def test_budget_error_names_the_scan_start_and_the_cover(self):
         cover = segment_cover(N)
         chosen = [initial_segment(N, j) for j in range(2, 10)]
-        stripped = strip_history(cover, chosen, scan_budget=5)
+        stripped = strip_history(cover, descriptions(chosen), scan_budget=5)
         assert stripped.provenance(2) == (2,)
         with pytest.raises(BudgetError, match=r"cover 'segments' survives within 5 of index 3$"):
             stripped.sets(3)
 
     def test_removes_named_sets_and_reindexes(self):
         cover = segment_cover(N)
-        stripped = strip_history(cover, [initial_segment(N, 0)])
+        stripped = strip_history(cover, descriptions([initial_segment(N, 0)]))
         for j in (1, 2, 5):
             assert describe(stripped.sets(j)) == describe(initial_segment(N, j))
         assert stripped.provenance(1) == (2,)
 
     def test_removing_two(self):
         cover = segment_cover(N)
-        stripped = strip_history(cover, [initial_segment(N, 0), initial_segment(N, 1)])
+        stripped = strip_history(cover, descriptions([initial_segment(N, 0), initial_segment(N, 1)]))
         for j in (1, 3):
             assert describe(stripped.sets(j)) == describe(initial_segment(N, j + 1))
 
     def test_empty_removal_is_identity(self):
         cover = segment_cover(N)
-        stripped = strip_history(cover, [])
+        stripped = strip_history(cover, frozenset())
         for j in (1, 4):
             assert describe(stripped.sets(j)) == describe(cover.sets(j))
         assert stripped.provenance(3) == (3,)
 
     def test_witness_repaired(self):
         cover = segment_cover(N)
-        stripped = strip_history(cover, [initial_segment(N, 4)])
+        stripped = strip_history(cover, descriptions([initial_segment(N, 4)]))
         assert is_cover_up_to(stripped, 20)
 
     def test_preserves_largeness(self):
         cover = segment_cover(N)
-        stripped = strip_history(cover, [initial_segment(N, 2), initial_segment(N, 6)])
+        stripped = strip_history(cover, descriptions([initial_segment(N, 2), initial_segment(N, 6)]))
         sets = [stripped.sets(j) for j in range(1, 15)]
         assert is_large_up_to(sets, horizon=4, multiplicity=3, budget=15)
 

@@ -121,7 +121,7 @@ class TestDistinctIntersections:
         cover, record = distinct_intersections(lambda i: fams[i - 1], 2, family_limit=2)
         first = cover.sets(1)
         assert extensionally_equal(first, initial_segment(N, 1), N, horizon=10)
-        assert record(1).factors == ((1, 1), (2, 1))
+        assert record(1) == ((1, 1), (2, 1))
 
     def test_enumeration_matches_hand_expansion(self):
         a, b = initial_segment(N, 5), initial_segment(N, 6)
@@ -131,7 +131,7 @@ class TestDistinctIntersections:
         cover, record = distinct_intersections(lambda i: fams[i - 1], 2, family_limit=3)
         # bound 2: (1,2) with members a&c, b&c; bound 3: (1,3): a&e, b&e; (2,3): c&e
         expected = [((1, 1), (2, 1)), ((1, 2), (2, 1)), ((1, 1), (3, 1)), ((1, 2), (3, 1)), ((2, 1), (3, 1))]
-        got = [record(j).factors for j in range(1, 6)]
+        got = [record(j) for j in range(1, 6)]
         assert got == expected
 
     def test_all_whole_families(self):
@@ -145,7 +145,7 @@ class TestDistinctIntersections:
         cover, record = distinct_intersections(lambda i: fams[i - 1], 2, family_limit=7)
         p = N.point(4)
         j = witness_of(cover, p)
-        factors = record(j).factors
+        factors = record(j)
         # the witnessed member is the intersection of recorded factors, each
         # containing the point, from strictly increasing families
         assert len(factors) == 2 and factors[0][0] < factors[1][0]
@@ -156,7 +156,7 @@ class TestDistinctIntersections:
         fams = [[initial_segment(N, 2), whole(N)] for _ in range(6)]
         cover, record = distinct_intersections(lambda i: fams[i - 1], 3, family_limit=6)
         for j in range(1, 40):
-            fs = [f for f, _ in record(j).factors]
+            fs = [f for f, _ in record(j)]
             assert fs == sorted(set(fs)) and len(fs) == 3
 
     def test_is_cover_when_hypothesis_holds(self):
@@ -259,6 +259,15 @@ class TestJointRefinement:
         assert [describe(reply.sets(n)) for n in (1, 2, 4)] == [
             describe(joint_refinement_cover(tree, (m,)).sets(n)) for n in (1, 2, 4)
         ]
+
+    def test_moves_with_the_same_bounds_share_one_cover(self):
+        # the box below (1, 4) holds the shifts 0-4, the box below (1,) only 0-1
+        tree = rothberger_tree_corpus(N)["shifted_seg"]
+        derived = menger_from_rothberger(tree)
+        cover = derived.move(((1,), (2, 4)))
+        assert derived.move(((1,), (4,))) is cover
+        fresh = joint_refinement_cover(tree, (1, 4))
+        assert [describe(cover.sets(n)) for n in range(1, 6)] == [describe(fresh.sets(n)) for n in range(1, 6)]
 
 
 class TestJointWitness:

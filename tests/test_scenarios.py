@@ -32,6 +32,17 @@ def scenario_config(**overrides):
     return config
 
 
+def inline_instance(**instance):
+    """An oracle config on an inline instance over the two-point discrete space."""
+    space = {"kind": "finite", "points": 2, "topology": [[], [0], [1], [0, 1]]}
+    return {"construction": "oracle", "instance": {"space": space, **instance}}
+
+
+# covers that are not lists of lists of ids, that name no cover of the
+# space, or that offer no option at all
+MALFORMED_COVERS = ([[1]], 5, [[[0, 1]], 7], [[["a"]]], [[[0, 9]]], [])
+
+
 class TestConfigErrors:
     def test_missing_space_key(self, tmp_path):
         cfg = scenario_config()
@@ -84,6 +95,8 @@ class TestConfigErrors:
             (scenario_config(grid=[{"horizon": 0, "innings": 4}]), "horizon"),
             (scenario_config(construction="paw-cor", grid=[{"horizon": 3, "innings": 8, "multiplicity": 0}]), "multiplicity"),
             (scenario_config(output=5), "output"),
+            *((inline_instance(covers=covers), "instance") for covers in MALFORMED_COVERS),
+            (inline_instance(covers=[[[0, 1]]], name=3), "instance"),
         ],
         ids=[
             "cap-not-an-integer", "unknown-game", "cell-without-horizon", "grid-not-a-list", "space-not-an-object",
@@ -91,6 +104,7 @@ class TestConfigErrors:
             "horizon-not-integral", "horizon-a-bool", "grid-empty", "innings-zero", "innings-negative", "sample-zero",
             "node-budget-zero",
             "horizon-zero", "multiplicity-zero", "output-not-a-string",
+            *(f"inline-covers-{covers!r}" for covers in MALFORMED_COVERS), "inline-name-not-a-string",
         ],
     )
     def test_malformed_values_name_their_key(self, tmp_path, config, key):

@@ -12,6 +12,7 @@ from selectiongames.solver import (
     _selections,
     counterplay_bob_strategy,
     cross_check,
+    decision_table,
     deterministic_strategy,
     instance_cover,
     minimal_winning_depth,
@@ -31,7 +32,8 @@ def two_point():
 
 def reference_solve(instance, game, depth, selection_cap, node_limit=200_000):
     """The frozenset backward induction the bitmask solver replaced, kept as
-    the reference it must match exactly (winner, nodes, ordered table)."""
+    the reference it must match exactly (winner, nodes, ordered table): the
+    result and the decision table."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     counter = {"nodes": 0}
@@ -59,14 +61,14 @@ def reference_solve(instance, game, depth, selection_cap, node_limit=200_000):
         return True
 
     winner = "bob" if bob_wins((), frozenset(), depth) else "alice"
-    return SolveResult(winner=winner, depth=depth, strategy=dict(strategy), nodes=counter["nodes"])
+    return SolveResult(winner=winner, depth=depth, nodes=counter["nodes"]), strategy
 
 
 def reference_minimal_winning_depth(instance, game, selection_cap, max_depth=8):
     """The depth loop minimal_winning_depth replaced, kept verbatim over
     reference_solve as the reference its depths must match."""
     for d in range(1, max_depth + 1):
-        if reference_solve(instance, game, d, selection_cap).winner == "bob":
+        if reference_solve(instance, game, d, selection_cap)[0].winner == "bob":
             return d
     raise ResourceLimitError(f"no winning depth within {max_depth} for {instance.name}")
 
@@ -193,10 +195,10 @@ class TestSolve:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_solver(self, inst, arity, cap, depth):
         game = GameKind(arity)
-        want = reference_solve(inst, game, depth, cap)
+        want, want_table = reference_solve(inst, game, depth, cap)
         got = solve_finite_game(inst, game, depth, cap)
         assert (got.winner, got.nodes) == (want.winner, want.nodes)
-        assert list(got.strategy.items()) == list(want.strategy.items())
+        assert list(decision_table(inst, game, depth, cap).items()) == list(want_table.items())
         for limit in (want.nodes, want.nodes - 1):
             assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
                 reference_solve, inst, game, depth, cap, limit
@@ -228,7 +230,7 @@ class TestSolve:
         for arity, cap in (("single", 1), ("finite", 2)):
             game = GameKind(arity)
             for depth in (3, 4):
-                nodes = reference_solve(inst, game, depth, cap).nodes
+                nodes = reference_solve(inst, game, depth, cap)[0].nodes
                 for limit in range(1, nodes + 1):
                     assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
                         reference_solve, inst, game, depth, cap, limit
@@ -272,8 +274,8 @@ class TestSolve:
             minimal_winning_depth(twelve, G1, 1)
 
     def test_strategy_table_produced_for_winner(self):
-        result = solve_finite_game(two_point(), G1, 2, 1)
-        bob_states = [k for k in result.strategy if k[0] == "bob"]
+        assert solve_finite_game(two_point(), G1, 2, 1).winner == "bob"
+        bob_states = [k for k in decision_table(two_point(), G1, 2, 1) if k[0] == "bob"]
         assert bob_states
 
 
@@ -286,32 +288,11 @@ class TestDecisionTableOnRead:
         assert (result.winner, result.depth, result.nodes) == ("bob", 3, 10)
         assert calls[0] == searched
 
-    def test_first_read_searches_once_and_later_reads_not_at_all(self):
-        inst, calls = counting(leaf_heavy_instance())
-        result = solve_finite_game(inst, G1, 4, 1)
-        searched = calls[0]
-        table = dict(result.strategy)
-        assert table and calls[0] == 2 * searched
-        assert result.strategy[next(iter(table))] == table[next(iter(table))]
-        assert len(result.strategy) == len(table) and list(result.strategy) == list(table)
-        assert calls[0] == 2 * searched
-
     def test_table_at_an_exact_node_limit_builds_without_raising(self):
         for game, depth in ((G1, 3), (G1, 4), (GFIN, 3)):
-            want = solve_finite_game(leaf_heavy_instance(), game, depth, 2)
-            got = solve_finite_game(leaf_heavy_instance(), game, depth, 2, node_limit=want.nodes)
-            assert list(got.strategy.items()) == list(want.strategy.items())
-
-    def test_repr_and_equality_read_as_a_dict(self):
-        result = solve_finite_game(two_point(), G1, 1, 1)
-        table = dict(result.strategy)
-        plain = SolveResult(winner=result.winner, depth=result.depth, strategy=table, nodes=result.nodes)
-        assert repr(result.strategy) == repr(table) == "{('alice', (), ()): 0}"
-        assert repr(result) == repr(plain)
-        assert result == plain and plain == result
-        assert result == solve_finite_game(two_point(), G1, 1, 1)
-        assert result.strategy == table and table == result.strategy
-        assert result != solve_finite_game(two_point(), G1, 2, 1)
+            want, want_table = reference_solve(leaf_heavy_instance(), game, depth, 2)
+            got = decision_table(leaf_heavy_instance(), game, depth, 2, node_limit=want.nodes)
+            assert list(got.items()) == list(want_table.items())
 
 
 class TestCrossCheck:
@@ -423,6 +404,11 @@ class TestInstanceValidation:
         space = FiniteTopological(2, [[], [0], [0, 1]])
         inst = stationary_instance(space, [[[1], [0, 1]]], name="bad-open")
         with pytest.raises(ValueError):
+            inst.validate()
+
+    def test_no_option_at_the_root_rejected(self):
+        inst = stationary_instance(FiniteTopological.discrete(2), [], name="no-options")
+        with pytest.raises(ValueError, match="no-options: no option at the root"):
             inst.validate()
 
 

@@ -17,8 +17,12 @@ an unmutated copy.
 The gate fails, naming the mutant, when its edit site is gone (the function
 or the ``old`` text is not found), when the edit leaves the module's syntax
 tree unchanged, when the listed tests all pass on the mutant (it survived),
-or when pytest ends in anything other than passing or failing tests (a test
-id that no longer exists, say). Standard library only.
+when every listed test that fails does so with ``NameError`` or
+``UnboundLocalError`` (read from pytest's ``-rf`` summary: the edit broke its
+own module, say by rebinding a name it still reads, so the failure says
+nothing about the tests), or when pytest ends in anything other than passing
+or failing tests (a test id that no longer exists, say). Standard library
+only.
 
 Add a mutant here whenever a change is checked by a hand-made mutation.
 """
@@ -38,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300  # per pytest run
+BROKEN = {"NameError", "UnboundLocalError"}  # a mutant failing only with these broke its own module
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,7 @@ class Mutant:
 EV = "tests/test_evasion.py::"
 RB = "tests/test_rothberger.py::"
 HW = "tests/test_hurewicz.py::"
+SV = "tests/test_solver.py::"
 KEYS = RB + "TestKeyStateWalk::"
 WALK = EV + "test_stripped_children_are_transitions_of_the_reference_walk"
 
@@ -136,7 +142,7 @@ MUTANTS: tuple[Mutant, ...] = (
         (KEYS + "test_a_level_past_the_limit_raises_before_it_is_built",),
         "the limit checked only after a parent key's last child",
     ),
-    # stripped trees step by interned (source key, removed) states
+    # stripped trees step by (source key, removed descriptions) states
     Mutant(
         "transition-keyed-by-child-index", "evasion.py", "strip_chosen_tree.resolve",
         "(parent, i)", "i",
@@ -151,15 +157,35 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "states-interned-by-removed-set", "evasion.py", "strip_chosen_tree.state",
-        "(key, entry[0])", "entry[0]",
+        "(key, removed)", "removed",
         (WALK,),
-        "states interned by their removed descriptions alone, dropping the source key",
+        "states keyed by their removed descriptions alone, dropping the source key",
+    ),
+    Mutant(
+        "strip-ignores-removed", "evasion.py", "strip_history.original_index",
+        "removed", "frozenset()",
+        (EV + "TestStripHistory::test_removes_named_sets_and_reindexes",),
+        "a stripped cover that keeps the members whose descriptions it was given to remove",
     ),
     Mutant(
         "transition-reads-the-source-cover", "evasion.py", "strip_chosen_tree.resolve",
         "parent.cover.sets(i)", "source_cover(parent.key).sets(orig_i)",
         (EV + "test_the_cover_of_a_key_is_read_once_per_state",),
         "a transition reads the chosen member through the cover of the parent's key",
+    ),
+    # the derived Rothberger strategy and the solver's decision table
+    Mutant(
+        "derived-move-drops-the-last-bound", "rothberger.py", "menger_from_rothberger",
+        "bounds_from_moves(moves)", "bounds_from_moves(moves[:-1])",
+        (RB + "TestJointRefinement::test_moves_with_the_same_bounds_share_one_cover",),
+        "the wedged tree read at the bounds of all but the last move",
+    ),
+    Mutant(
+        "decision-table-searches-without-a-table", "solver.py", "decision_table",
+        "_search(instance, game, depth, selection_cap, node_limit, table)",
+        "_search(instance, game, depth, selection_cap, node_limit, None)",
+        (SV + "TestDecisionTableOnRead::test_table_at_an_exact_node_limit_builds_without_raising",),
+        "a decision table returned empty by a search that writes none",
     ),
     # tail-cover witnesses hand their nodes to the member at their index
     Mutant(
@@ -243,25 +269,34 @@ def _copy_tree(into: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[int, str]:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[int, str, set[str]]:
+    """pytest's exit code, its last output line, and the exception types of
+    the failed tests, read from the ``-rf`` summary lines
+    ``FAILED <id> - <type>: <message>`` (wide columns keep the message)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"), COLUMNS="1000")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return -1, f"timed out after {TIMEOUT_S} s"
+        return -1, f"timed out after {TIMEOUT_S} s", set()
     lines = (done.stdout + done.stderr).strip().splitlines()
-    return done.returncode, lines[-1] if lines else ""
+    summary = (line.split(" - ", 1) for line in lines if line.startswith("FAILED "))
+    failed = {parts[1].split(":", 1)[0] for parts in summary if len(parts) == 2}
+    return done.returncode, lines[-1] if lines else "", failed
 
 
 def run_mutant(mutant: Mutant) -> str:
-    """'killed ...' when a listed test fails on the mutant; GateError otherwise."""
+    """'killed ...' when a listed test fails on the mutant, not only with the
+    `BROKEN` exception types; GateError otherwise."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         _copy_tree(copy)
         target = copy / "src" / "selectiongames" / mutant.module
         target.write_text(mutate_source(target.read_text(), mutant))
-        code, last = _pytest(copy, mutant.tests)
+        code, last, failed = _pytest(copy, mutant.tests)
+    if code == 1 and failed and failed <= BROKEN:
+        types = ", ".join(sorted(failed))
+        raise GateError(f"broken: the listed tests fail only with {types}, so the edit broke its own module ({last})")
     if code == 1:
         return f"killed ({last})"
     if code == 0:
@@ -288,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as tmp:
         _copy_tree(Path(tmp))
-        code, last = _pytest(Path(tmp), tests)
+        code, last, _ = _pytest(Path(tmp), tests)
     if code != 0:
         print(f"baseline: the listed tests do not pass on an unmutated copy (pytest exited {code}: {last})")
         return 1
