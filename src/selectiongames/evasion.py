@@ -42,6 +42,8 @@ from .rothberger import wedge_tree, witness_once
 from .spaces import Point, describe, member
 from .trees import Path, TreeStrategy, path_transcript
 
+TRACE_SCAN_BUDGET = 10_000  # children a greedy trace scans at one node
+
 
 @dataclass(eq=False)
 class BaireFunction:
@@ -188,7 +190,6 @@ def greedy_index_function(
     tree: TreeStrategy,
     point: Point,
     prefix: Path = (),
-    scan_budget: int = 10_000,
 ) -> BaireFunction:
     """The greedy index trace of a point through a tree: entry n is the least
     child index whose set contains the point, after the path fixed by the
@@ -202,12 +203,12 @@ def greedy_index_function(
             at = tuple(entries)
             try:
                 cover = tree.cover_at(at)
-                bound = min(witness_of(cover, point), scan_budget)
+                bound = min(witness_of(cover, point), TRACE_SCAN_BUDGET)
             except BudgetError as exc:
                 raise type(exc)(f"{exc} at node {at}") from exc
             pick = cover.first_hit(point, bound)
             if pick > bound:
-                raise BudgetError(f"no covering child within {scan_budget} at node {at}")
+                raise BudgetError(f"no covering child within {TRACE_SCAN_BUDGET} at node {at}")
             entries.append(pick)
         return entries[n - 1]
 
@@ -278,7 +279,6 @@ def counterplay_large(
     sample: Sequence[Point],
     innings: int,
     node_budget: int = 12,
-    box_limit: int = 20_000,
 ) -> LargeCounterplayResult:
     """Play the evasion counterplay for the large-cover game.
 
@@ -301,8 +301,7 @@ def counterplay_large(
         raise ValueError("a play needs at least one inning")
 
     def evasion_path(played: TreeStrategy) -> Path:
-        wedged = wedge_tree(played, box_limit=box_limit)
-        return evasion_function(wedged, sample, node_budget=node_budget).prefix(innings)
+        return evasion_function(wedge_tree(played), sample, node_budget=node_budget).prefix(innings)
 
     stripped_play = True
     try:

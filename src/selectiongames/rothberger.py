@@ -3,18 +3,22 @@ cover infinitely often, and the joint-refinement reduction to the
 finite-selection game.
 
 `distinct_intersections` builds, from a sequence of finite families, the
-cover of all n-fold intersections of sets drawn from n distinct families.
+cover of all n-fold intersections of sets drawn from n distinct families,
+ranked from one table of symmetric sums of the family sizes.
 `select_one_per_family` applies a single-selection witness to those covers
 and unpacks each selected intersection into an assignment of one member to
-one previously unassigned source family; remaining families receive their
-first member, so exactly one member is chosen from every family and the
-chosen members cover the working horizon.
+one previously unassigned source family, filtering the points still
+uncovered by each new member; remaining families receive their first
+member, so exactly one member is chosen from every family and the chosen
+members cover the working horizon. `multiplicity_shortfall` names the first
+point covered too rarely, for the hypothesis check and the play's schedule.
 
 `menger_from_rothberger` derives a finite-selection strategy from a
 single-selection strategy tree: after the opponent's index moves have pinned
 down a bound sequence sigma (each move's largest index), the derived move is
 the `wedge_tree` cover at sigma, the joint refinement of the covers at all
-nodes coordinatewise below sigma (the large-cover play wedges too). The
+nodes coordinatewise below sigma (the large-cover play wedges too), read
+under the one box limit, that of `trees.distinct_covers_on_box`. The
 refinement is enumerated diagonally — its n-th member is the intersection of
 the n-th members of the distinct node covers on the box — so each member
 carries the factor record j = n for every node, recoveries stay bookkeeping,
@@ -39,8 +43,8 @@ name.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .covers import IndexedCover, witness_of
@@ -51,15 +55,6 @@ from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, first_space,
 from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
 
 SoneSelector = Callable[[SpaceModel, Callable[[int], IndexedCover]], Iterator[int]]
-
-
-def _symmetric_sums(values: Sequence[int], k: int) -> list[int]:
-    """Elementary symmetric polynomials e_0..e_k of the given values."""
-    e = [1] + [0] * k
-    for v in values:
-        for i in range(min(k, len(e) - 1), 0, -1):
-            e[i] += e[i - 1] * v
-    return e
 
 
 def distinct_intersections(
@@ -73,13 +68,13 @@ def distinct_intersections(
 
     Members are enumerated by increasing largest family index, then
     lexicographically in the family-index tuple, then lexicographically in the
-    member choices. Ranks are computed arithmetically (block sizes are
-    elementary symmetric sums of the family sizes), so both member lookup and
-    the witness work at any index without materializing the enumeration. The
-    witness takes the first n distinct families whose listed members contain
-    the point — they exist when the point is covered infinitely often — and
-    returns the exact rank of that combination, raising :class:`BudgetError`
-    past `family_limit` families.
+    member choices. Ranks are computed arithmetically from one counting table
+    of elementary symmetric sums of the family sizes, so both member lookup
+    and the witness work at any index without materializing the enumeration.
+    The witness takes the first n distinct families whose listed members
+    contain the point — they exist when the point is covered infinitely often
+    — and returns the exact rank of that combination, raising
+    :class:`BudgetError` past `family_limit` families.
     """
     if n < 1:
         raise ValueError("intersection arity must be positive")
@@ -96,94 +91,82 @@ def distinct_intersections(
                 raise ValueError(f"family {i} is empty")
         return hit
 
-    def size(i: int) -> int:
-        return len(fam(i))
+    counts: list[int] = []  # counts[b - 1]: the members whose largest family index is b
+    sums = [1] + [0] * (n - 1)  # e_0..e_{n-1} of the sizes of the families counted so far
 
-    def block(bound: int) -> int:
-        # members whose largest family index is exactly `bound`
-        head_sizes = [size(i) for i in range(1, bound)]
-        return size(bound) * _symmetric_sums(head_sizes, n - 1)[n - 1]
+    def blocks() -> Iterator[int]:
+        """The member count per largest family index 1, 2, ...: the bound's
+        size times e_{n-1} of the sizes below it (0 below n)."""
+        for bound in itertools.count(1):
+            if len(counts) < bound:
+                size = len(fam(bound))
+                counts.append(size * sums[n - 1])
+                for k in range(n - 1, 0, -1):
+                    sums[k] += sums[k - 1] * size
+            yield counts[bound - 1]
 
-    def unrank(j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def tails(bound: int) -> list[list[int]]:
+        """tails(bound)[a][k] is e_k of the sizes of families a..bound-1."""
+        rows = [[1] + [0] * (n - 1)] * (bound + 1)
+        for a in range(bound - 1, 0, -1):
+            size, after = len(fam(a)), rows[a + 1]
+            rows[a] = [1] + [after[k] + after[k - 1] * size for k in range(1, n)]
+        return rows
+
+    def unrank(j: int) -> tuple[tuple[int, int], ...]:
         rest = j - 1
-        bound = n
-        while True:
-            b = block(bound)
-            if rest < b:
+        for bound, members in enumerate(blocks(), start=1):
+            if rest < members:
                 break
-            rest -= b
-            bound += 1
-        # fix the head combination lexicographically
+            rest -= members
+        # fix the head combination lexicographically: entry a leads fixed * |a| *
+        # tail[a + 1][need] members, fixed being the bound's and the head's sizes
+        tail = tails(bound)
+        fixed = len(fam(bound))
         head: list[int] = []
-        lo = 1
-        for pos in range(n - 1):
-            need = n - 2 - pos  # head entries still to choose after this one
-            a = lo
-            while True:
-                suffix = [size(i) for i in range(a + 1, bound)]
-                cnt = size(a) * _symmetric_sums(suffix, need)[need] * size(bound)
-                for h in head:
-                    cnt *= size(h)
-                if rest < cnt:
-                    break
-                rest -= cnt
+        a = 1
+        for need in range(n - 2, -1, -1):
+            while rest >= (members := fixed * len(fam(a)) * tail[a + 1][need]):
+                rest -= members
                 a += 1
             head.append(a)
-            lo = a + 1
-        fams = tuple(head) + (bound,)
+            fixed *= len(fam(a))
+            a += 1
+        fams = (*head, bound)
         # mixed-radix decomposition of the member choices (last varies fastest)
-        radices = [size(i) for i in fams]
         choices = [0] * n
         for pos in range(n - 1, -1, -1):
-            choices[pos] = rest % radices[pos] + 1
-            rest //= radices[pos]
-        return fams, tuple(choices)
-
-    def rank(fams: Sequence[int], choices: Sequence[int]) -> int:
-        bound = fams[-1]
-        total = 0
-        for b in range(n, bound):
-            total += block(b)
-        head = list(fams[:-1])
-        lo = 1
-        fixed = 1
-        for pos, chosen_a in enumerate(head):
-            need = n - 2 - pos
-            for a in range(lo, chosen_a):
-                suffix = [size(i) for i in range(a + 1, bound)]
-                total += fixed * size(a) * _symmetric_sums(suffix, need)[need] * size(bound)
-            fixed *= size(chosen_a)
-            lo = chosen_a + 1
-        member_rank = 0
-        for i, c in zip(fams, choices):
-            member_rank = member_rank * size(i) + (c - 1)
-        return total + member_rank + 1
-
-    def record(j: int) -> tuple[tuple[int, int], ...]:
-        fams, choices = unrank(j)
+            choices[pos] = rest % len(fam(fams[pos])) + 1
+            rest //= len(fam(fams[pos]))
         return tuple(zip(fams, choices))
 
+    def rank(factors: Sequence[tuple[int, int]]) -> int:
+        bound = factors[-1][0]
+        total = sum(itertools.islice(blocks(), bound - 1))
+        tail = tails(bound)
+        fixed = len(fam(bound))
+        lo = 1
+        for need, (chosen, _) in zip(range(n - 2, -1, -1), factors[:-1]):
+            total += fixed * sum(len(fam(a)) * tail[a + 1][need] for a in range(lo, chosen))
+            fixed *= len(fam(chosen))
+            lo = chosen + 1
+        member_rank = 0
+        for i, c in factors:
+            member_rank = member_rank * len(fam(i)) + (c - 1)
+        return total + member_rank + 1
+
     def sets(j: int) -> OpenSet:
-        fams, choices = unrank(j)
-        parts = tuple(fam(i)[c - 1] for i, c in zip(fams, choices))
-        return FiniteIntersection(parts=parts)
+        return FiniteIntersection(parts=tuple(fam(i)[c - 1] for i, c in unrank(j)))
 
     def witness(p: Point) -> int:
-        fams: list[int] = []
-        choices: list[int] = []
-        i = 1
-        while len(fams) < n:
-            if i > family_limit:
-                raise BudgetError(
-                    f"point {p!r} not covered by {n} families within the first {family_limit}"
-                )
-            for m, s in enumerate(fam(i), start=1):
-                if member(s, p):
-                    fams.append(i)
-                    choices.append(m)
-                    break
-            i += 1
-        return rank(fams, choices)
+        factors: list[tuple[int, int]] = []  # the first n families containing p, with the member
+        for i in range(1, family_limit + 1):
+            m = next((m for m, s in enumerate(fam(i), start=1) if member(s, p)), None)
+            if m is not None:
+                factors.append((i, m))
+                if len(factors) == n:
+                    return rank(factors)
+        raise BudgetError(f"point {p!r} not covered by {n} families within the first {family_limit}")
 
     space = first_space(fam(1))
     if space is None:
@@ -194,7 +177,27 @@ def distinct_intersections(
         witness=witness,
         label=f"distinct({n})",
     )
-    return cover, record
+    return cover, unrank
+
+
+def multiplicity_shortfall(
+    families: Callable[[int], Sequence[OpenSet]],
+    count: int,
+    points: Sequence[Point],
+) -> tuple[Point, int, int] | None:
+    """The first point p_i that fewer than i + 1 of the first `count` families
+    cover (a family covers a point when one of its members contains it), with
+    the number that do and i + 1; None when every point is covered often
+    enough."""
+    for need, p in enumerate(points, start=1):
+        found = 0
+        for f in range(1, count + 1):
+            found += any(member(s, p) for s in families(f))
+            if found == need:
+                break
+        if found < need:
+            return p, found, need
+    return None
 
 
 def check_infinitely_often(
@@ -206,19 +209,12 @@ def check_infinitely_often(
     """Verify the working form of the infinitely-often hypothesis: the point
     targeted at stage i+1 must lie in the union of at least i+1 distinct
     families within the budget."""
-    for idx, p in enumerate(space.points(horizon)):
-        needed = idx + 1
-        found = 0
-        for i in range(1, family_budget + 1):
-            if any(member(s, p) for s in families(i)):
-                found += 1
-                if found >= needed:
-                    break
-        if found < needed:
-            raise GameError(
-                f"hypothesis fails: {p!r} is covered by only {found} of the first "
-                f"{family_budget} families (need {needed})"
-            )
+    if short := multiplicity_shortfall(families, family_budget, space.points(horizon)):
+        p, found, needed = short
+        raise GameError(
+            f"hypothesis fails: {p!r} is covered by only {found} of the first "
+            f"{family_budget} families (need {needed})"
+        )
 
 
 def select_one_per_family(
@@ -234,8 +230,9 @@ def select_one_per_family(
     Stage n applies the single-selection witness to the n-fold intersection
     cover; the selected intersection's factors name n distinct families, at
     least one of which is still unassigned, and that family receives its
-    recorded member. Families left unassigned when coverage is reached
-    receive member 1. The infinitely-often hypothesis is checked on the first
+    recorded member, which filters the points below the horizon still
+    uncovered. Families left unassigned when coverage is reached receive
+    member 1. The infinitely-often hypothesis is checked on the first
     `count` families, and `max(horizon, 1) + 5` stages are tried.
     """
     stage_cap = max(horizon, 1) + 5
@@ -249,6 +246,7 @@ def select_one_per_family(
         return covers[n][0]
 
     assigned: dict[int, int] = {}
+    uncovered = space.points(horizon)
     picks = sone(space, cover_for)
     for stage in range(1, stage_cap + 1):
         j = next(picks)
@@ -260,26 +258,14 @@ def select_one_per_family(
             # unreachable: the stage-n pick has n distinct factor families
             # and at most n-1 assignments exist before it
             raise IntegrityError("no unassigned factor family at stage " + str(stage))
-        if _assigned_cover(families, assigned, space, horizon):
+        picked = families(fam_idx)[member_idx - 1]
+        uncovered = [p for p in uncovered if not member(picked, p)]
+        if not uncovered:
             break
     else:
         raise BudgetError(f"no covering assignment within {stage_cap} stages")
 
-    out: list[tuple[int, int]] = []
-    for i in range(1, count + 1):
-        out.append((i, assigned.get(i, 1)))
-    return out
-
-
-def _assigned_cover(
-    families: Callable[[int], Sequence[OpenSet]],
-    assigned: dict[int, int],
-    space: SpaceModel,
-    horizon: int,
-) -> bool:
-    pts = space.points(horizon)
-    sets = [families(i)[m - 1] for i, m in assigned.items()]
-    return all(any(member(s, p) for s in sets) for p in pts)
+    return [(i, assigned.get(i, 1)) for i in range(1, count + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +292,15 @@ def witness_once(space: SpaceModel, scan: Callable[[Point], int]) -> Callable[[P
     return witness
 
 
-def joint_refinement_cover(
-    tree: TreeStrategy,
-    bound: Path,
-    box_limit: int = 20_000,
-) -> IndexedCover:
+def joint_refinement_cover(tree: TreeStrategy, bound: Path) -> IndexedCover:
     """The joint refinement of the node covers on the box below `bound`,
     enumerated diagonally: member n is the intersection of the n-th members
     of the distinct covers on the box.
 
     Every member refines each node cover by construction and records factor
     index n at every node. The distinct covers are collected once by
-    `distinct_covers_on_box`: by key states on a tree with `keys`, at any box
-    size, else by walking the box under `box_limit`.
+    `distinct_covers_on_box`: by key states on a tree with `keys`, else by
+    walking the box, and under that function's `limit` either way.
 
     Two or more distinct covers, one of them not flagged increasing, raise
     :class:`PreconditionError` before any member or witness is built: the
@@ -328,7 +310,7 @@ def joint_refinement_cover(
     miss (a cover falsely flagged increasing) raises
     :class:`IntegrityError`. The witness runs once per point.
     """
-    factors = distinct_covers_on_box(tree, bound, limit=box_limit)
+    factors = distinct_covers_on_box(tree, bound)
     if len(factors) > 1 and not all(c.increasing for c in factors):
         labels = ", ".join(repr(c.label) + ("" if c.increasing else " (not increasing)") for c in factors)
         raise PreconditionError(
@@ -358,7 +340,7 @@ def joint_refinement_cover(
     return joint
 
 
-def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
+def wedge_tree(tree: TreeStrategy) -> TreeStrategy:
     """Replace each node's cover by the joint refinement of the covers at all
     nodes coordinatewise below it.
 
@@ -370,13 +352,13 @@ def wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStrategy:
     tau <= sigma and m <= n the new set at sigma + (m,) is contained in the
     new set at tau + (n,).
 
-    The distinct covers of a tree with `keys` are read by key states, at any
-    box size; otherwise the box is walked, and a box of more than `box_limit`
-    nodes raises :class:`ResourceLimitError`.
+    The distinct covers of a tree with `keys` are read by key states, else by
+    a box walk; either raises :class:`ResourceLimitError` past the `limit` of
+    `distinct_covers_on_box`.
     """
     return TreeStrategy(
         space=tree.space,
-        cover_at_raw=lambda path: joint_refinement_cover(tree, path, box_limit=box_limit),
+        cover_at_raw=lambda path: joint_refinement_cover(tree, path),
         back_map=tree.back_map,
         label=f"wedge({tree.label})",
     )
@@ -390,17 +372,14 @@ def bounds_from_moves(moves: Sequence[tuple[int, ...]]) -> Path:
     return tuple(map(max, moves))
 
 
-def menger_from_rothberger(
-    tree: TreeStrategy,
-    box_limit: int = 20_000,
-) -> AliceStrategy:
+def menger_from_rothberger(tree: TreeStrategy) -> AliceStrategy:
     """Derive a finite-selection strategy from a single-selection tree.
 
     The opening move is the root cover; after selections with bounds
     (m_1, ..., m_k) the move is the joint refinement over the box below that
     bound sequence: the wedged tree's memoized cover at that node.
     """
-    wedged = wedge_tree(tree, box_limit=box_limit)
+    wedged = wedge_tree(tree)
     return AliceStrategy(
         space=tree.space, move=lambda moves: wedged.cover_at(bounds_from_moves(moves)), name=f"refined({tree.label})"
     )
@@ -418,7 +397,6 @@ def rothberger_counterplay(
     sone: SoneSelector,
     innings: int,
     horizon: int = 5,
-    box_limit: int = 20_000,
 ) -> RothbergerResult:
     """The winning single-selection play against a strategy tree.
 
@@ -432,7 +410,7 @@ def rothberger_counterplay(
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    derived = menger_from_rothberger(tree, box_limit=box_limit)
+    derived = menger_from_rothberger(tree)
     # extend one infinitely-often play against the derived strategy until the
     # point targeted at stage i+1 is covered at i+1 distinct innings, checked
     # at `innings` and its doublings (multiplicity grows without bound)
@@ -441,14 +419,16 @@ def rothberger_counterplay(
     moves: list[tuple[int, ...]] = []
     selections: list[tuple[OpenSet, ...]] = []
     for target in (innings, 2 * innings, 4 * innings, 8 * innings):
-        for sel, _ in islice(plays, target - len(moves)):
+        for sel, _ in itertools.islice(plays, target - len(moves)):
             moves.append(sel.indices)
             selections.append(sel.sets())
-        if all(sum(any(member(s, p) for s in sets) for sets in selections) > i for i, p in enumerate(pts)):
+        if not (short := multiplicity_shortfall(lambda i: selections[i - 1], len(selections), pts)):
             break
     else:
+        p, found, need = short
         raise BudgetError(
-            f"infinitely-often multiplicity did not reach the stage schedule within {innings * 8} innings"
+            f"infinitely-often multiplicity did not reach the stage schedule within {innings * 8} innings: "
+            f"{p!r} is covered at {found} innings and needs {need}"
         )
 
     bounds = bounds_from_moves(moves)

@@ -40,18 +40,32 @@ class FiniteGameInstance:
     name: str = ""
 
     def validate(self) -> None:
-        universe = frozenset(range(self.space.n_points))
         options = tuple(self.options_at(()))
         if not options:
             raise ValueError(f"{self.name}: no option at the root")
         for opt_idx, cover in enumerate(options):
             if not cover:
                 raise ValueError(f"{self.name}: option {opt_idx} is empty")
-            if frozenset().union(*cover) != universe:
+            self.member_masks(cover, opt_idx)  # every id is a point, so a cover names all of them
+            if len(frozenset().union(*cover)) != self.space.n_points:
                 raise ValueError(f"{self.name}: option {opt_idx} is not a cover")
             for s in cover:
                 if not self.space.is_open(s):
                     raise ValueError(f"{self.name}: {sorted(s)} is not open")
+
+    def member_masks(self, cover: Cover, opt_idx: int) -> list[int]:
+        """The bitmask over point ids of each member of a cover. An id that
+        is not an `int` in ``range(n_points)`` (a `bool` is not one) raises
+        `ValueError` naming the instance, the option and the member."""
+        n_points = self.space.n_points
+        for member in cover:
+            for i in member:
+                if type(i) is not int or not 0 <= i < n_points:
+                    raise ValueError(
+                        f"{self.name}: option {opt_idx} member {set(member)} "
+                        f"names point {i!r} outside the {n_points}-point space"
+                    )
+        return [sum(1 << i for i in member) for member in cover]
 
 
 def stationary_instance(space: FiniteTopological, covers: Sequence[Sequence], name: str = "") -> FiniteGameInstance:
@@ -94,13 +108,13 @@ def solve_finite_game(
 
     Positions hold the covered set as a bitmask over point ids. Each distinct
     cover met during the solve gets one table of its selections, in order,
-    with the mask each one adds; building it raises `ValueError` if a member
-    names an id outside ``range(n_points)``. With one inning left, the table
-    answers a covered mask it has met from a memo that lives with the solve,
-    so `nodes` still counts every position visited, the root included;
-    `ResourceLimitError`, naming the instance, depth and limit, is raised as
-    soon as the count exceeds `node_limit`; a `selection_cap` below 1 is a
-    `ValueError`.
+    with the mask each one adds; a member id that is not an `int` in
+    ``range(n_points)`` raises the `ValueError` `validate` raises. With one
+    inning left, the table answers a covered mask it has met from a memo that
+    lives with the solve, so `nodes` still counts every position visited, the
+    root included; `ResourceLimitError`, naming the instance, depth and limit,
+    is raised as soon as the count exceeds `node_limit`; a `selection_cap`
+    below 1 is a `ValueError`.
     """
     won, nodes = _search(instance, game, depth, selection_cap, node_limit, None)
     return SolveResult(winner="bob" if won else "alice", depth=depth, nodes=nodes)
@@ -155,17 +169,7 @@ def _search(
     nodes = 1  # the root
 
     def table(cover: Cover, opt_idx: int):
-        masks = []
-        for member in cover:
-            mask = 0
-            for i in member:
-                if not (isinstance(i, int) and 0 <= i < n_points):
-                    raise ValueError(
-                        f"{instance.name}: option {opt_idx} member {set(member)} "
-                        f"names point {i!r} outside the {n_points}-point space"
-                    )
-                mask |= 1 << i
-            masks.append(mask)
+        masks = instance.member_masks(cover, opt_idx)
         out = []
         for sel in _selections(cover, selection_cap, game.arity):
             gain = 0
@@ -340,17 +344,16 @@ def cross_check(
     instance: FiniteGameInstance,
     game: GameKind,
     selection_cap: int,
-    max_depth: int = 8,
 ) -> Verdict:
     """Check a constructed second-player strategy against the oracle: within
-    the oracle's minimal winning depth it must cover the space against every
-    first-player line of the instance.
+    the oracle's minimal winning depth (searched up to 8 innings) it must
+    cover the space against every first-player line of the instance.
 
     The constructed strategy sees the instance's covers through the lazy
     wrapper; its selections are clamped back to the explicit range before
     coverage is evaluated.
     """
-    depth = minimal_winning_depth(instance, game, selection_cap, max_depth)
+    depth = minimal_winning_depth(instance, game, selection_cap)
     universe = frozenset(range(instance.space.n_points))
 
     def walk(oracle_history: OracleHistory, covered: frozenset[int], inning: int) -> str | None:

@@ -340,7 +340,7 @@ class TestStrategiesSeeIndexMoves:
         monkeypatch.setattr(
             rothberger,
             "menger_from_rothberger",
-            lambda tree, box_limit: moves_only(derive(tree, box_limit=box_limit), calls, "derived"),
+            lambda tree: moves_only(derive(tree), calls, "derived"),
         )
         tree = rothberger_tree_corpus(N)["shifted_seg"]
         single = rothberger_counterplay(tree, select_sone, innings=6).transcript

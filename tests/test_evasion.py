@@ -759,17 +759,17 @@ class TestWedgeTree:
 
     def test_hook_answers_past_the_box_limit(self):
         tree = appendix_tree_corpus(N)["uniform_segments"]
-        wedged = wedge_tree(tree, box_limit=10)  # the box below (5, 5) has 25 nodes
-        assert witness_of(wedged.cover_at((5, 5)), N.point(3)) == 4
+        wedged = wedge_tree(tree)  # the box below (150, 150) has 22,500 nodes, past the limit of 20,000
+        assert witness_of(wedged.cover_at((150, 150)), N.point(3)) == 4
 
     def test_box_walk_past_the_limit_raises(self):
         tree = appendix_tree_corpus(N)["uniform_segments"]
         hookless = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
         for walked in (hookless, strip_chosen_tree(tree)):
-            wedged = wedge_tree(walked, box_limit=10)
+            wedged = wedge_tree(walked)
             assert member(wedged.set_at((2, 5, 1)), N.point(0))  # a box of 10 nodes
             with pytest.raises(ResourceLimitError):
-                wedged.set_at((5, 5, 1))
+                wedged.set_at((150, 150, 1))  # 22,500 nodes, counted before the walk
 
 
 class TestGreedyTrace:

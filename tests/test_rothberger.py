@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import pytest
 
@@ -20,10 +21,13 @@ from selectiongames.errors import (
 )
 from selectiongames.evasion import strip_chosen_tree
 from selectiongames.rothberger import (
+    SoneSelector,
     bounds_from_moves,
+    check_infinitely_often,
     distinct_intersections,
     joint_refinement_cover,
     menger_from_rothberger,
+    multiplicity_shortfall,
     rothberger_counterplay,
     select_one_per_family,
 )
@@ -39,7 +43,9 @@ from selectiongames.spaces import (
     Named,
     OpenSet,
     Point,
+    SpaceModel,
     describe,
+    first_space,
     initial_segment,
     member,
     singleton,
@@ -92,7 +98,7 @@ def reference_joint_refinement_cover(
 def _outcome(fn):
     try:
         return fn()
-    except GameError as exc:
+    except (GameError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -201,6 +207,335 @@ class TestSelectOnePerFamily:
             select_one_per_family(lambda i: fams[i - 1], 10, select_sone, N, horizon=3)
 
 
+# ---------------------------------------------------------------------------
+# The intersection cover, the hypothesis check and the one-pick selection as
+# they were before the counting table and the coverage tracked as picks land.
+# Kept verbatim as the reference, under reference_ names.
+
+
+def _symmetric_sums(values: Sequence[int], k: int) -> list[int]:
+    """Elementary symmetric polynomials e_0..e_k of the given values."""
+    e = [1] + [0] * k
+    for v in values:
+        for i in range(min(k, len(e) - 1), 0, -1):
+            e[i] += e[i - 1] * v
+    return e
+
+
+def reference_distinct_intersections(
+    families: Callable[[int], Sequence[OpenSet]],
+    n: int,
+    family_limit: int = 200,
+) -> tuple[IndexedCover, Callable[[int], tuple[tuple[int, int], ...]]]:
+    """The cover of n-fold intersections over n distinct families, and the
+    record of a member: its factors' (family index, member index) pairs,
+    family indices strictly increasing.
+
+    Members are enumerated by increasing largest family index, then
+    lexicographically in the family-index tuple, then lexicographically in the
+    member choices. Ranks are computed arithmetically (block sizes are
+    elementary symmetric sums of the family sizes), so both member lookup and
+    the witness work at any index without materializing the enumeration. The
+    witness takes the first n distinct families whose listed members contain
+    the point — they exist when the point is covered infinitely often — and
+    returns the exact rank of that combination, raising :class:`BudgetError`
+    past `family_limit` families.
+    """
+    if n < 1:
+        raise ValueError("intersection arity must be positive")
+
+    fam_cache: dict[int, Sequence[OpenSet]] = {}
+
+    def fam(i: int) -> Sequence[OpenSet]:
+        if i > family_limit:
+            raise BudgetError(f"intersection enumeration passed family {family_limit}")
+        hit = fam_cache.get(i)
+        if hit is None:
+            hit = fam_cache[i] = tuple(families(i))
+            if not hit:
+                raise ValueError(f"family {i} is empty")
+        return hit
+
+    def size(i: int) -> int:
+        return len(fam(i))
+
+    def block(bound: int) -> int:
+        # members whose largest family index is exactly `bound`
+        head_sizes = [size(i) for i in range(1, bound)]
+        return size(bound) * _symmetric_sums(head_sizes, n - 1)[n - 1]
+
+    def unrank(j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        rest = j - 1
+        bound = n
+        while True:
+            b = block(bound)
+            if rest < b:
+                break
+            rest -= b
+            bound += 1
+        # fix the head combination lexicographically
+        head: list[int] = []
+        lo = 1
+        for pos in range(n - 1):
+            need = n - 2 - pos  # head entries still to choose after this one
+            a = lo
+            while True:
+                suffix = [size(i) for i in range(a + 1, bound)]
+                cnt = size(a) * _symmetric_sums(suffix, need)[need] * size(bound)
+                for h in head:
+                    cnt *= size(h)
+                if rest < cnt:
+                    break
+                rest -= cnt
+                a += 1
+            head.append(a)
+            lo = a + 1
+        fams = tuple(head) + (bound,)
+        # mixed-radix decomposition of the member choices (last varies fastest)
+        radices = [size(i) for i in fams]
+        choices = [0] * n
+        for pos in range(n - 1, -1, -1):
+            choices[pos] = rest % radices[pos] + 1
+            rest //= radices[pos]
+        return fams, tuple(choices)
+
+    def rank(fams: Sequence[int], choices: Sequence[int]) -> int:
+        bound = fams[-1]
+        total = 0
+        for b in range(n, bound):
+            total += block(b)
+        head = list(fams[:-1])
+        lo = 1
+        fixed = 1
+        for pos, chosen_a in enumerate(head):
+            need = n - 2 - pos
+            for a in range(lo, chosen_a):
+                suffix = [size(i) for i in range(a + 1, bound)]
+                total += fixed * size(a) * _symmetric_sums(suffix, need)[need] * size(bound)
+            fixed *= size(chosen_a)
+            lo = chosen_a + 1
+        member_rank = 0
+        for i, c in zip(fams, choices):
+            member_rank = member_rank * size(i) + (c - 1)
+        return total + member_rank + 1
+
+    def record(j: int) -> tuple[tuple[int, int], ...]:
+        fams, choices = unrank(j)
+        return tuple(zip(fams, choices))
+
+    def sets(j: int) -> OpenSet:
+        fams, choices = unrank(j)
+        parts = tuple(fam(i)[c - 1] for i, c in zip(fams, choices))
+        return FiniteIntersection(parts=parts)
+
+    def witness(p: Point) -> int:
+        fams: list[int] = []
+        choices: list[int] = []
+        i = 1
+        while len(fams) < n:
+            if i > family_limit:
+                raise BudgetError(
+                    f"point {p!r} not covered by {n} families within the first {family_limit}"
+                )
+            for m, s in enumerate(fam(i), start=1):
+                if member(s, p):
+                    fams.append(i)
+                    choices.append(m)
+                    break
+            i += 1
+        return rank(fams, choices)
+
+    space = first_space(fam(1))
+    if space is None:
+        raise ValueError("cannot infer the space from the families")
+    cover = IndexedCover(
+        space=space,
+        sets=sets,
+        witness=witness,
+        label=f"distinct({n})",
+    )
+    return cover, record
+
+
+def reference_check_infinitely_often(
+    families: Callable[[int], Sequence[OpenSet]],
+    space: SpaceModel,
+    horizon: int,
+    family_budget: int,
+) -> None:
+    """Verify the working form of the infinitely-often hypothesis: the point
+    targeted at stage i+1 must lie in the union of at least i+1 distinct
+    families within the budget."""
+    for idx, p in enumerate(space.points(horizon)):
+        needed = idx + 1
+        found = 0
+        for i in range(1, family_budget + 1):
+            if any(member(s, p) for s in families(i)):
+                found += 1
+                if found >= needed:
+                    break
+        if found < needed:
+            raise GameError(
+                f"hypothesis fails: {p!r} is covered by only {found} of the first "
+                f"{family_budget} families (need {needed})"
+            )
+
+
+def reference_select_one_per_family(
+    families: Callable[[int], Sequence[OpenSet]],
+    count: int,
+    sone: SoneSelector,
+    space: SpaceModel,
+    horizon: int,
+) -> list[tuple[int, int]]:
+    """Pick one member from each of the first `count` families so that the
+    picked members cover every point below the horizon.
+
+    Stage n applies the single-selection witness to the n-fold intersection
+    cover; the selected intersection's factors name n distinct families, at
+    least one of which is still unassigned, and that family receives its
+    recorded member. Families left unassigned when coverage is reached
+    receive member 1. The infinitely-often hypothesis is checked on the first
+    `count` families, and `max(horizon, 1) + 5` stages are tried.
+    """
+    stage_cap = max(horizon, 1) + 5
+    reference_check_infinitely_often(families, space, horizon, count)
+
+    covers: dict[int, tuple[IndexedCover, Callable[[int], tuple[tuple[int, int], ...]]]] = {}
+
+    def cover_for(n: int) -> IndexedCover:
+        if n not in covers:
+            covers[n] = reference_distinct_intersections(families, n, family_limit=count)
+        return covers[n][0]
+
+    assigned: dict[int, int] = {}
+    picks = sone(space, cover_for)
+    for stage in range(1, stage_cap + 1):
+        j = next(picks)
+        for fam_idx, member_idx in covers[stage][1](j):
+            if fam_idx not in assigned:
+                assigned[fam_idx] = member_idx
+                break
+        else:
+            # unreachable: the stage-n pick has n distinct factor families
+            # and at most n-1 assignments exist before it
+            raise IntegrityError("no unassigned factor family at stage " + str(stage))
+        if _assigned_cover(families, assigned, space, horizon):
+            break
+    else:
+        raise BudgetError(f"no covering assignment within {stage_cap} stages")
+
+    out: list[tuple[int, int]] = []
+    for i in range(1, count + 1):
+        out.append((i, assigned.get(i, 1)))
+    return out
+
+
+def _assigned_cover(
+    families: Callable[[int], Sequence[OpenSet]],
+    assigned: dict[int, int],
+    space: SpaceModel,
+    horizon: int,
+) -> bool:
+    pts = space.points(horizon)
+    sets = [families(i)[m - 1] for i, m in assigned.items()]
+    return all(any(member(s, p) for s in sets) for p in pts)
+
+
+def _seeded_families(rng: random.Random, count: int, empty_at: int | None = None) -> list[list[OpenSet]]:
+    """`count` families of one to four initial segments and singletons; the
+    family at `empty_at`, if any, is empty."""
+    return [
+        [] if i == empty_at else [
+            initial_segment(N, rng.randint(0, 7)) if rng.random() < 0.6 else singleton(N, rng.randint(0, 8))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for i in range(1, count + 1)
+    ]
+
+
+class TestAgainstTheReferences:
+    def test_records_members_witnesses_and_errors_match(self):
+        rng = random.Random(26)
+        errors = Counter()
+        for trial in range(70):
+            count = rng.randint(1, 25)
+            fams = _seeded_families(rng, count, empty_at=rng.randint(1, count) if trial % 7 == 3 else None)
+            n = 1 + trial % 7
+            limit = max(1, count - 2) if trial % 5 == 0 else count
+            new = _outcome(lambda: distinct_intersections(lambda i: fams[i - 1], n, family_limit=limit))
+            ref = _outcome(lambda: reference_distinct_intersections(lambda i: fams[i - 1], n, family_limit=limit))
+            if isinstance(ref[0], type):
+                assert new == ref, trial
+                errors[ref[0].__name__] += 1
+                continue
+            (cover, record), (ref_cover, ref_record) = new, ref
+            for j in range(1, 301):
+                got = _outcome(lambda: record(j))
+                assert got == _outcome(lambda: ref_record(j)), (trial, j)
+                assert _outcome(lambda: describe(cover.sets(j))) == _outcome(lambda: describe(ref_cover.sets(j)))
+                if isinstance(got[0], type):
+                    errors[got[0].__name__] += 1
+                    break
+            for p in N.points(10):
+                got = _outcome(lambda: cover.witness(p))
+                assert got == _outcome(lambda: ref_cover.witness(p)), (trial, p)
+                errors[got[0].__name__ if isinstance(got, tuple) else "witness"] += 1
+        # every route is compared: witnesses, the budget past family_limit and
+        # the empty family
+        assert errors["witness"] > 100 and errors["BudgetError"] > 10 and errors["ValueError"] >= 5, errors
+
+    def test_select_one_per_family_returns_at_the_reference_stage(self):
+        def first_members(space, covers):  # member 1 of every cover: may never cover
+            for n in itertools.count(1):
+                covers(n)
+                yield 1
+
+        rng = random.Random(27)
+        kinds = Counter()
+        for trial in range(120):
+            count = rng.randint(3, 20)
+            fams = _seeded_families(rng, count)
+            horizon = rng.randint(0, 6)
+            for selector in (select_sone, first_members):
+                runs = []
+                for select in (select_one_per_family, reference_select_one_per_family):
+                    picks: list[int] = []
+
+                    def sone(space, covers):
+                        for j in selector(space, covers):
+                            picks.append(j)
+                            yield j
+
+                    runs.append((_outcome(lambda: select(lambda i: fams[i - 1], count, sone, N, horizon)), picks))
+                # the same choice or error, after the same number of stages
+                assert runs[0] == runs[1], (trial, selector.__name__)
+                outcome, picks = runs[0]
+                kinds[outcome[0].__name__ if isinstance(outcome[0], type) else len(picks)] += 1
+        assert len([k for k in kinds if isinstance(k, int)]) >= 4 and kinds["GameError"] and kinds["BudgetError"], kinds
+
+
+class TestMultiplicityShortfall:
+    def test_names_the_first_point_covered_too_rarely(self):
+        fams = [[initial_segment(N, 0)], [initial_segment(N, 2)], [singleton(N, 1)], [singleton(N, 7)]]
+        assert multiplicity_shortfall(lambda i: fams[i - 1], 4, N.points(3)) == (N.point(2), 1, 3)
+        assert multiplicity_shortfall(lambda i: fams[i - 1], 2, N.points(2)) == (N.point(1), 1, 2)
+        assert multiplicity_shortfall(lambda i: fams[i - 1], 4, N.points(2)) is None
+
+    def test_the_hypothesis_check_raises_from_it(self):
+        fams = [[initial_segment(N, 0)], [initial_segment(N, 2)], [singleton(N, 1)], [singleton(N, 7)]]
+        with pytest.raises(GameError, match=r"^hypothesis fails: p2@N is covered by only 1 of the first 4 families \(need 3\)$"):
+            check_infinitely_often(lambda i: fams[i - 1], N, 3, 4)
+
+    def test_a_short_schedule_names_the_point_its_count_and_its_need(self):
+        with pytest.raises(
+            BudgetError,
+            match=r"^infinitely-often multiplicity did not reach the stage schedule within 8 innings: "
+            r"p2@N is covered at 2 innings and needs 3$",
+        ):
+            rothberger_counterplay(rothberger_tree_corpus(N)["shifted_seg"], select_sone, innings=1, horizon=5)
+
+
 class TestJointRefinement:
     def test_minimal_bound_from_selection(self):
         assert bounds_from_moves(((1, 3),)) == (3,)
@@ -280,8 +615,8 @@ class TestJointWitness:
         compared = 0
         for name, tree in trees.items():
             for bound in [(), (1,), (3,), (2, 1), (2, 3), (4, 1, 2), (3, 3, 3)]:
-                new = _outcome(lambda: joint_refinement_cover(tree, bound, box_limit=100))
-                ref = _outcome(lambda: reference_joint_refinement_cover(tree, bound, box_limit=100))
+                new = _outcome(lambda: joint_refinement_cover(tree, bound))
+                ref = _outcome(lambda: reference_joint_refinement_cover(tree, bound))
                 if not isinstance(ref, IndexedCover):
                     assert new == ref, (name, bound)
                     continue
@@ -546,9 +881,8 @@ def reference_rothberger_counterplay(
     sone,
     innings: int,
     horizon: int = 5,
-    box_limit: int = 20_000,
 ) -> ReferenceRothbergerResult:
-    derived = menger_from_rothberger(tree, box_limit=box_limit)
+    derived = menger_from_rothberger(tree)
     # run the finite-selection phase long enough that the point targeted at
     # stage i+1 is covered at i+1 distinct innings (multiplicity grows without
     # bound, so doubling terminates; the transcript only gets longer than

@@ -406,6 +406,22 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             inst.validate()
 
+    def test_point_ids_are_ints_in_range_for_validate_and_the_solver(self):
+        # 1.0 and True equal the point id 1, but neither is an int id; every
+        # entry point raises the same error naming the option and the member
+        space = FiniteTopological.discrete(2)
+        for stray in (1.0, True):
+            inst = stationary_instance(space, [[[stray, 0]]], name="ids")
+            message = f"ids: option 0 member {set([stray, 0])} names point {stray!r} outside the 2-point space"
+            for entry in (
+                inst.validate,
+                lambda: solve_finite_game(inst, G1, 1, 1),
+                lambda: decision_table(inst, G1, 1, 1),
+            ):
+                with pytest.raises(ValueError) as caught:
+                    entry()
+                assert str(caught.value) == message
+
     def test_no_option_at_the_root_rejected(self):
         inst = stationary_instance(FiniteTopological.discrete(2), [], name="no-options")
         with pytest.raises(ValueError, match="no-options: no option at the root"):

@@ -69,6 +69,16 @@ KEY_LOOP = """for k in level:
         if len(states) > limit:
             raise ResourceLimitError(f'more than {limit} key states at level {j + 1} below bound {bound}')"""
 
+BLOCK_STEP = """if len(counts) < bound:
+    size = len(fam(bound))
+    counts.append(size * sums[n - 1])
+    for k in range(n - 1, 0, -1):
+        sums[k] += sums[k - 1] * size"""
+REPLAY_LOOP = """for indices in moves:
+    yield alice.move(played)
+    played += (indices,)"""
+REFERENCES = RB + "TestAgainstTheReferences::"
+
 MUTANTS: tuple[Mutant, ...] = (
     # keyed stripped trees and the joint witness
     Mutant(
@@ -211,6 +221,65 @@ MUTANTS: tuple[Mutant, ...] = (
         "pending.pop(j, None)", "pending.popitem()[1] if pending else None",
         (HW + "test_a_handoff_is_read_only_at_its_own_index",),
         "a pending handoff read for whatever index is asked",
+    ),
+    # distinct intersections from one counting table, coverage tracked as picks land
+    Mutant(
+        "block-counted-after-its-own-size", "rothberger.py", "distinct_intersections.blocks",
+        BLOCK_STEP,
+        BLOCK_STEP.replace("    counts.append(size * sums[n - 1])\n", "") + "\n    counts.append(size * sums[n - 1])",
+        (REFERENCES + "test_records_members_witnesses_and_errors_match",),
+        "a bound's member count taken after its own size is folded into the symmetric sums",
+    ),
+    Mutant(
+        "tails-read-at-the-head-entry", "rothberger.py", "distinct_intersections.unrank",
+        "tail[a + 1][need]", "tail[a][need]",
+        (REFERENCES + "test_records_members_witnesses_and_errors_match",),
+        "a head entry's completions counted from its own family instead of the next",
+    ),
+    Mutant(
+        "uncovered-not-filtered", "rothberger.py", "select_one_per_family",
+        "[p for p in uncovered if not member(picked, p)]", "uncovered",
+        (REFERENCES + "test_select_one_per_family_returns_at_the_reference_stage",),
+        "the points still uncovered not filtered by the new pick",
+    ),
+    Mutant(
+        "shortfall-need-off-by-one", "rothberger.py", "multiplicity_shortfall",
+        "enumerate(points, start=1)", "enumerate(points)",
+        (RB + "TestMultiplicityShortfall::test_a_short_schedule_names_the_point_its_count_and_its_need",),
+        "point p_i needs i families instead of i + 1",
+    ),
+    # older hand-made mutants of the solver, the normalization and the plays
+    Mutant(
+        "last-inning-scan-from-zero", "solver.py", "_search.bob_wins",
+        "enumerate(choices, 1)", "enumerate(choices)",
+        (SV + "TestSolve::test_node_limit_raises_exactly_where_the_reference_does",),
+        "the last-inning scan counts one selection fewer than it scanned",
+    ),
+    Mutant(
+        "tables-shared-across-solves", "solver.py", "_search",
+        "{} if depth_tables is None else depth_tables",
+        "_search.__dict__.setdefault('shared', {}) if depth_tables is None else depth_tables",
+        (SV + "TestSolve::test_node_limit_raises_exactly_where_the_reference_does",),
+        "one table dict shared by every solve",
+    ),
+    Mutant(
+        "raw-move-without-minus-one", "hurewicz.py", "raw_move",
+        "max(1, idx - 1)", "max(1, idx)",
+        (HW + "TestNormalize::test_chosen_set_is_union_of_backtranslated_selections",),
+        "a reply's selection below the root not shortened by its head member",
+    ),
+    Mutant(
+        "replay-moves-before-yield", "engine.py", "replay",
+        REPLAY_LOOP,
+        REPLAY_LOOP.replace("    yield alice.move(played)\n", "") + "\n    yield alice.move(played)",
+        ("tests/test_engine.py::TestCheckLegal::test_detects_divergent_strategy",),
+        "replay asks for the next cover before it yields the current one",
+    ),
+    Mutant(
+        "often-innings-projects-the-tree-index", "products.py", "often_innings",
+        "project_selection(product, lifted_move)", "project_selection(product, (play.extend(n)[n - 1],))",
+        ("tests/test_products.py::TestInfinitelyOften::test_projected_transcript_is_legal",),
+        "the base selection projected from the tree index instead of the raw move",
     ),
 )
 
