@@ -32,11 +32,13 @@ class IndexedCover:
     """A lazy countable family of open sets with a coverage witness.
 
     `sets` is 1-based and memoized; `witness` maps a point to some index of a
-    member containing it; `provenance` back-maps each index to the indices of
-    an ancestor cover it translates to (identity for primitive covers).
-    `first_hit` answers "which member contains p first" for every cumulative
-    union over this cover: from the constructor's `first_hit` rule when one
-    is given, else from one resumable scan per point.
+    member containing it, asked once per point; `provenance` back-maps each
+    index to the indices of an ancestor cover it translates to (identity for
+    primitive covers). `first_hit` answers "which member contains p first"
+    for every cumulative union over this cover: from the constructor's
+    `first_hit` rule when one is given, else from one resumable scan per
+    point. Each table is made on first use, so a cover keeps none it was
+    never asked to fill.
     """
 
     def __init__(
@@ -51,10 +53,11 @@ class IndexedCover:
     ):
         self.space = space
         self._sets = sets
-        self._memo: dict[int, OpenSet] = {}
-        self._first_hit: dict[int, int] = {}
+        self._memo: dict[int, OpenSet] | None = None
+        self._first_hit: dict[int, int] | None = None
         self._first_hit_rule = first_hit
         self._witness = witness
+        self._witnesses: dict[int, int] | None = None
         self._provenance = provenance
         self.increasing = increasing
         self.label = label
@@ -62,9 +65,12 @@ class IndexedCover:
     def sets(self, j: int) -> OpenSet:
         if j < 1:
             raise ValueError("cover indices are 1-based")
-        hit = self._memo.get(j)
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        hit = memo.get(j)
         if hit is None:
-            hit = self._memo[j] = self._sets(j)
+            hit = memo[j] = self._sets(j)
         return hit
 
     def first_hit(self, p: Point, upto: int) -> int:
@@ -73,8 +79,8 @@ class IndexedCover:
 
         A point of another space is refused first, so the table is keyed by
         ``p.id``. A `first_hit` rule derives the least hit exactly from the
-        cover's source without reading members; a hit <= upto is stored, and
-        above it upto + 1 is returned. Otherwise members are scanned in
+        cover's source without reading members, so its answer (upto + 1 when
+        above upto) is returned unstored. Otherwise members are scanned in
         increasing index order, resuming where the last query for p stopped:
         the table maps ``p.id`` to the least hit once found, and to minus the
         number of members scanned without a hit before that. Only the scan
@@ -83,16 +89,14 @@ class IndexedCover:
         """
         if p.space is not self.space:
             raise CrossSpaceError(f"cover over {self.space.tag} queried with point of {p.space.tag}")
+        if self._first_hit_rule is not None:
+            return min(self._first_hit_rule(p, upto), upto + 1)
         table = self._first_hit
+        if table is None:
+            table = self._first_hit = {}
         known = table.get(p.id, 0)
         if known > 0:
             return known
-        if self._first_hit_rule is not None:
-            j = self._first_hit_rule(p, upto)
-            if j > upto:
-                return upto + 1
-            table[p.id] = j
-            return j
         j = -known
         while j < upto:
             j += 1
@@ -103,7 +107,17 @@ class IndexedCover:
         return j + 1
 
     def witness(self, p: Point) -> int:
-        return self._witness(p)
+        """The witness function's index for p, run once per point id: a point
+        of another space is refused first, and a raise stores nothing."""
+        if p.space is not self.space:
+            raise CrossSpaceError(f"cover over {self.space.tag} queried with point of {p.space.tag}")
+        table = self._witnesses
+        if table is None:
+            table = self._witnesses = {}
+        hit = table.get(p.id)
+        if hit is None:
+            hit = table[p.id] = self._witness(p)
+        return hit
 
     def provenance(self, j: int) -> tuple[int, ...]:
         if self._provenance is None:

@@ -38,11 +38,12 @@ from .covers import IndexedCover, witness_of
 from .engine import GameKind, Moves, MultiplicityReport, Transcript, covering_innings
 from .errors import BudgetError, StripExhaustedError
 from .pairing import finseq_from_index
-from .rothberger import wedge_tree, witness_once
+from .rothberger import wedge_tree
 from .spaces import Point, describe, member
 from .trees import Path, TreeStrategy, path_transcript
 
 TRACE_SCAN_BUDGET = 10_000  # children a greedy trace scans at one node
+STRIP_SCAN_BUDGET = 200  # members a stripped cover's scans read past their start
 
 
 @dataclass(eq=False)
@@ -69,14 +70,16 @@ class BaireFunction:
         return tuple(self(i) for i in range(1, n + 1))
 
 
-def strip_history(cover: IndexedCover, removed: frozenset, scan_budget: int = 200) -> IndexedCover:
+def strip_history(cover: IndexedCover, removed: frozenset) -> IndexedCover:
     """The subfamily excluding the members whose descriptions are in
     `removed` (sets matched structurally), reindexed order-preservingly.
 
-    The witness is repaired by scanning forward from the old witness, once
-    per point; a large cover guarantees the scan succeeds, and running past
-    the budget raises :class:`BudgetError`, and no surviving member within
-    it :class:`StripExhaustedError`. Provenance maps new to original indices.
+    The witness scans the surviving members from the first; a large cover
+    guarantees a hit. Its budget of `STRIP_SCAN_BUDGET` members counts from
+    the first one at or past the old witness's index, and running past it
+    raises :class:`BudgetError`; no surviving member among the next that
+    many indices raises :class:`StripExhaustedError`. Provenance maps new to
+    original indices.
     """
     surviving: list[int] = []  # original indices, in order
 
@@ -84,12 +87,12 @@ def strip_history(cover: IndexedCover, removed: frozenset, scan_budget: int = 20
         while len(surviving) < j:
             start = nxt = surviving[-1] + 1 if surviving else 1
             if removed:
-                limit = nxt + scan_budget
+                limit = nxt + STRIP_SCAN_BUDGET
                 while nxt < limit and describe(cover.sets(nxt)) in removed:
                     nxt += 1
                 if nxt >= limit:
                     raise StripExhaustedError(
-                        f"no member of cover {cover.label!r} survives within {scan_budget} of index {start}"
+                        f"no member of cover {cover.label!r} survives within {STRIP_SCAN_BUDGET} of index {start}"
                     )
             surviving.append(nxt)
         return surviving[j - 1]
@@ -103,15 +106,15 @@ def strip_history(cover: IndexedCover, removed: frozenset, scan_budget: int = 20
             if member(cover.sets(oj), p):
                 return k
             if limit is None and oj >= old:
-                limit = k + scan_budget
+                limit = k + STRIP_SCAN_BUDGET
             if limit is not None and k >= limit:
-                raise BudgetError(f"witness repair exhausted budget {scan_budget} in cover {cover.label!r} for {p!r}")
+                raise BudgetError(f"witness repair exhausted budget {STRIP_SCAN_BUDGET} in cover {cover.label!r} for {p!r}")
             k += 1
 
     return IndexedCover(
         space=cover.space,
         sets=lambda j: cover.sets(original_index(j)),
-        witness=witness_once(cover.space, witness),
+        witness=witness,
         provenance=lambda j: (original_index(j),),
         increasing=cover.increasing,
         label=f"stripped({cover.label})" if cover.label else "stripped",

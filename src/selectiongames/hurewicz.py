@@ -65,6 +65,8 @@ from .pairing import decode_tuple, encode_tuple, excluded_set_from_index, exclud
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, member
 from .trees import Path, TreeStrategy, path_transcript
 
+EXCLUSION_NODE_LIMIT = 500_000  # omitting nodes one exclusion set may materialize
+
 
 class FiniteWinFound(GameError):
     """Raised while materializing a play when the sets chosen so far already
@@ -258,12 +260,12 @@ class ExclusionOracle:
             raise ValueError("query is level-specific")
         return not member(self.tree.set_at(path), self.point)
 
-    def excluded_nodes(self, node_limit: int = 500_000) -> Iterator[Path]:
+    def excluded_nodes(self) -> Iterator[Path]:
         """Enumerate every omitting node at this level, in sorted order:
         each level's nodes are their parents' children in parent order.
 
-        The count is the product of the per-node scan thresholds and grows
-        exponentially with the level; `node_limit` guards materialization.
+        The count is the product of the per-node scan thresholds, exponential
+        in the level; past `EXCLUSION_NODE_LIMIT` nodes it raises BudgetError.
         """
         frontier: list[Path] = [()]
         produced = 0
@@ -274,23 +276,23 @@ class ExclusionOracle:
                 for m in range(1, bad + 1):
                     child = parent + (m,)
                     produced += 1
-                    if produced > node_limit:
+                    if produced > EXCLUSION_NODE_LIMIT:
                         raise BudgetError(
                             f"exclusion set of {self.point!r} at level {self.level}"
-                            f" exceeds {node_limit} nodes"
+                            f" exceeds {EXCLUSION_NODE_LIMIT} nodes"
                         )
                     next_frontier.append(child)
             frontier = next_frontier
         yield from frontier
 
-    def materialize(self, node_limit: int = 500_000) -> CofiniteSpec:
+    def materialize(self) -> CofiniteSpec:
         """The omitting nodes as a spec of their indices; the sorted node
         list stays on the oracle as `nodes`."""
-        self.nodes = list(self.excluded_nodes(node_limit))
+        self.nodes = list(self.excluded_nodes())
         return CofiniteSpec(frozenset(encode_tuple(p) for p in self.nodes))
 
 
-def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCover:
+def tail_derived_cover(fam: LevelFamily) -> IndexedCover:
     """The cover of cofinite intersections of a level family.
 
     Members are indexed by the binary-subset bijection on excluded index
@@ -299,7 +301,7 @@ def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCo
     The witness keeps its spec and sorted node list for the member at that
     index, so that member is keyed from the nodes the witness walked; only
     an index no witness produced is decoded. At most one handoff is
-    pending, and each witness replaces it.
+    pending, and each point's witness, run once, replaces it.
     """
     pending: dict[int, tuple[CofiniteSpec, list[Path]]] = {}
 
@@ -312,7 +314,7 @@ def tail_derived_cover(fam: LevelFamily, node_limit: int = 500_000) -> IndexedCo
     def witness(p: Point) -> int:
         pending.clear()
         oracle = ExclusionOracle(fam.tree, fam.level, p)
-        spec = oracle.materialize(node_limit)
+        spec = oracle.materialize()
         j = excluded_set_index(spec.excluded)
         pending[j] = (spec, oracle.nodes)
         return j
@@ -423,10 +425,9 @@ def bob_counterplay_menger(
     tree: TreeStrategy,
     raw: AliceStrategy | None = None,
     innings: int = 10,
-    probe_limit: int = 10_000,
 ) -> CounterplayResult:
-    """Play the winning `Counterplay` against a normalized tree for `innings`
-    innings and record it.
+    """Play the winning `Counterplay`, under its default probe limit, against
+    a normalized tree for `innings` innings and record it.
 
     The transcript is emitted in terms of the raw strategy when one is given
     (covers and finite selections reconstructed through the tree's back-map),
@@ -435,7 +436,7 @@ def bob_counterplay_menger(
     """
     if innings < 1:
         raise ValueError("a play needs at least one inning")
-    play = Counterplay(tree, probe_limit)
+    play = Counterplay(tree)
     play.extend(innings)
     label = f"counterplay({tree.label})"
     audits = [play.audit(n) for n in range(1, len(play.path) + 1)]

@@ -18,7 +18,7 @@ single-selection strategy tree: after the opponent's index moves have pinned
 down a bound sequence sigma (each move's largest index), the derived move is
 the `wedge_tree` cover at sigma, the joint refinement of the covers at all
 nodes coordinatewise below sigma (the large-cover play wedges too), read
-under the one box limit, that of `trees.distinct_covers_on_box`. The
+under the one box limit, `trees.BOX_LIMIT`. The
 refinement is enumerated diagonally — its n-th member is the intersection of
 the n-th members of the distinct node covers on the box — so each member
 carries the factor record j = n for every node, recoveries stay bookkeeping,
@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 
 from .covers import IndexedCover, witness_of
 from .engine import AliceStrategy, ROTHBERGER_GAME, Transcript
-from .errors import BudgetError, CrossSpaceError, GameError, IntegrityError, PreconditionError
+from .errors import BudgetError, GameError, IntegrityError, PreconditionError
 from .products import often_innings
 from .spaces import FiniteIntersection, OpenSet, Point, SpaceModel, first_space, member
 from .trees import Path, TreeStrategy, distinct_covers_on_box, path_transcript
@@ -272,26 +272,6 @@ def select_one_per_family(
 # Joint refinements and the derived finite-selection strategy
 
 
-def witness_once(space: SpaceModel, scan: Callable[[Point], int]) -> Callable[[Point], int]:
-    """The witness `scan`, run at most once per point id.
-
-    A point of another space is refused before the lookup, as in
-    `IndexedCover.first_hit`, so the memo is keyed by ``p.id``; a scan that
-    raises stores nothing and runs again when asked again.
-    """
-    known: dict[int, int] = {}
-
-    def witness(p: Point) -> int:
-        if p.space is not space:
-            raise CrossSpaceError(f"cover over {space.tag} queried with point of {p.space.tag}")
-        hit = known.get(p.id)
-        if hit is None:
-            hit = known[p.id] = scan(p)
-        return hit
-
-    return witness
-
-
 def joint_refinement_cover(tree: TreeStrategy, bound: Path) -> IndexedCover:
     """The joint refinement of the node covers on the box below `bound`,
     enumerated diagonally: member n is the intersection of the n-th members
@@ -300,7 +280,7 @@ def joint_refinement_cover(tree: TreeStrategy, bound: Path) -> IndexedCover:
     Every member refines each node cover by construction and records factor
     index n at every node. The distinct covers are collected once by
     `distinct_covers_on_box`: by key states on a tree with `keys`, else by
-    walking the box, and under that function's `limit` either way.
+    walking the box, and under `trees.BOX_LIMIT` either way.
 
     Two or more distinct covers, one of them not flagged increasing, raise
     :class:`PreconditionError` before any member or witness is built: the
@@ -308,7 +288,7 @@ def joint_refinement_cover(tree: TreeStrategy, bound: Path) -> IndexedCover:
     is a hit, and the witness returns it after one test on the refinement's
     own memoized member, whose membership memo `witness_of` then reads; a
     miss (a cover falsely flagged increasing) raises
-    :class:`IntegrityError`. The witness runs once per point.
+    :class:`IntegrityError`. The cover runs the witness once per point.
     """
     factors = distinct_covers_on_box(tree, bound)
     if len(factors) > 1 and not all(c.increasing for c in factors):
@@ -333,7 +313,7 @@ def joint_refinement_cover(tree: TreeStrategy, bound: Path) -> IndexedCover:
     joint = IndexedCover(
         space=tree.space,
         sets=sets,
-        witness=witness_once(tree.space, witness),
+        witness=witness,
         increasing=all(c.increasing for c in factors),
         label=f"refine{bound}",
     )
@@ -353,8 +333,8 @@ def wedge_tree(tree: TreeStrategy) -> TreeStrategy:
     new set at tau + (n,).
 
     The distinct covers of a tree with `keys` are read by key states, else by
-    a box walk; either raises :class:`ResourceLimitError` past the `limit` of
-    `distinct_covers_on_box`.
+    a box walk; either raises :class:`ResourceLimitError` past
+    `trees.BOX_LIMIT`.
     """
     return TreeStrategy(
         space=tree.space,

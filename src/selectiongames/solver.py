@@ -26,6 +26,8 @@ Cover = tuple[frozenset[int], ...]
 OracleHistory = tuple[tuple[int, tuple[int, ...]], ...]  # (option chosen, selection)
 BobMove = Callable[[IndexedCover, int], FiniteSelection]  # (cover played, inning) -> selection
 
+MAX_WINNING_DEPTH = 8  # innings `minimal_winning_depth` searches before it gives up
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGameInstance:
@@ -227,10 +229,9 @@ def minimal_winning_depth(
     instance: FiniteGameInstance,
     game: GameKind,
     selection_cap: int,
-    max_depth: int = 8,
 ) -> int:
     """The least depth at which the second player wins (exists by compactness;
-    raises if not found within max_depth), searched without decision tables.
+    raises past `MAX_WINNING_DEPTH`), searched without decision tables.
 
     Depths 1, 2, ... are searched in turn, each within 200,000 nodes;
     `ResourceLimitError` names the instance, the depth and the limit.
@@ -248,13 +249,11 @@ def minimal_winning_depth(
       completing selection. Each is a pure function of the cover and the
       mask, so a shared entry is the one a fresh search would compute.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
     tables: dict = {}
-    for d in range(1, max_depth + 1):
+    for d in range(1, MAX_WINNING_DEPTH + 1):
         if _search(instance, game, d, selection_cap, 200_000, None, tables)[0]:
             return d
-    raise ResourceLimitError(f"no winning depth within {max_depth} for {instance.name}")
+    raise ResourceLimitError(f"no winning depth within {MAX_WINNING_DEPTH} for {instance.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def cross_check(
     selection_cap: int,
 ) -> Verdict:
     """Check a constructed second-player strategy against the oracle: within
-    the oracle's minimal winning depth (searched up to 8 innings) it must
+    the oracle's minimal winning depth (at most `MAX_WINNING_DEPTH`) it must
     cover the space against every first-player line of the instance.
 
     The constructed strategy sees the instance's covers through the lazy

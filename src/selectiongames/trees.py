@@ -29,6 +29,8 @@ from .spaces import OpenSet, SpaceModel
 
 Path = tuple[int, ...]
 
+BOX_LIMIT = 20_000  # nodes a box walk may enumerate, and key states one level may reach
+
 
 @dataclass(frozen=True, eq=False)
 class TreeStrategy:
@@ -49,7 +51,7 @@ class TreeStrategy:
     keys: tuple[Hashable, Callable[[Any, int], Hashable], Callable[[Any], IndexedCover]] | None = None
     label: str = ""
     _cover_memo: dict[Path, IndexedCover] = field(default_factory=dict, repr=False)
-    _key_levels: dict[Path, tuple[Iterable[Hashable], int]] = field(default_factory=dict, repr=False)
+    _key_levels: dict[Path, Iterable[Hashable]] = field(default_factory=dict, repr=False)
 
     def cover_at(self, path: Path) -> IndexedCover:
         hit = self._cover_memo.get(path)
@@ -88,20 +90,20 @@ def path_transcript(
     return Transcript(game=game, innings=records, label=label)
 
 
-def box_paths(bound: Path, limit: int) -> Iterable[Path]:
+def box_paths(bound: Path) -> Iterable[Path]:
     """All node sequences coordinatewise between the all-ones sequence and
-    `bound`, in lexicographic order. Raises when the box exceeds `limit`."""
+    `bound`, in lexicographic order. Raises when the box exceeds `BOX_LIMIT`."""
     total = 1
     for b in bound:
         if b < 1:
             raise ValueError("box bounds must be positive")
         total *= b
-    if total > limit:
-        raise ResourceLimitError(f"node box of size {total} exceeds limit {limit}")
+    if total > BOX_LIMIT:
+        raise ResourceLimitError(f"node box of size {total} exceeds limit {BOX_LIMIT}")
     return itertools.product(*(range(1, b + 1) for b in bound))
 
 
-def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) -> list[IndexedCover]:
+def distinct_covers_on_box(tree: TreeStrategy, bound: Path) -> list[IndexedCover]:
     """The distinct cover objects attached to the nodes of the box below
     `bound`, in the box's lexicographic first-appearance order.
 
@@ -109,29 +111,28 @@ def distinct_covers_on_box(tree: TreeStrategy, bound: Path, limit: int = 20000) 
     of level j's keys, in order, at indices 1..bound[j], each kept at its
     first appearance, and the last level's keys give the covers. A state's
     least path is its first parent's least path plus the least index that
-    reaches it, so the order is the box walk's. The tree keeps each walked
-    bound's last level and the widest level along it, so a bound whose prefix
-    was walked takes one level step from it, unless a level along the prefix
-    holds more than `limit` keys; other bounds walk from the root key. A level
-    reaching more than `limit` keys raises ResourceLimitError before it is
-    complete. A tree without keys walks the box under `limit`.
+    reaches it, so the order is the box walk's. The tree keeps the level of
+    each walked prefix, so a bound whose prefix was walked takes one level
+    step from it; other bounds walk from the root key. A level reaching more
+    than `BOX_LIMIT` keys raises ResourceLimitError before it is complete, so
+    every kept level is within the limit. A tree without keys walks the box
+    under `BOX_LIMIT`.
     """
     if tree.keys is None:
-        covers = map(tree.cover_at, box_paths(bound, limit))
+        covers = map(tree.cover_at, box_paths(bound))
     else:
         root_key, child_key, cover_of_key = tree.keys
         if any(b < 1 for b in bound):
             raise ValueError("box bounds must be positive")
         hit = tree._key_levels.get(bound[:-1]) if bound else None
-        start, (level, widest) = (len(bound) - 1, hit) if hit and hit[1] <= limit else (0, ((root_key,), 1))
+        start, level = (len(bound) - 1, hit) if hit else (0, (root_key,))
         for j in range(start, len(bound)):
             states: dict[Hashable, None] = {}
             for k in level:
                 for i in range(1, bound[j] + 1):
                     states[child_key(k, i)] = None
-                    if len(states) > limit:
-                        raise ResourceLimitError(f"more than {limit} key states at level {j + 1} below bound {bound}")
-            level, widest = states, max(widest, len(states))
-            tree._key_levels[bound[: j + 1]] = (level, widest)
+                    if len(states) > BOX_LIMIT:
+                        raise ResourceLimitError(f"more than {BOX_LIMIT} key states at level {j + 1} below bound {bound}")
+            level = tree._key_levels[bound[: j + 1]] = states
         covers = map(cover_of_key, level)
     return list({id(c): c for c in covers}.values())

@@ -2,8 +2,8 @@
 point-by-point checks of sets and selections, the inverse of
 `ProductSpace.split`, play restricted below a tree node, the canonical
 finite-selection witness, the empty open set, the infinitely-often play
-that the resumable counterplay replaced, and a keyed tree whose keys repeat
-out of order."""
+that the resumable counterplay replaced, a keyed tree whose keys repeat
+out of order, and the counter walk of a node box under a limit."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from selectiongames.engine import (
     make_inning,
     replay,
 )
+from selectiongames.errors import ResourceLimitError
 from selectiongames.hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy
 from selectiongames.pairing import pair
 from selectiongames.products import lift_strategy, project_selection
@@ -170,3 +171,33 @@ def scrambled_tree(space: SpaceModel) -> TreeStrategy:
     cover step to different keys."""
     covers = [segment_cover(space, shift=s) for s in range(3)]
     return path_keyed_tree(space, "scrambled", 0, lambda k, i: (3 * k + i) % 5, lambda k: covers[k % 3])
+
+
+def reference_box_paths(bound: Path, limit: int) -> Iterable[Path]:
+    """All node sequences coordinatewise between the all-ones sequence and
+    `bound`, in lexicographic order. Raises when the box exceeds `limit`."""
+    total = 1
+    for b in bound:
+        if b < 1:
+            raise ValueError("box bounds must be positive")
+        total *= b
+    if total > limit:
+        raise ResourceLimitError(f"node box of size {total} exceeds limit {limit}")
+    if not bound:
+        return [()]
+
+    def gen() -> Iterable[Path]:
+        counters = [1] * len(bound)
+        while True:
+            yield tuple(counters)
+            pos = len(bound) - 1
+            while pos >= 0:
+                counters[pos] += 1
+                if counters[pos] <= bound[pos]:
+                    break
+                counters[pos] = 1
+                pos -= 1
+            if pos < 0:
+                return
+
+    return gen()

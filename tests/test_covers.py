@@ -10,7 +10,7 @@ from selectiongames.covers import (
     is_cover_up_to,
     witness_of,
 )
-from selectiongames.errors import IntegrityError
+from selectiongames.errors import CrossSpaceError, IntegrityError
 from selectiongames.spaces import (
     CountableDiscrete,
     initial_segment,
@@ -59,6 +59,27 @@ class TestWitness:
         broken = IndexedCover(N, sets=lambda j: initial_segment(N, j - 1), witness=lambda p: 1)
         with pytest.raises(IntegrityError):
             witness_of(broken, N.point(5))
+
+    def test_the_witness_function_runs_once_per_point(self):
+        """A plain cover asks its witness function once per point id; a point
+        of another space is refused before the function runs, and a raise is
+        not stored."""
+        calls = []
+
+        def witness(p):
+            calls.append(p.id)
+            if p.id == 3 and calls.count(3) == 1:
+                raise IntegrityError("first query of p3")
+            return p.id + 1
+
+        cover = IndexedCover(N, sets=lambda j: initial_segment(N, j), witness=witness)
+        assert [cover.witness(N.point(i)) for i in (0, 2, 0, 2)] == [1, 3, 1, 3]
+        with pytest.raises(CrossSpaceError):
+            cover.witness(CountableDiscrete("M").point(4))
+        with pytest.raises(IntegrityError):
+            cover.witness(N.point(3))
+        assert cover.witness(N.point(3)) == cover.witness(N.point(3)) == 4
+        assert calls == [0, 2, 3, 3]
 
 
 class TestIsCover:

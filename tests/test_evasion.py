@@ -41,7 +41,7 @@ from selectiongames.spaces import (
 )
 from selectiongames.trees import Path, TreeStrategy, box_paths, strategy_from_tree
 
-from helpers import extensionally_equal, is_large_up_to, scrambled_tree, subtree
+from helpers import extensionally_equal, is_large_up_to, reference_box_paths, scrambled_tree, subtree
 
 N = CountableDiscrete()
 
@@ -93,7 +93,7 @@ def reference_wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStr
     def factor_sets(bound: Path, n: int) -> list[OpenSet]:
         out: list[OpenSet] = []
         seen: set[tuple] = set()
-        for tau in box_paths(bound, box_limit):
+        for tau in reference_box_paths(bound, box_limit):
             s = tree.cover_at(tau).sets(n)
             d = describe(s)
             if d not in seen:
@@ -112,7 +112,7 @@ def reference_wedge_tree(tree: TreeStrategy, box_limit: int = 20_000) -> TreeStr
 
         def witness(p: Point) -> int:
             w = 0
-            for tau in box_paths(path, box_limit):
+            for tau in reference_box_paths(path, box_limit):
                 w = max(w, witness_of(tree.cover_at(tau), p))
             return w
 
@@ -325,7 +325,7 @@ def _stripped_walk(stripped: TreeStrategy) -> list[tuple]:
     first: dict[int, Path] = {}
     walk: list[tuple] = []
     for bound in TRANSITION_BOXES:
-        for node in box_paths(bound, 2_000):
+        for node in box_paths(bound):
             try:
                 cover = stripped.cover_at(node)
                 row = [node, first.setdefault(id(cover), node), stripped.back_map(node)]
@@ -395,7 +395,7 @@ def test_child_keys_are_the_keys_of_the_children():
     for name, tree in _key_shapes().items():
         key_of, (_, _, cover_of_key) = REFERENCE_KEY_OF[name], tree.keys
         for bound in [()] + TRANSITION_BOXES:
-            for node in box_paths(bound, 2_000):
+            for node in box_paths(bound):
                 assert tree.cover_at(node) is cover_of_key(key_of(node)), (name, node)
 
 
@@ -419,7 +419,7 @@ def test_the_cover_of_a_key_is_read_once_per_state():
         counted_tree = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=(root_key, child_key, counted))
         stripped = strip_chosen_tree(counted_tree)
         states = set()
-        for node in [()] + [node for bound in TRANSITION_BOXES for node in box_paths(bound, 2_000)]:
+        for node in [()] + [node for bound in TRANSITION_BOXES for node in box_paths(bound)]:
             try:
                 stripped.cover_at(node)
             except StripExhaustedError:
@@ -557,10 +557,11 @@ class TestAgainstTheReferenceStrip:
                 for j in range(1, 5):
                     assert _outcome(lambda: describe(got.sets(j))) == _outcome(lambda: describe(expect.sets(j)))
 
-    def test_same_witnesses_under_a_small_budget(self):
+    def test_same_witnesses_under_a_small_budget(self, monkeypatch):
+        monkeypatch.setattr(evasion, "STRIP_SCAN_BUDGET", 3)
         cover = segment_cover(N)
         chosen = [initial_segment(N, j) for j in (1, 2, 4, 5, 6)]
-        new = strip_history(cover, descriptions(chosen), scan_budget=3)
+        new = strip_history(cover, descriptions(chosen))
         ref = reference_strip_history(cover, chosen, scan_budget=3)
         for p in POINTS:
             assert _outcome(lambda: new.witness(p)) == _outcome(lambda: ref.witness(p)), p
@@ -584,9 +585,10 @@ class TestStripWitnessMemo:
         with pytest.raises(CrossSpaceError):
             stripped.witness(CountableDiscrete("M").point(2))
 
-    def test_a_scan_that_raises_stores_nothing(self):
+    def test_a_scan_that_raises_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(evasion, "STRIP_SCAN_BUDGET", 5)
         cover = _lonely_cover()
-        stripped = strip_history(cover, descriptions([cover.sets(3)]), scan_budget=5)
+        stripped = strip_history(cover, descriptions([cover.sets(3)]))
         for _ in range(2):
             with pytest.raises(BudgetError, match=r"^witness repair exhausted budget 5 in cover 'lonely' for p2@N$"):
                 stripped.witness(N.point(2))
@@ -601,7 +603,7 @@ def test_each_witness_scan_runs_once_per_point(monkeypatch):
     real_strip, real_member = evasion.strip_history, engine.member
     scans: Counter = Counter()
 
-    def counting_strip(cover, removed, scan_budget=200):
+    def counting_strip(cover, removed):
         def witness(p):
             scans[id(proxy), p.id] += 1
             return cover.witness(p)
@@ -614,7 +616,7 @@ def test_each_witness_scan_runs_once_per_point(monkeypatch):
             increasing=cover.increasing,
             label=cover.label,
         )
-        return real_strip(proxy, removed, scan_budget)
+        return real_strip(proxy, removed)
 
     monkeypatch.setattr(evasion, "strip_history", counting_strip)
     result = counterplay_large(appendix_tree_corpus(N)["max_shifted"], N.points(5), innings=15)
@@ -637,7 +639,7 @@ def test_stripped_covers_are_shared():
         tree = appendix_tree_corpus(N)[name]
         stripped = strip_chosen_tree(tree)
         groups: dict[tuple, list] = {}
-        for node in box_paths((6, 6, 6), 1000):
+        for node in box_paths((6, 6, 6)):
             orig = tuple(m[0] for m in stripped.back_map(node))
             removed = frozenset(describe(tree.set_at(orig[:k])) for k in range(1, len(orig) + 1))
             groups.setdefault((id(tree.cover_at(orig)), removed), []).append(stripped.cover_at(node))
@@ -655,10 +657,11 @@ def test_invalid_values_raise_on_every_call():
 
 
 class TestStripHistory:
-    def test_budget_error_names_the_scan_start_and_the_cover(self):
+    def test_budget_error_names_the_scan_start_and_the_cover(self, monkeypatch):
+        monkeypatch.setattr(evasion, "STRIP_SCAN_BUDGET", 5)
         cover = segment_cover(N)
         chosen = [initial_segment(N, j) for j in range(2, 10)]
-        stripped = strip_history(cover, descriptions(chosen), scan_budget=5)
+        stripped = strip_history(cover, descriptions(chosen))
         assert stripped.provenance(2) == (2,)
         with pytest.raises(BudgetError, match=r"cover 'segments' survives within 5 of index 3$"):
             stripped.sets(3)

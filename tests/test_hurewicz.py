@@ -6,15 +6,18 @@ import gc
 import itertools
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from selectiongames import hurewicz
 from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy, singleton_cover
 from selectiongames.covers import CofiniteSpec, IndexedCover, is_cover_up_to, witness_of
 from selectiongames.engine import MENGER_GAME, ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, make_inning, replay
 from selectiongames.errors import BudgetError, IntegrityError
 from selectiongames.hurewicz import (
+    Counterplay,
     CounterplayResult,
     ExclusionOracle,
     FiniteWinFound,
@@ -540,10 +543,21 @@ class TestTailDerivedCover:
                 derived = tail_derived_cover(level_family(tree, level))
                 assert is_cover_up_to(derived, 12)
 
-    def test_an_exclusion_budget_names_the_level_the_limit_and_the_point(self):
-        derived = tail_derived_cover(level_family(seg_tree(), 3), node_limit=10)
+    def test_an_exclusion_budget_names_the_level_the_limit_and_the_point(self, monkeypatch):
+        monkeypatch.setattr(hurewicz, "EXCLUSION_NODE_LIMIT", 10)
+        derived = tail_derived_cover(level_family(seg_tree(), 3))
         with pytest.raises(BudgetError, match=r"^exclusion set of p2@N at level 3 exceeds 10 nodes$"):
             is_cover_up_to(derived, 16)
+
+    def test_an_exclusion_set_of_exactly_the_limit_materializes(self, monkeypatch):
+        """The budget counts p3's omitting nodes at every level up to 3:
+        exactly that many materialize, and one fewer raises."""
+        nodes = sum(len(list(ExclusionOracle(seg_tree(), level, N.point(3)).excluded_nodes())) for level in (1, 2, 3))
+        monkeypatch.setattr(hurewicz, "EXCLUSION_NODE_LIMIT", nodes)
+        assert ExclusionOracle(seg_tree(), 3, N.point(3)).materialize().excluded
+        monkeypatch.setattr(hurewicz, "EXCLUSION_NODE_LIMIT", nodes - 1)
+        with pytest.raises(BudgetError, match=rf"^exclusion set of p3@N at level 3 exceeds {nodes - 1} nodes$"):
+            ExclusionOracle(seg_tree(), 3, N.point(3)).materialize()
 
     def test_witness_spec_is_the_omitting_set(self):
         tree = seg_tree()
@@ -567,7 +581,8 @@ def reference_tail_derived_cover(fam, node_limit=500_000):
 
     def witness(p):
         oracle = ExclusionOracle(fam.tree, fam.level, p)
-        spec = oracle.materialize(node_limit)
+        with mock.patch.object(hurewicz, "EXCLUSION_NODE_LIMIT", node_limit):
+            spec = oracle.materialize()
         return excluded_set_index(spec.excluded)
 
     return IndexedCover(space=fam.tree.space, sets=sets, witness=witness, label=f"tail(level={fam.level})")
@@ -854,7 +869,8 @@ def play_outcome(play, key, horizon, innings, probe_limit, with_raw):
 
 
 def current_menger(tree, raw, innings, probe_limit):
-    return bob_counterplay_menger(tree, raw=raw, innings=innings, probe_limit=probe_limit)
+    with mock.patch.object(hurewicz, "Counterplay", lambda tree: Counterplay(tree, probe_limit)):
+        return bob_counterplay_menger(tree, raw=raw, innings=innings)
 
 
 def corpus_strategy(key):

@@ -1,5 +1,6 @@
-"""Every module-level import in the library is used in its own module, and
-every definition is read, as a syntax-tree identifier, outside itself.
+"""Every module-level import in the library is used in its own module,
+every definition is read, as a syntax-tree identifier, outside itself, and
+every budget parameter has a caller outside the tests that sets it.
 
 A stdlib `ast` check, so it needs no linter: the package's `__init__.py`
 (whose imports are re-exports) and `from __future__` imports are exempt.
@@ -114,3 +115,53 @@ def test_the_guard_sees_module_level_names(tmp_path):
     module = tmp_path / "module.py"
     module.write_text('Alias = tuple[int, ...]\n_CAP: int = 12\n__all__ = []\n\n\ndef f():\n    return 1\n')
     assert [name for name, _, _ in definitions(module)] == ["Alias", "_CAP", "f"]
+
+
+def budget_parameters(path: pathlib.Path):
+    """`name.parameter` for each parameter of a public module-level function
+    or method (a constructor's under its class's name) whose name ends in
+    `limit` or `budget` or starts with `max_`."""
+    for node in ast.parse(path.read_text()).body:
+        methods = [(f"{node.name}.", d) for d in node.body] if isinstance(node, ast.ClassDef) else [("", node)]
+        for prefix, d in methods:
+            if not isinstance(d, ast.FunctionDef) or (d.name.startswith("_") and d.name != "__init__"):
+                continue
+            name = prefix[:-1] if d.name == "__init__" else prefix + d.name
+            for arg in d.args.posonlyargs + d.args.args + d.args.kwonlyargs:
+                if arg.arg.endswith(("limit", "budget")) or arg.arg.startswith("max_"):
+                    yield f"{name}.{arg.arg}"
+
+
+# Budget parameters of the library, each with a caller outside the tests that
+# sets it. A budget only tests set is a module constant the tests patch.
+BUDGET_PARAMETERS_KEPT: dict[str, str] = {
+    "Counterplay.probe_limit": "solver.counterplay_bob_strategy passes None",
+    "secure_child.probe_limit": "Counterplay passes its probe_limit",
+    "least_admissible_child.probe_limit": "secure_child passes its limit",
+    "solve_finite_game.node_limit": "perfbench/workloads.py passes gen.NODE_LIMIT",
+    "decision_table.node_limit": "takes solve_finite_game's arguments; no caller outside the tests passes it",
+    "distinct_intersections.family_limit": "select_one_per_family passes count",
+    "check_infinitely_often.family_budget": "select_one_per_family passes count",
+    "evasion_function.node_budget": "counterplay_large passes its node_budget",
+    "counterplay_large.node_budget": "the scenario config's appendix cells set it",
+}
+
+
+def test_every_budget_parameter_has_a_caller_that_sets_it():
+    found = sorted(p for module in MODULES for p in budget_parameters(PACKAGE / module))
+    assert sorted(set(found) - set(BUDGET_PARAMETERS_KEPT)) == [], "budget parameters only tests set"
+    assert sorted(set(BUDGET_PARAMETERS_KEPT) - set(found)) == [], "kept as parameters, but gone: drop the entry"
+
+
+def test_the_budget_guard_reads_signatures(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(a, /, node_limit=1, *, max_x=2, scan_budget=3, limits=4):\n    pass\n\n\n"
+        "def _g(limit):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, probe_limit):\n        pass\n\n"
+        "    def m(self, max_depth, budget):\n        pass\n\n"
+        "    def _n(self, limit):\n        pass\n"
+    )
+    assert list(budget_parameters(module)) == [
+        "f.node_limit", "f.max_x", "f.scan_budget", "C.probe_limit", "C.m.max_depth", "C.m.budget"
+    ]

@@ -60,7 +60,7 @@ class TestLiftedCover:
         expected = pair(5 - 1, 3 - 1) + 1
         assert lifted.first_hit(target, expected) == expected
         assert lifted.first_hit(target, expected - 1) == expected
-        assert lifted._memo == {}  # a scan would have read members 1..expected
+        assert lifted._memo is None  # a scan would have made the table and read members 1..expected
 
 
 class TestProjectSelection:

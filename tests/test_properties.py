@@ -1,7 +1,5 @@
 """Property tests over randomly generated expressions, covers, and boxes."""
 
-from typing import Iterable
-
 from hypothesis import given, settings, strategies as st
 
 from selectiongames.corpus import segment_cover, singleton_cover, whole_head_cover
@@ -24,11 +22,12 @@ from selectiongames.spaces import (
     singleton,
     whole,
 )
-from selectiongames.trees import Path, box_paths
+from selectiongames import trees
+from selectiongames.trees import box_paths
 
 import pytest
 
-from helpers import Empty, combine
+from helpers import Empty, combine, reference_box_paths
 
 N = CountableDiscrete()
 
@@ -219,39 +218,12 @@ def test_product_space_over_finite_base(idx):
     assert combine(prod, base, level).id == idx
 
 
-def test_box_paths_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        list(box_paths((10, 10, 10), limit=100))
-
-
-def reference_box_paths(bound: Path, limit: int) -> Iterable[Path]:
-    """All node sequences coordinatewise between the all-ones sequence and
-    `bound`, in lexicographic order. Raises when the box exceeds `limit`."""
-    total = 1
-    for b in bound:
-        if b < 1:
-            raise ValueError("box bounds must be positive")
-        total *= b
-    if total > limit:
-        raise ResourceLimitError(f"node box of size {total} exceeds limit {limit}")
-    if not bound:
-        return [()]
-
-    def gen() -> Iterable[Path]:
-        counters = [1] * len(bound)
-        while True:
-            yield tuple(counters)
-            pos = len(bound) - 1
-            while pos >= 0:
-                counters[pos] += 1
-                if counters[pos] <= bound[pos]:
-                    break
-                counters[pos] = 1
-                pos -= 1
-            if pos < 0:
-                return
-
-    return gen()
+def test_box_paths_resource_guard(monkeypatch):
+    """A box of exactly `BOX_LIMIT` nodes is walked; one node more raises."""
+    monkeypatch.setattr(trees, "BOX_LIMIT", 12)
+    assert len(list(box_paths((3, 4)))) == 12
+    with pytest.raises(ResourceLimitError, match=r"^node box of size 13 exceeds limit 12$"):
+        box_paths((13,))
 
 
 @given(
@@ -262,16 +234,18 @@ def reference_box_paths(bound: Path, limit: int) -> Iterable[Path]:
 @settings(max_examples=80)
 def test_box_paths_match_the_counter_walk(core, ones_before, ones_after):
     bound = (1,) * ones_before + tuple(core) + (1,) * ones_after
-    assert list(box_paths(bound, 256)) == list(reference_box_paths(bound, 256))
+    assert list(box_paths(bound)) == list(reference_box_paths(bound, 256))
 
 
-def test_box_paths_guards_raise_before_iteration():
+def test_box_paths_guards_raise_before_iteration(monkeypatch):
     # the calls raise themselves; nothing is iterated
+    monkeypatch.setattr(trees, "BOX_LIMIT", 100)
     with pytest.raises(ResourceLimitError):
-        box_paths((10, 10, 10), limit=100)
+        box_paths((10, 10, 10))
     with pytest.raises(ValueError):
-        box_paths((3, 0, 2), limit=100)
-    assert list(box_paths((), 1)) == [()]
+        box_paths((3, 0, 2))
+    monkeypatch.setattr(trees, "BOX_LIMIT", 1)
+    assert list(box_paths(())) == [()]
 
 
 F = FiniteTopological.discrete(3)

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+from unittest import mock
 
 import pytest
 
@@ -70,7 +71,8 @@ def reference_joint_refinement_cover(
     box_limit: int = 20_000,
     rescan: int = 64,
 ) -> IndexedCover:
-    factors = distinct_covers_on_box(tree, bound, limit=box_limit)
+    with mock.patch("selectiongames.trees.BOX_LIMIT", box_limit):
+        factors = distinct_covers_on_box(tree, bound)
 
     def sets(n: int) -> OpenSet:
         if len(factors) == 1:
@@ -561,7 +563,7 @@ class TestJointRefinement:
         tree = rothberger_tree_corpus(N)["shifted_seg"]
         from selectiongames.trees import box_paths
 
-        assert list(box_paths((2, 1), 100)) == [(1, 1), (2, 1)]
+        assert list(box_paths((2, 1))) == [(1, 1), (2, 1)]
 
     def test_bound_three_refines_first_three_node_covers(self):
         # after a selection bounded by 3, the reply refines the covers at
@@ -755,8 +757,8 @@ class TestKeyStateWalk:
             assert tree.keys is not None, name
             walked = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
             for bound in WALK_BOUNDS:
-                got = distinct_covers_on_box(tree, bound, limit=2_000)
-                want = distinct_covers_on_box(walked, bound, limit=2_000)
+                got = distinct_covers_on_box(tree, bound)
+                want = distinct_covers_on_box(walked, bound)
                 assert list(map(id, got)) == list(map(id, want)), (name, bound)
 
     def test_a_resumed_walk_is_the_walk_from_the_root(self):
@@ -769,8 +771,8 @@ class TestKeyStateWalk:
         for name, tree in _keyed_trees().items():
             for bound in order:
                 fresh = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=tree.keys)
-                got = distinct_covers_on_box(tree, bound, limit=2_000)
-                want = distinct_covers_on_box(fresh, bound, limit=2_000)
+                got = distinct_covers_on_box(tree, bound)
+                want = distinct_covers_on_box(fresh, bound)
                 assert list(map(id, got)) == list(map(id, want)), (name, bound)
 
     def test_a_bound_extending_a_walked_bound_takes_one_level_step(self):
@@ -787,21 +789,6 @@ class TestKeyStateWalk:
         # the root's 30 children, then 30 children of each of the 5 keys at levels 1 and 2
         assert sum(steps.values()) == 30 + 150 + 150
 
-    def test_a_walk_under_a_larger_limit_raises_as_a_fresh_one(self):
-        """A memoized level wider than the call's limit is not resumed from:
-        the error is a fresh tree's, naming the same level."""
-        shifted = rothberger_tree_corpus(N)["shifted_seg"]  # 12 capped keys below (30,), one below (30, 1)
-        path_keys = ((), lambda path, i: path + (i,), shifted.cover_at)
-        by_path = TreeStrategy(space=N, cover_at_raw=shifted.cover_at, keys=path_keys)
-        for tree, bound in [(shifted, (30, 1)), (by_path, (11, 1)), (by_path, (5, 5, 1))]:
-            fresh = TreeStrategy(space=N, cover_at_raw=tree.cover_at_raw, keys=tree.keys)
-            with pytest.raises(ResourceLimitError) as want:
-                distinct_covers_on_box(fresh, bound, limit=10)
-            distinct_covers_on_box(tree, bound, limit=20_000)
-            with pytest.raises(ResourceLimitError) as got:
-                distinct_covers_on_box(tree, bound, limit=10)
-            assert str(got.value) == str(want.value), bound
-
     def test_an_entry_below_one_raises_on_both_routes(self):
         tree = scrambled_tree(N)
         walked = TreeStrategy(space=N, cover_at_raw=tree.cover_at)
@@ -812,25 +799,27 @@ class TestKeyStateWalk:
                 with pytest.raises(ValueError, match="positive"):
                     distinct_covers_on_box(route, bound)
 
-    def test_a_tree_keyed_by_its_paths_raises_past_the_limit(self):
+    def test_a_tree_keyed_by_its_paths_raises_past_the_limit(self, monkeypatch):
         tree = rothberger_tree_corpus(N)["shifted_seg"]
         path_keys = ((), lambda path, i: path + (i,), tree.cover_at)
         by_path = TreeStrategy(space=N, cover_at_raw=tree.cover_at, keys=path_keys)
-        got = distinct_covers_on_box(by_path, (2, 5), limit=10)
+        monkeypatch.setattr("selectiongames.trees.BOX_LIMIT", 10)
+        got = distinct_covers_on_box(by_path, (2, 5))
         assert list(map(id, got)) == list(map(id, distinct_covers_on_box(tree, (2, 5))))
         with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 1 below bound \(11,\)"):
-            distinct_covers_on_box(by_path, (11,), limit=10)
+            distinct_covers_on_box(by_path, (11,))
         with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 2 below bound \(5, 5, 1\)"):
-            distinct_covers_on_box(by_path, (5, 5, 1), limit=10)
+            distinct_covers_on_box(by_path, (5, 5, 1))
 
-    def test_a_level_past_the_limit_raises_before_it_is_built(self):
+    def test_a_level_past_the_limit_raises_before_it_is_built(self, monkeypatch):
         tree = rothberger_tree_corpus(N)["shifted_seg"]
         path_keys = ((), lambda path, i: path + (i,), tree.cover_at)
         by_path = TreeStrategy(space=N, cover_at_raw=tree.cover_at, keys=path_keys)
+        monkeypatch.setattr("selectiongames.trees.BOX_LIMIT", 10)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match=r"more than 10 key states at level 1 below bound \(300000,\)"):
-                distinct_covers_on_box(by_path, (300_000,), limit=10)
+                distinct_covers_on_box(by_path, (300_000,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -214,13 +216,16 @@ class TestSolve:
     def test_minimal_depth_matches_reference_loop(self, inst, arity, cap, max_depth):
         game = GameKind(arity)
 
-        def depth(find):
+        try:
+            want = reference_minimal_winning_depth(inst, game, cap, max_depth)
+        except ResourceLimitError:
+            want = "raised"
+        with mock.patch("selectiongames.solver.MAX_WINNING_DEPTH", max_depth):
             try:
-                return find(inst, game, cap, max_depth)
+                got = minimal_winning_depth(inst, game, cap)
             except ResourceLimitError:
-                return "raised"
-
-        assert depth(minimal_winning_depth) == depth(reference_minimal_winning_depth)
+                got = "raised"
+        assert got == want
 
     def test_node_limit_raises_exactly_where_the_reference_does(self):
         # every limit in [1, nodes]; at depths 3-4 most of this instance's
@@ -235,11 +240,6 @@ class TestSolve:
                     assert raises_at(solve_finite_game, inst, game, depth, cap, limit) == raises_at(
                         reference_solve, inst, game, depth, cap, limit
                     ), (arity, depth, limit)
-
-    def test_max_depth_below_one_is_a_value_error(self):
-        for max_depth in (0, -1):
-            with pytest.raises(ValueError, match="max_depth must be at least 1"):
-                minimal_winning_depth(two_point(), G1, 1, max_depth=max_depth)
 
     def test_selection_cap_below_one_is_a_value_error(self):
         bob = lambda cover, inning: FiniteSelection(cover, (1,))
@@ -261,7 +261,7 @@ class TestSolve:
             assert minimal_winning_depth(fast, game, cap) == reference_minimal_winning_depth(ref, game, cap)
             assert fast_calls[0] < ref_calls[0], (arity, fast_calls[0], ref_calls[0])
 
-    def test_budget_errors_name_the_instance_depth_and_limit(self):
+    def test_budget_errors_name_the_instance_depth_and_limit(self, monkeypatch):
         with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on two_point_singletons at depth 3$"):
             solve_finite_game(two_point(), GFIN, 3, 1, node_limit=2)
         # the second player needs 12 innings; depth 5 is the first to
@@ -272,6 +272,13 @@ class TestSolve:
         )
         with pytest.raises(ResourceLimitError, match=r"^solver exceeded 200000 nodes on twelve_singletons at depth 5$"):
             minimal_winning_depth(twelve, G1, 1)
+        # the depth search gives up past MAX_WINNING_DEPTH
+        three = bundled_instances()["three_point_singletons"]
+        monkeypatch.setattr("selectiongames.solver.MAX_WINNING_DEPTH", 3)
+        assert minimal_winning_depth(three, G1, 1) == 3
+        monkeypatch.setattr("selectiongames.solver.MAX_WINNING_DEPTH", 2)
+        with pytest.raises(ResourceLimitError, match=r"^no winning depth within 2 for three_point_singletons$"):
+            minimal_winning_depth(three, G1, 1)
 
     def test_strategy_table_produced_for_winner(self):
         assert solve_finite_game(two_point(), G1, 2, 1).winner == "bob"

@@ -66,8 +66,8 @@ WALK = EV + "test_stripped_children_are_transitions_of_the_reference_walk"
 KEY_LOOP = """for k in level:
     for i in range(1, bound[j] + 1):
         states[child_key(k, i)] = None
-        if len(states) > limit:
-            raise ResourceLimitError(f'more than {limit} key states at level {j + 1} below bound {bound}')"""
+        if len(states) > BOX_LIMIT:
+            raise ResourceLimitError(f'more than {BOX_LIMIT} key states at level {j + 1} below bound {bound}')"""
 
 BLOCK_STEP = """if len(counts) < bound:
     size = len(fam(bound))
@@ -129,12 +129,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "a key level ordered by child index before parent key",
     ),
     Mutant(
-        "key-walk-resumes-past-the-limit", "trees.py", "distinct_covers_on_box",
-        "hit[1] <= limit", "True",
-        (KEYS + "test_a_walk_under_a_larger_limit_raises_as_a_fresh_one",),
-        "a memoized prefix resumed from although its widest level exceeds the call's limit",
-    ),
-    Mutant(
         "key-walk-never-resumes", "trees.py", "distinct_covers_on_box",
         "tree._key_levels.get(bound[:-1]) if bound else None", "None",
         (KEYS + "test_a_bound_extending_a_walked_bound_takes_one_level_step",),
@@ -148,9 +142,22 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "key-level-checked-per-parent", "trees.py", "distinct_covers_on_box",
-        "len(states) > limit", "len(states) > limit and i == bound[j]",
+        "len(states) > BOX_LIMIT", "len(states) > BOX_LIMIT and i == bound[j]",
         (KEYS + "test_a_level_past_the_limit_raises_before_it_is_built",),
         "the limit checked only after a parent key's last child",
+    ),
+    # budgets are module constants; each guard raises one past its constant
+    Mutant(
+        "box-guard-off-by-one", "trees.py", "box_paths",
+        "total > BOX_LIMIT", "total > BOX_LIMIT + 1",
+        ("tests/test_properties.py::test_box_paths_resource_guard",),
+        "a box of one node more than BOX_LIMIT walked",
+    ),
+    Mutant(
+        "exclusion-guard-off-by-one", "hurewicz.py", "ExclusionOracle.excluded_nodes",
+        "produced > EXCLUSION_NODE_LIMIT", "produced > EXCLUSION_NODE_LIMIT + 1",
+        (HW + "TestTailDerivedCover::test_an_exclusion_set_of_exactly_the_limit_materializes",),
+        "an exclusion set of one node more than EXCLUSION_NODE_LIMIT materialized",
     ),
     # stripped trees step by (source key, removed descriptions) states
     Mutant(
