@@ -50,7 +50,7 @@ need literal cofinite specs (small depths).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .covers import (
     CofiniteSpec,
@@ -100,28 +100,38 @@ def normalize_strategy(
     points raises :class:`FiniteWinFound` with the witnessing path (the
     chosen set at a node is the union of everything chosen on the way to it,
     so this is exactly the "a finite selection suffices" escape).
-    """
+
+    A node keeps its raw moves and how many leading horizon points its set
+    holds; a child adds one `raw_move` to its parent's moves and resumes the
+    scan at its parent's count (its set contains its parent's). Its own move
+    is asked before its parent is read, as in a build from the root."""
     space = space or raw.space
+    horizon = None if finite_win_horizon is None else space.points(finite_win_horizon)
+    nodes: dict[Path, tuple[Moves, int]] = {}  # materialized node -> (raw moves, leading horizon points held)
 
     def back_map(path: Path) -> Moves:
-        return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
+        parent = nodes.get(path[:-1]) if path else None
+        if parent is None:
+            return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
+        return parent[0] + (raw_move(len(path) - 1, path[-1]),)
 
     def cover_at(path: Path) -> IndexedCover:
-        base = increasing_form(raw.move(back_map(path)))
-        if not path:
-            return base
-        chosen = tree.set_at(path)  # `tree` is bound below, before any node is read
-        if finite_win_horizon is not None:
-            if all(member(chosen, p) for p in space.points(finite_win_horizon)):
-                raise FiniteWinFound(path)
-        return head_normalize(chosen, base)
+        moves = back_map(path)
+        cover, covered = increasing_form(raw.move(moves)), 0
+        if path:
+            chosen = tree.set_at(path)  # `tree` is bound below, before any node is read
+            covered = nodes[path[:-1]][1]
+            if horizon is not None:
+                while covered < len(horizon) and member(chosen, horizon[covered]):
+                    covered += 1
+                if covered == len(horizon):
+                    raise FiniteWinFound(path)
+            cover = head_normalize(chosen, cover)
+        nodes[path] = (moves, covered)
+        return cover
 
-    tree = TreeStrategy(
-        space=space,
-        cover_at_raw=cover_at,
-        back_map=back_map,
-        label=f"normalized({raw.name})" if raw.name else "normalized",
-    )
+    label = f"normalized({raw.name})" if raw.name else "normalized"
+    tree = TreeStrategy(space=space, cover_at_raw=cover_at, back_map=back_map, label=label)
     return tree
 
 
@@ -341,19 +351,6 @@ class CounterplayResult:
     finite_win: bool = False
 
 
-def protection_plan(space: SpaceModel) -> Callable[[int], list[Point]]:
-    """Which points the counterplay protects at each inning: the first n
-    enumerated points on countable models (the canonical selection schedule),
-    every point on finite ones."""
-
-    def plan(n: int) -> list[Point]:
-        if space.size is not None:
-            return space.all_points()
-        return space.points(n)
-
-    return plan
-
-
 def least_admissible_child(cover: IndexedCover, points: Sequence[Point], probe_limit: int) -> int:
     """The least index whose member contains every point, or an index above
     `probe_limit` if none up to there does. In an increasing cover a member
@@ -386,7 +383,9 @@ class Counterplay:
     """The winning counterplay against a normalized tree, kept so that a
     longer play extends a shorter one: `extend(n)` plays on until the path
     has n moves, choosing each move once. At inning n the move is the least
-    child containing the points of `protection_plan` at n.
+    child containing the protected points, one list that grows by a point an
+    inning to the first n enumerated points of a countable model (the
+    canonical selection schedule) and holds a finite model's every point.
 
     The tree must be normalized (increasing node covers, each headed by its
     node's set). Then every child holds the points earlier moves secured, and
@@ -400,16 +399,18 @@ class Counterplay:
     """
 
     def __init__(self, tree: TreeStrategy, probe_limit: int | None = 10_000):
-        self.tree, self.probe_limit, self.plan = tree, probe_limit, protection_plan(tree.space)
+        self.tree, self.probe_limit, self._size = tree, probe_limit, tree.space.size
         self.path: Path = ()
         self.finite_win = False
         self._secured: set[int] = set()
+        self._protected: list[Point] = [] if self._size is None else tree.space.all_points()
 
     def extend(self, innings: int) -> Path:
         try:
             while len(self.path) < innings and not self.finite_win:
-                protected = self.plan(len(self.path) + 1)
-                self.path += (secure_child(self.tree, self.path, protected, self._secured, self.probe_limit),)
+                if self._size is None and len(self._protected) == len(self.path):
+                    self._protected.append(self.tree.space.point(len(self.path)))
+                self.path += (secure_child(self.tree, self.path, self._protected, self._secured, self.probe_limit),)
         except FiniteWinFound as fw:
             self.path, self.finite_win = fw.path, True
         return self.path
@@ -418,7 +419,8 @@ class Counterplay:
         """Inning n's tree child, children skipped as excluded and protected point count."""
         chosen = self.path[n - 1]
         skipped = [] if self.finite_win else list(range(1, chosen))
-        return {"tree_choice": chosen, "excluded_children_probed": skipped, "protected_points": len(self.plan(n))}
+        protected = n if self._size is None else self._size
+        return {"tree_choice": chosen, "excluded_children_probed": skipped, "protected_points": protected}
 
 
 def bob_counterplay_menger(

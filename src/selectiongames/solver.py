@@ -27,6 +27,7 @@ OracleHistory = tuple[tuple[int, tuple[int, ...]], ...]  # (option chosen, selec
 BobMove = Callable[[IndexedCover, int], FiniteSelection]  # (cover played, inning) -> selection
 
 MAX_WINNING_DEPTH = 8  # innings `minimal_winning_depth` searches before it gives up
+NODE_LIMIT = 200_000  # positions a search may visit: the solves' default, and every depth search's budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +99,7 @@ def solve_finite_game(
     game: GameKind,
     depth: int,
     selection_cap: int,
-    node_limit: int = 200_000,
+    node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Exact backward induction.
 
@@ -127,7 +128,7 @@ def decision_table(
     game: GameKind,
     depth: int,
     selection_cap: int,
-    node_limit: int = 200_000,
+    node_limit: int = NODE_LIMIT,
 ) -> dict[tuple, object]:
     """The decision table of `solve_finite_game`'s search, written in order
     by one search with the same arguments: second-player states (position,
@@ -233,7 +234,7 @@ def minimal_winning_depth(
     """The least depth at which the second player wins (exists by compactness;
     raises past `MAX_WINNING_DEPTH`), searched without decision tables.
 
-    Depths 1, 2, ... are searched in turn, each within 200,000 nodes;
+    Depths 1, 2, ... are searched in turn, each within `NODE_LIMIT` nodes;
     `ResourceLimitError` names the instance, the depth and the limit.
 
     Two things make it search less than `solve_finite_game` at each depth,
@@ -251,7 +252,7 @@ def minimal_winning_depth(
     """
     tables: dict = {}
     for d in range(1, MAX_WINNING_DEPTH + 1):
-        if _search(instance, game, d, selection_cap, 200_000, None, tables)[0]:
+        if _search(instance, game, d, selection_cap, NODE_LIMIT, None, tables)[0]:
             return d
     raise ResourceLimitError(f"no winning depth within {MAX_WINNING_DEPTH} for {instance.name}")
 

@@ -3,18 +3,21 @@ point-by-point checks of sets and selections, the inverse of
 `ProductSpace.split`, play restricted below a tree node, the canonical
 finite-selection witness, the empty open set, the infinitely-often play
 that the resumable counterplay replaced, a keyed tree whose keys repeat
-out of order, and the counter walk of a node box under a limit."""
+out of order, the counter walk of a node box under a limit, and the
+normalization and counterplay that built every node and every inning's
+protected points from the root."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from selectiongames.corpus import path_keyed_tree, segment_cover
-from selectiongames.covers import FiniteSelection, Verdict, witness_of
+from selectiongames.covers import FiniteSelection, IndexedCover, Verdict, head_normalize, increasing_form, witness_of
 from selectiongames.engine import (
     MENGER_GAME,
     AliceStrategy,
+    Moves,
     MultiplicityReport,
     Transcript,
     covering_innings,
@@ -22,7 +25,15 @@ from selectiongames.engine import (
     replay,
 )
 from selectiongames.errors import ResourceLimitError
-from selectiongames.hurewicz import CounterplayResult, bob_counterplay_menger, normalize_strategy
+from selectiongames.hurewicz import (
+    Counterplay,
+    CounterplayResult,
+    FiniteWinFound,
+    bob_counterplay_menger,
+    normalize_strategy,
+    raw_move,
+    secure_child,
+)
 from selectiongames.pairing import pair
 from selectiongames.products import lift_strategy, project_selection
 from selectiongames.selectors import CoverSeq
@@ -201,3 +212,86 @@ def reference_box_paths(bound: Path, limit: int) -> Iterable[Path]:
                 return
 
     return gen()
+
+
+# ---------------------------------------------------------------------------
+# Normalization and the counterplay before nodes and innings resumed from the
+# ones before them, kept verbatim as the reference.
+
+
+def reference_normalize_strategy(
+    raw: AliceStrategy,
+    space: SpaceModel | None = None,
+    finite_win_horizon: int | None = None,
+) -> TreeStrategy:
+    """Normalize an arbitrary finite-selection strategy into tree form.
+
+    The tree's node path records single-set choices from the transformed
+    covers; `back_map` translates a path into the raw strategy's per-inning
+    index selections (`raw_move`). When `finite_win_horizon` is set,
+    materializing any node whose set already covers that many enumerated
+    points raises :class:`FiniteWinFound` with the witnessing path (the
+    chosen set at a node is the union of everything chosen on the way to it,
+    so this is exactly the "a finite selection suffices" escape).
+    """
+    space = space or raw.space
+
+    def back_map(path: Path) -> Moves:
+        return tuple(raw_move(depth, idx) for depth, idx in enumerate(path))
+
+    def cover_at(path: Path) -> IndexedCover:
+        base = increasing_form(raw.move(back_map(path)))
+        if not path:
+            return base
+        chosen = tree.set_at(path)  # `tree` is bound below, before any node is read
+        if finite_win_horizon is not None:
+            if all(member(chosen, p) for p in space.points(finite_win_horizon)):
+                raise FiniteWinFound(path)
+        return head_normalize(chosen, base)
+
+    tree = TreeStrategy(
+        space=space,
+        cover_at_raw=cover_at,
+        back_map=back_map,
+        label=f"normalized({raw.name})" if raw.name else "normalized",
+    )
+    return tree
+
+
+def protection_plan(space: SpaceModel) -> Callable[[int], list[Point]]:
+    """Which points the counterplay protects at each inning: the first n
+    enumerated points on countable models (the canonical selection schedule),
+    every point on finite ones."""
+
+    def plan(n: int) -> list[Point]:
+        if space.size is not None:
+            return space.all_points()
+        return space.points(n)
+
+    return plan
+
+
+class ReferenceCounterplay(Counterplay):
+    """`Counterplay` with its protected points rebuilt from `protection_plan`
+    at every inning and every audit."""
+
+    def __init__(self, tree: TreeStrategy, probe_limit: int | None = 10_000):
+        self.tree, self.probe_limit, self.plan = tree, probe_limit, protection_plan(tree.space)
+        self.path: Path = ()
+        self.finite_win = False
+        self._secured: set[int] = set()
+
+    def extend(self, innings: int) -> Path:
+        try:
+            while len(self.path) < innings and not self.finite_win:
+                protected = self.plan(len(self.path) + 1)
+                self.path += (secure_child(self.tree, self.path, protected, self._secured, self.probe_limit),)
+        except FiniteWinFound as fw:
+            self.path, self.finite_win = fw.path, True
+        return self.path
+
+    def audit(self, n: int) -> dict[str, object]:
+        """Inning n's tree child, children skipped as excluded and protected point count."""
+        chosen = self.path[n - 1]
+        skipped = [] if self.finite_win else list(range(1, chosen))
+        return {"tree_choice": chosen, "excluded_children_probed": skipped, "protected_points": len(self.plan(n))}

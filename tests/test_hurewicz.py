@@ -14,7 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 from selectiongames import hurewicz
 from selectiongames.corpus import bundled_instances, named_strategies, seeded_strategy, singleton_cover
 from selectiongames.covers import CofiniteSpec, IndexedCover, is_cover_up_to, witness_of
-from selectiongames.engine import MENGER_GAME, ROTHBERGER_GAME, Transcript, check_legal, evaluate_win, make_inning, replay
+from selectiongames.engine import (
+    MENGER_GAME,
+    ROTHBERGER_GAME,
+    AliceStrategy,
+    Transcript,
+    check_legal,
+    evaluate_win,
+    make_inning,
+    replay,
+)
 from selectiongames.errors import BudgetError, IntegrityError
 from selectiongames.hurewicz import (
     Counterplay,
@@ -26,7 +35,6 @@ from selectiongames.hurewicz import (
     least_admissible_child,
     level_family,
     normalize_strategy,
-    protection_plan,
     tail_derived_cover,
 )
 from selectiongames.pairing import decode_tuple, encode_tuple, excluded_set_from_index, excluded_set_index
@@ -34,7 +42,13 @@ from selectiongames.solver import deterministic_strategy
 from selectiongames.spaces import CountableDiscrete, FiniteIntersection, Named, describe, member
 from selectiongames.trees import TreeStrategy, path_transcript
 
-from helpers import extensionally_equal, select_sfin
+from helpers import (
+    ReferenceCounterplay,
+    extensionally_equal,
+    protection_plan,
+    reference_normalize_strategy,
+    select_sfin,
+)
 
 N = CountableDiscrete()
 
@@ -946,3 +960,89 @@ class TestLeastAdmissibleChild:
         tree = TreeStrategy(space=N, cover_at_raw=cover_at, label="broken-head")
         with pytest.raises(IntegrityError, match=r"child 1 of node \(1,\) omits protected point .*0"):
             bob_counterplay_menger(tree, innings=3)
+
+
+# the named and three seeded strategies on N, and a 3-point line whose
+# horizons below run past its space
+RESUME_KEYS = [*named_strategies(N), 0, 1, 2, "finite:chain_game"]
+
+
+def logged_strategy(key):
+    """A fresh corpus strategy, and the list of move sequences it is asked,
+    in the order they are asked."""
+    alice = corpus_strategy(key)
+    asked = []
+
+    def move(moves):
+        asked.append(moves)
+        return alice.move(moves)
+
+    return AliceStrategy(space=alice.space, move=move, name=alice.name), asked
+
+
+def paired_plays(key, horizon, innings):
+    """The counterplay and the reference counterplay, each on its own
+    normalized tree of a fresh strategy, played for `innings` innings, with
+    the move sequences each strategy was asked."""
+    plays = []
+    for normalize, play in ((normalize_strategy, Counterplay), (reference_normalize_strategy, ReferenceCounterplay)):
+        alice, asked = logged_strategy(key)
+        counterplay = play(normalize(alice, alice.space, finite_win_horizon=horizon))
+        counterplay.extend(innings)
+        plays.append((counterplay, asked))
+    return plays
+
+
+class TestNodesResumeFromTheirParents:
+    """Nodes built from their parent's moves and finite-win count, and
+    protected points grown by one per inning, against the normalization and
+    counterplay that built both from the root."""
+
+    @pytest.mark.parametrize("horizon", [None, 10])
+    @pytest.mark.parametrize("key", RESUME_KEYS)
+    def test_nodes_back_maps_covers_and_audits_match_the_reference(self, key, horizon):
+        (new, new_asked), (ref, ref_asked) = paired_plays(key, horizon, 10)
+        assert (new.path, new.finite_win) == (ref.path, ref.finite_win)
+        assert new_asked == ref_asked  # the same moves asked in the same order
+        assert new.tree._cover_memo.keys() == ref.tree._cover_memo.keys()
+        rng = random.Random(str(key))
+        nodes = [*ref.tree._cover_memo, *random_paths(rng, 40, 8, 6)]
+        nodes += [new.path[:k] + (rng.randint(1, 6),) for k in range(len(new.path))]
+        for node in nodes:
+            assert new.tree.back_map(node) == ref.tree.back_map(node), node
+        for depth in range(len(new.path)):
+            node = new.path[:depth]
+            new_cover, ref_cover = new.tree.cover_at(node), ref.tree.cover_at(node)
+            for j in range(1, 5):
+                assert describe(new_cover.sets(j)) == describe(ref_cover.sets(j)), (node, j)
+        for n in range(1, len(new.path) + 1):
+            assert new.audit(n) == ref.audit(n), n
+
+    @pytest.mark.parametrize("key", RESUME_KEYS)
+    def test_finite_wins_match_the_reference_at_horizons_1_to_40(self, key):
+        for horizon in range(1, 41):
+            # inning h + 1 materializes a node whose set holds the first h points
+            (new, new_asked), (ref, ref_asked) = paired_plays(key, horizon, horizon + 1)
+            assert (new.path, new.finite_win, new_asked) == (ref.path, ref.finite_win, ref_asked), horizon
+            assert ref.finite_win, horizon
+            for n in range(1, len(new.path) + 1):
+                assert new.audit(n) == ref.audit(n), (horizon, n)
+
+    def test_a_raising_strategy_raises_at_the_same_node(self):
+        """A strategy that raises when asked for a depth-3 move raises while
+        the same node materializes: its own move is asked before any parent
+        is read."""
+        outcomes = []
+        for normalize in (normalize_strategy, reference_normalize_strategy):
+            alice, asked = logged_strategy("shifted_seg")
+
+            def move(moves, inner=alice.move):
+                if len(moves) == 3:
+                    raise RuntimeError(f"refused {moves}")
+                return inner(moves)
+
+            tree = normalize(AliceStrategy(space=N, move=move, name="refusing"), N, finite_win_horizon=20)
+            with pytest.raises(RuntimeError) as exc:
+                tree.cover_at((2, 3, 1))
+            outcomes.append((str(exc.value), asked, list(tree._cover_memo)))
+        assert outcomes[0] == outcomes[1] == ("refused ((1, 2), (1, 2), (1,))", [], [])

@@ -1,3 +1,4 @@
+import inspect
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from selectiongames.corpus import bundled_instances
 from selectiongames.covers import FiniteSelection
 from selectiongames.engine import GameKind
 from selectiongames.errors import ResourceLimitError
-from selectiongames.hurewicz import ExclusionOracle, normalize_strategy, protection_plan
+from selectiongames.hurewicz import ExclusionOracle, normalize_strategy
 from selectiongames.solver import (
     FiniteGameInstance,
     SolveResult,
@@ -23,6 +24,8 @@ from selectiongames.solver import (
     stationary_instance,
 )
 from selectiongames.spaces import FiniteTopological
+
+from helpers import protection_plan
 
 G1 = GameKind("single")
 GFIN = GameKind("finite")
@@ -272,6 +275,12 @@ class TestSolve:
         )
         with pytest.raises(ResourceLimitError, match=r"^solver exceeded 200000 nodes on twelve_singletons at depth 5$"):
             minimal_winning_depth(twelve, G1, 1)
+        # one constant is the depth searches' budget and the solves' default
+        for solve in (solve_finite_game, decision_table):
+            assert inspect.signature(solve).parameters["node_limit"].default == 200_000
+        with mock.patch("selectiongames.solver.NODE_LIMIT", 2):
+            with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on twelve_singletons at depth 1$"):
+                minimal_winning_depth(twelve, G1, 1)
         # the depth search gives up past MAX_WINNING_DEPTH
         three = bundled_instances()["three_point_singletons"]
         monkeypatch.setattr("selectiongames.solver.MAX_WINNING_DEPTH", 3)

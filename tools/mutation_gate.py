@@ -78,6 +78,7 @@ REPLAY_LOOP = """for indices in moves:
     yield alice.move(played)
     played += (indices,)"""
 REFERENCES = RB + "TestAgainstTheReferences::"
+RESUMED = HW + "TestNodesResumeFromTheirParents::"
 
 MUTANTS: tuple[Mutant, ...] = (
     # keyed stripped trees and the joint witness
@@ -281,6 +282,25 @@ MUTANTS: tuple[Mutant, ...] = (
         REPLAY_LOOP.replace("    yield alice.move(played)\n", "") + "\n    yield alice.move(played)",
         ("tests/test_engine.py::TestCheckLegal::test_detects_divergent_strategy",),
         "replay asks for the next cover before it yields the current one",
+    ),
+    # normalized nodes resume from their parents; protected points grow by one
+    Mutant(
+        "finite-win-resumes-past-the-parent", "hurewicz.py", "normalize_strategy.cover_at",
+        "nodes[path[:-1]][1]", "nodes[path[:-1]][1] + 1",
+        (HW + "TestCounterplay::test_wins_on_grid_for_named_strategies",),
+        "a node's finite-win scan starts one point past its parent's count",
+    ),
+    Mutant(
+        "moves-extend-at-the-child-depth", "hurewicz.py", "normalize_strategy.back_map",
+        "raw_move(len(path) - 1, path[-1])", "raw_move(len(path), path[-1])",
+        (RESUMED + "test_nodes_back_maps_covers_and_audits_match_the_reference[mixed_adversarial-None]",),
+        "a child's move translated at its own depth instead of its parent's",
+    ),
+    Mutant(
+        "protected-list-skips-a-point", "hurewicz.py", "Counterplay.extend",
+        "self.tree.space.point(len(self.path))", "self.tree.space.point(len(self.path) + 1)",
+        (RESUMED + "test_nodes_back_maps_covers_and_audits_match_the_reference[shifted_seg-None]",),
+        "inning n protects point n instead of point n - 1, so point 0 is never protected",
     ),
     Mutant(
         "often-innings-projects-the-tree-index", "products.py", "often_innings",
