@@ -5,13 +5,15 @@ bundled finite game instances.
 The theorems quantify over all strategies; a fixed set of named shapes plus
 seeded random generation gives reproducible breadth. All randomness is
 seeded, and move sequences are hashed by an explicit 64-bit fold so the
-corpus is stable across interpreter runs.
+corpus is stable across interpreter runs. A strategy plays one cover object
+per distinct cover (a tree, one per key), so its members, their
+descriptions and its witness and first-hit tables are built once.
 """
 
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import cache, reduce
 from operator import itemgetter
 from typing import Any, Callable, Hashable
 
@@ -75,39 +77,50 @@ def whole_head_cover(space: SpaceModel, label: str | None = None) -> IndexedCove
     )
 
 
-def named_strategies(space: SpaceModel) -> dict[str, AliceStrategy]:
-    """The five named corpus strategies."""
+def primitive_covers(space: SpaceModel) -> Callable[[str, int], IndexedCover]:
+    """The primitive covers by shape and shift, each built once: ("seg",
+    shift) is the segment cover with that shift, ("single", 0) the singleton
+    cover and ("whole", 0) the whole-head cover."""
+    shapes = {
+        "seg": lambda shift: segment_cover(space, shift=shift),
+        "single": lambda shift: singleton_cover(space),
+        "whole": lambda shift: whole_head_cover(space),
+    }
+    return cache(lambda shape, shift: shapes[shape](shift))
 
-    def shifted(moves: Moves) -> IndexedCover:
-        return segment_cover(space, shift=max(moves[-1]) if moves else 0)
+
+def named_strategies(space: SpaceModel) -> dict[str, AliceStrategy]:
+    """The five named corpus strategies. They play one cover object per
+    distinct cover, from one `primitive_covers` table, so move sequences
+    that play the same cover share its members and its tables."""
+    cover = primitive_covers(space)
 
     def mixed(moves: Moves) -> IndexedCover:
-        shift = sum(map(max, moves)) % 7
         if len(moves) % 2 == 0:
-            return segment_cover(space, shift=shift)
-        return singleton_cover(space)
+            return cover("seg", sum(map(max, moves)) % 7)
+        return cover("single", 0)
 
     return {
-        "seg_tower": memoized_strategy(space, "seg_tower", lambda moves: segment_cover(space)),
-        "shifted_seg": memoized_strategy(space, "shifted_seg", shifted),
-        "singletons": memoized_strategy(space, "singletons", lambda moves: singleton_cover(space)),
-        "whole_head": memoized_strategy(space, "whole_head", lambda moves: whole_head_cover(space)),
+        "seg_tower": memoized_strategy(space, "seg_tower", lambda moves: cover("seg", 0)),
+        "shifted_seg": memoized_strategy(
+            space, "shifted_seg", lambda moves: cover("seg", max(moves[-1]) if moves else 0)
+        ),
+        "singletons": memoized_strategy(space, "singletons", lambda moves: cover("single", 0)),
+        "whole_head": memoized_strategy(space, "whole_head", lambda moves: cover("whole", 0)),
         "mixed_adversarial": memoized_strategy(space, "mixed_adversarial", mixed),
     }
 
 
 def seeded_strategy(space: SpaceModel, seed: int) -> AliceStrategy:
     """A deterministic pseudo-random strategy: per move sequence, draw one of
-    the primitive cover shapes with a small random shift."""
+    the primitive cover shapes with a small random shift. It plays one cover
+    object per drawn (shape, shift)."""
+    cover = primitive_covers(space)
 
     def cover_for(moves: Moves) -> IndexedCover:
         rng = random.Random((seed * 0x9E3779B1 ^ fold_moves(moves)) & _MASK)
         shape = rng.choice(["seg", "seg", "seg", "single", "whole"])
-        if shape == "seg":
-            return segment_cover(space, shift=rng.randrange(0, 5))
-        if shape == "single":
-            return singleton_cover(space)
-        return whole_head_cover(space)
+        return cover(shape, rng.randrange(0, 5) if shape == "seg" else 0)
 
     return memoized_strategy(space, f"seeded{seed}", cover_for)
 
@@ -135,14 +148,7 @@ def path_keyed_tree(
     """A tree whose node cover depends on the node only through a small key:
     the root's is `root_key`, and a child's is `child_key(parent's key, i)`
     (the tree's `keys`). Each key's cover is built once."""
-    cover_memo: dict[Hashable, IndexedCover] = {}
-
-    def cover_for(key: Hashable) -> IndexedCover:
-        hit = cover_memo.get(key)
-        if hit is None:
-            hit = cover_memo[key] = cover_of_key(key)
-        return hit
-
+    cover_for = cache(cover_of_key)
     return TreeStrategy(
         space=space,
         cover_at_raw=lambda path: cover_for(reduce(child_key, path, root_key)),

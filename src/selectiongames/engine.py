@@ -121,15 +121,12 @@ def make_inning(
     if game.arity == "single" and len(sel.indices) != 1:
         raise LegalityError(f"inning {number}: single-selection game got {len(sel.indices)} indices", inning=number)
     upto = max(sel.indices) + 1
-    original: list[int] = []
-    for i in sorted(sel.indices):
-        for back in cover.provenance(i):
-            if back not in original:
-                original.append(back)
+    selection = tuple(sorted(sel.indices))
+    original = dict.fromkeys(back for i in selection for back in cover.provenance(i))  # first-seen order
     return Inning(
         number=number,
         cover_prefix=cover_prefix(cover, upto),
-        selection=tuple(sorted(sel.indices)),
+        selection=selection,
         selected_sets=sel.sets(),
         original_move=tuple(original),
         audit=tuple(sorted((audit or {}).items())),

@@ -91,12 +91,13 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy, Ca
 
     Each lifted reply is computed by projecting the opponent's lifted moves
     to base moves and querying the base strategy once per projected move
-    sequence. Projections are kept per lifted index tuple, and base covers
-    with their lifts per projected move sequence, for as long as the
-    strategy lives.
+    sequence. Projections are kept per lifted index tuple, the base cover
+    and its lift per projected move sequence, and one lift per distinct
+    base cover object, for as long as the strategy lives.
     """
     product = ProductSpace(alice.space)
     answered: dict[Moves, tuple[IndexedCover, IndexedCover]] = {}  # projected moves -> (base cover, its lift)
+    lifts: dict[IndexedCover, IndexedCover] = {}  # base cover (by identity) -> its lift
     projections: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def move(moves: Moves) -> IndexedCover:
@@ -107,7 +108,10 @@ def lift_strategy(alice: AliceStrategy) -> tuple[ProductSpace, AliceStrategy, Ca
         hit = answered.get(projected)
         if hit is None:
             base = alice.move(projected)
-            hit = answered[projected] = (base, lifted_cover(product, base))
+            lift = lifts.get(base)
+            if lift is None:
+                lift = lifts[base] = lifted_cover(product, base)
+            hit = answered[projected] = (base, lift)
         return hit[1]
 
     lifted = AliceStrategy(space=product, move=move, name=f"lifted({alice.name})")

@@ -107,7 +107,7 @@ def solve_finite_game(
     selection (of at most `selection_cap` indices, exactly one in
     single-selection games) leads to a covered space or to a winning deeper
     position. The solve writes no decision table; `decision_table` searches
-    once more with the same arguments to write one.
+    once more with the same arguments, within `NODE_LIMIT`, to write one.
 
     Positions hold the covered set as a bitmask over point ids. Each distinct
     cover met during the solve gets one table of its selections, in order,
@@ -128,15 +128,14 @@ def decision_table(
     game: GameKind,
     depth: int,
     selection_cap: int,
-    node_limit: int = NODE_LIMIT,
 ) -> dict[tuple, object]:
     """The decision table of `solve_finite_game`'s search, written in order
-    by one search with the same arguments: second-player states (position,
-    option faced, covered set) map to a winning selection, first-player
-    states to a refuting option index; covered sets appear in keys as sorted
-    id tuples."""
+    by one search with the same arguments within `NODE_LIMIT` nodes, read
+    at call time: second-player states (position, option faced, covered
+    set) map to a winning selection, first-player states to a refuting
+    option index; covered sets appear in keys as sorted id tuples."""
     table: dict[tuple, object] = {}
-    _search(instance, game, depth, selection_cap, node_limit, table)
+    _search(instance, game, depth, selection_cap, NODE_LIMIT, table)
     return table
 
 

@@ -3,16 +3,25 @@ point-by-point checks of sets and selections, the inverse of
 `ProductSpace.split`, play restricted below a tree node, the canonical
 finite-selection witness, the empty open set, the infinitely-often play
 that the resumable counterplay replaced, a keyed tree whose keys repeat
-out of order, the counter walk of a node box under a limit, and the
+out of order, the counter walk of a node box under a limit, the
 normalization and counterplay that built every node and every inning's
-protected points from the root."""
+protected points from the root, and the named and seeded strategies that
+built a fresh cover for every move sequence."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from selectiongames.corpus import path_keyed_tree, segment_cover
+from selectiongames.corpus import (
+    _MASK,
+    fold_moves,
+    path_keyed_tree,
+    segment_cover,
+    singleton_cover,
+    whole_head_cover,
+)
 from selectiongames.covers import FiniteSelection, IndexedCover, Verdict, head_normalize, increasing_form, witness_of
 from selectiongames.engine import (
     MENGER_GAME,
@@ -22,6 +31,7 @@ from selectiongames.engine import (
     Transcript,
     covering_innings,
     make_inning,
+    memoized_strategy,
     replay,
 )
 from selectiongames.errors import ResourceLimitError
@@ -295,3 +305,45 @@ class ReferenceCounterplay(Counterplay):
         chosen = self.path[n - 1]
         skipped = [] if self.finite_win else list(range(1, chosen))
         return {"tree_choice": chosen, "excluded_children_probed": skipped, "protected_points": len(self.plan(n))}
+
+
+# ---------------------------------------------------------------------------
+# The corpus strategies before they played one cover object per distinct
+# cover, kept verbatim as the reference.
+
+
+def reference_named_strategies(space: SpaceModel) -> dict[str, AliceStrategy]:
+    """The five named corpus strategies."""
+
+    def shifted(moves: Moves) -> IndexedCover:
+        return segment_cover(space, shift=max(moves[-1]) if moves else 0)
+
+    def mixed(moves: Moves) -> IndexedCover:
+        shift = sum(map(max, moves)) % 7
+        if len(moves) % 2 == 0:
+            return segment_cover(space, shift=shift)
+        return singleton_cover(space)
+
+    return {
+        "seg_tower": memoized_strategy(space, "seg_tower", lambda moves: segment_cover(space)),
+        "shifted_seg": memoized_strategy(space, "shifted_seg", shifted),
+        "singletons": memoized_strategy(space, "singletons", lambda moves: singleton_cover(space)),
+        "whole_head": memoized_strategy(space, "whole_head", lambda moves: whole_head_cover(space)),
+        "mixed_adversarial": memoized_strategy(space, "mixed_adversarial", mixed),
+    }
+
+
+def reference_seeded_strategy(space: SpaceModel, seed: int) -> AliceStrategy:
+    """A deterministic pseudo-random strategy: per move sequence, draw one of
+    the primitive cover shapes with a small random shift."""
+
+    def cover_for(moves: Moves) -> IndexedCover:
+        rng = random.Random((seed * 0x9E3779B1 ^ fold_moves(moves)) & _MASK)
+        shape = rng.choice(["seg", "seg", "seg", "single", "whole"])
+        if shape == "seg":
+            return segment_cover(space, shift=rng.randrange(0, 5))
+        if shape == "single":
+            return singleton_cover(space)
+        return whole_head_cover(space)
+
+    return memoized_strategy(space, f"seeded{seed}", cover_for)

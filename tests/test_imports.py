@@ -139,7 +139,6 @@ BUDGET_PARAMETERS_KEPT: dict[str, str] = {
     "secure_child.probe_limit": "Counterplay passes its probe_limit",
     "least_admissible_child.probe_limit": "secure_child passes its limit",
     "solve_finite_game.node_limit": "perfbench/workloads.py passes gen.NODE_LIMIT",
-    "decision_table.node_limit": "takes solve_finite_game's arguments; no caller outside the tests passes it",
     "distinct_intersections.family_limit": "select_one_per_family passes count",
     "check_infinitely_often.family_budget": "select_one_per_family passes count",
     "evasion_function.node_budget": "counterplay_large passes its node_budget",

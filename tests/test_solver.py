@@ -275,12 +275,14 @@ class TestSolve:
         )
         with pytest.raises(ResourceLimitError, match=r"^solver exceeded 200000 nodes on twelve_singletons at depth 5$"):
             minimal_winning_depth(twelve, G1, 1)
-        # one constant is the depth searches' budget and the solves' default
-        for solve in (solve_finite_game, decision_table):
-            assert inspect.signature(solve).parameters["node_limit"].default == 200_000
+        # one constant is the depth searches' and the decision table's
+        # budget, and the solve's default
+        assert inspect.signature(solve_finite_game).parameters["node_limit"].default == 200_000
         with mock.patch("selectiongames.solver.NODE_LIMIT", 2):
             with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on twelve_singletons at depth 1$"):
                 minimal_winning_depth(twelve, G1, 1)
+            with pytest.raises(ResourceLimitError, match=r"^solver exceeded 2 nodes on twelve_singletons at depth 1$"):
+                decision_table(twelve, G1, 1, 1)
         # the depth search gives up past MAX_WINNING_DEPTH
         three = bundled_instances()["three_point_singletons"]
         monkeypatch.setattr("selectiongames.solver.MAX_WINNING_DEPTH", 3)
@@ -304,10 +306,11 @@ class TestDecisionTableOnRead:
         assert (result.winner, result.depth, result.nodes) == ("bob", 3, 10)
         assert calls[0] == searched
 
-    def test_table_at_an_exact_node_limit_builds_without_raising(self):
+    def test_table_at_an_exact_node_limit_builds_without_raising(self, monkeypatch):
         for game, depth in ((G1, 3), (G1, 4), (GFIN, 3)):
             want, want_table = reference_solve(leaf_heavy_instance(), game, depth, 2)
-            got = decision_table(leaf_heavy_instance(), game, depth, 2, node_limit=want.nodes)
+            monkeypatch.setattr("selectiongames.solver.NODE_LIMIT", want.nodes)
+            got = decision_table(leaf_heavy_instance(), game, depth, 2)
             assert list(got.items()) == list(want_table.items())
 
 

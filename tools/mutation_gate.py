@@ -79,6 +79,7 @@ REPLAY_LOOP = """for indices in moves:
     played += (indices,)"""
 REFERENCES = RB + "TestAgainstTheReferences::"
 RESUMED = HW + "TestNodesResumeFromTheirParents::"
+CORPUS = "tests/test_corpus.py::"
 
 MUTANTS: tuple[Mutant, ...] = (
     # keyed stripped trees and the joint witness
@@ -200,8 +201,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "decision-table-searches-without-a-table", "solver.py", "decision_table",
-        "_search(instance, game, depth, selection_cap, node_limit, table)",
-        "_search(instance, game, depth, selection_cap, node_limit, None)",
+        "_search(instance, game, depth, selection_cap, NODE_LIMIT, table)",
+        "_search(instance, game, depth, selection_cap, NODE_LIMIT, None)",
         (SV + "TestDecisionTableOnRead::test_table_at_an_exact_node_limit_builds_without_raising",),
         "a decision table returned empty by a search that writes none",
     ),
@@ -307,6 +308,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "project_selection(product, lifted_move)", "project_selection(product, (play.extend(n)[n - 1],))",
         ("tests/test_products.py::TestInfinitelyOften::test_projected_transcript_is_legal",),
         "the base selection projected from the tree index instead of the raw move",
+    ),
+    # corpus strategies play one cover object per distinct cover; a lift per base cover
+    Mutant(
+        "mixed-segment-cover-ignores-shift", "corpus.py", "named_strategies.mixed",
+        "cover('seg', sum(map(max, moves)) % 7)", "cover('seg', 0)",
+        (CORPUS + "TestOneCoverObjectPerDistinctCover::test_named_moves_with_one_shape_and_shift_share_a_cover",),
+        "the mixed strategy's segment covers looked up without their shift",
+    ),
+    Mutant(
+        "seeded-cover-key-drops-shift", "corpus.py", "seeded_strategy.cover_for",
+        "cover(shape, rng.randrange(0, 5) if shape == 'seg' else 0)", "cover(shape, 0)",
+        (CORPUS + "TestOneCoverObjectPerDistinctCover::test_seeded_moves_drawing_one_shape_and_shift_share_a_cover[0]",),
+        "a seeded strategy's cover looked up by its shape alone, so every segment draw plays shift 0",
+    ),
+    Mutant(
+        "lift-shared-across-base-covers", "products.py", "lift_strategy.move",
+        "lifts.get(base)", "next(iter(lifts.values()), None)",
+        (CORPUS + "TestOneCoverObjectPerDistinctCover::test_a_lifted_strategy_lifts_each_base_cover_once[shifted_seg]",),
+        "the first base cover's lift answered for every later base cover",
     ),
 )
 
