@@ -35,8 +35,10 @@ for excluded in [frozenset(), frozenset({1}), frozenset({1, 2})]:
     print(f"  exclude {sorted(excluded) or '{}'}: intersection contains points {covered}")
 
 print()
-print("level-2 family: intersections reduce to a level-1 instance plus")
-print("finitely many named node sets. brute-force agreement over 40 members:")
+print("level-2 family: an intersection reduces to the few node sets that")
+print("can bind: under each node, the children whose all-ones node is")
+print("excluded, then the first child whose all-ones node survives.")
+print("brute-force agreement over 40 members:")
 fam2 = level_family(tree, 2)
 spec = CofiniteSpec(frozenset({1, 3, 7}))
 sym = cofinite_intersection(fam2, spec)

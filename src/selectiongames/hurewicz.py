@@ -13,17 +13,15 @@ Three pieces live here:
 2. The tail-cover machinery: the family of node sets at a fixed depth has the
    property that intersections of its cofinite subfamilies again form an open
    cover. `cofinite_intersection` computes such an intersection as a finite
-   expression by the level recursion (at depth one an increasing cover's
-   cofinite intersection is its minimum surviving member; one level up it is
-   a finite intersection of a lower-level instance with finitely many node
-   sets), and `tail_derived_cover` packages the intersections as an indexed
-   cover with a constructive witness. Many specs reduce to the same node
-   sets, so each level family keeps one expression per distinct
-   intersection, keyed by the node paths it intersects; the key is read in
-   one pass per level over the sorted excluded nodes. A tail cover's witness
-   walks a point's omitting nodes in sorted order and hands that list to the
-   member at the index it returns, so only an index no witness produced is
-   decoded back into nodes.
+   intersection of node sets (at depth one an increasing cover's cofinite
+   intersection is its minimum surviving member), named by a walk from the
+   root that keeps only the parts that can bind, and `tail_derived_cover`
+   packages the intersections as an indexed cover with a constructive
+   witness. Many specs reduce to the same node sets, so each level family
+   keeps one expression per distinct intersection, keyed by the node paths
+   it intersects. A tail cover's witness hands the omitting nodes it walked
+   to the member at the index it returns, so only an index no witness
+   produced is decoded back into nodes.
 
 3. `Counterplay` plays against the normalized tree, one inning at a time and
    resumably: at each inning it selects a member of the current cover that
@@ -146,9 +144,10 @@ class LevelFamily:
     naturals and fixed-length index sequences.
 
     `_intersections` is the family's table of cofinite intersections, keyed
-    by the node paths each one intersects and written only by
-    `cofinite_intersection`: one expression (and so one membership memo) per
-    distinct intersection asked of the family, freed with it."""
+    by the node paths each one intersects (only the parts that can bind, see
+    `cofinite_intersection`) and written only by `cofinite_intersection`: one
+    expression (and so one membership memo) per distinct intersection asked
+    of the family, freed with it."""
 
     tree: TreeStrategy
     level: int
@@ -173,72 +172,57 @@ def level_family(tree: TreeStrategy, n: int) -> LevelFamily:
     return LevelFamily(tree=tree, level=n)
 
 
+def _named_parts(excluded: set[Path], node: Path, below: int, parts: list[Path]) -> None:
+    """Append the parts of the surviving depth-(len(node) + below)
+    descendants of `node`: for each child whose all-ones descendant at that
+    depth is excluded, the child's own parts, then the first child whose
+    all-ones descendant survives."""
+    ones = (1,) * (below - 1)
+    j = 1
+    while node + (j,) + ones in excluded:
+        if below > 1:
+            _named_parts(excluded, node + (j,), below - 1, parts)
+        j += 1
+    parts.append(node + (j,))
+
+
 def cofinite_intersection(fam: LevelFamily, spec: CofiniteSpec, nodes: list[Path] | None = None) -> OpenSet:
     """The intersection of the cofinite subfamily of a level family, as one
-    flat finite intersection, shared by every spec that reduces to it.
+    flat finite intersection of node sets, shared by every spec that reduces
+    to it.
 
-    The excluded nodes are walked level by level from the family's depth up
-    to the root. Within a parent's (increasing, head-normalized) cover the
-    surviving members intersect to the minimum surviving child. When that is
-    child 1 it is the parent's own set (the head condition), which the family
-    one level up already contributes. So a parent matters exactly when its
-    child 1 is excluded: its least absent child from 2 on becomes a named
-    part, and the parent counts as excluded one level up. The root is walked
-    last; the base, the minimum surviving member of the increasing root
-    cover, is its named child, or child 1 when that is not excluded (at
-    level 1, or for an empty spec, the spec's least surviving index).
+    In a normalized tree a child's set contains its parent's and each cover
+    is increasing, so a node's all-ones descendant at the family's depth
+    carries the node's own set, the least set below it. Below a node v, once
+    child m's all-ones descendant survives, every surviving node under a
+    child from m on contains the set at v + (m,), and that set is itself one
+    of the intersected sets: the children from m on contribute exactly the
+    part v + (m,). The walk therefore starts at the root and, at each node,
+    walks its children j = 1, 2, ... while child j's all-ones descendant is
+    excluded, recursing into each such child (an excluded leaf contributes
+    nothing), names v + (m,) and stops. At level 1, or when the all-ones node
+    (index 1 at every level) survives, the one part is the spec's least
+    surviving index.
 
-    The walk reads the excluded nodes in sorted order: `nodes`, when the
-    caller already holds them so (a witness's omitting nodes), else the
-    spec's indices decoded and sorted once. Nodes of one level have one
-    length, so a parent's children sit together in sorted order. One pass
-    per level reads each parent's least absent child off the run that
-    follows its child 1 and collects the parents, sorted and distinct, as
-    the next level's nodes.
+    The excluded nodes are `nodes`, when the caller already holds them (a
+    witness's omitting nodes), else the spec's indices decoded once.
 
-    The walk yields node paths only; the key ``((m,), level-2 paths...,
-    level-n paths...)`` names the base, then the parts of each level in
-    ascending parent order. The family's table maps each key to the base
-    node itself (no named part) or ``FiniteIntersection((base, parts...))``
-    in key order. Only a key not yet in the table materializes its nodes,
-    deepest level first and base last, so a tree that raises while
-    materializing raises at the same node as an unshared walk would.
+    The key is the named paths in walk order, each node's deeper parts
+    before its own, and the family's table maps it to the one node's set or
+    ``FiniteIntersection`` of the parts in key order. Only a key not yet in
+    the table materializes its nodes, in key order.
     """
-    if fam.level == 1 or not spec.excluded:
+    if fam.level == 1 or 1 not in spec.excluded:
         key: tuple[Path, ...] = ((spec.min_surviving(),),)
     else:
-        if nodes is None:
-            nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
-            nodes.sort()
-        paths: list[Path] = []
-        for _ in range(fam.level):
-            if not nodes:
-                break
-            named: list[Path] = []
-            parents: list[Path] = []
-            expect = None  # the next child of the open run, the run's least absent child
-            for node in nodes:
-                if node == expect:
-                    m += 1
-                    expect = parent + (m,)
-                elif node[-1] == 1:
-                    if expect is not None:
-                        named.append(expect)
-                        parents.append(parent)
-                    parent, m = node[:-1], 2
-                    expect = parent + (2,)
-            if expect is not None:
-                named.append(expect)
-                parents.append(parent)
-            paths[:0] = named  # lower levels go first
-            nodes = parents
-        key = tuple(paths) if nodes else ((1,), *paths)
+        excluded = {decode_tuple(idx, fam.level) for idx in spec.excluded} if nodes is None else set(nodes)
+        parts: list[Path] = []
+        _named_parts(excluded, (), fam.level, parts)
+        key = tuple(parts)
     hit = fam._intersections.get(key)
     if hit is None:
-        # a stable sort by decreasing length is the walk's order, base last
-        sets = {path: fam.tree.set_at(path) for path in sorted(key, key=len, reverse=True)}
-        parts = tuple(sets[path] for path in key)
-        hit = fam._intersections[key] = parts[0] if len(parts) == 1 else FiniteIntersection(parts=parts)
+        sets = tuple(map(fam.tree.set_at, key))
+        hit = fam._intersections[key] = sets[0] if len(sets) == 1 else FiniteIntersection(parts=sets)
     return hit
 
 
@@ -308,9 +292,9 @@ def tail_derived_cover(fam: LevelFamily) -> IndexedCover:
     Members are indexed by the binary-subset bijection on excluded index
     sets; the witness for a point materializes its omitting-node structure
     (exact at this level) and returns the index of the spec excluding it.
-    The witness keeps its spec and sorted node list for the member at that
-    index, so that member is keyed from the nodes the witness walked; only
-    an index no witness produced is decoded. At most one handoff is
+    The witness keeps its spec and node list for the member at that index,
+    so that member is keyed from the nodes the witness walked; only an index
+    no witness produced is decoded. At most one handoff is
     pending, and each point's witness, run once, replaces it.
     """
     pending: dict[int, tuple[CofiniteSpec, list[Path]]] = {}

@@ -313,17 +313,64 @@ def reference_walk_key_by_runs(fam, spec):
     return key
 
 
-def reference_cofinite_intersection_by_runs(fam, spec):
-    """`cofinite_intersection` as it was with the run walk above: the same
-    table and the same materialization order."""
-    key = reference_walk_key_by_runs(fam, spec)
+def reference_walk_key_one_pass(fam, spec, nodes=None):
+    """The key the level walk built before it kept only the parts that can
+    bind, kept verbatim: one pass per level over the sorted excluded nodes,
+    naming each parent's least absent child off the run that follows its
+    child 1 and collecting the parents as the next level's nodes."""
+    if fam.level == 1 or not spec.excluded:
+        key = ((spec.min_surviving(),),)
+    else:
+        if nodes is None:
+            nodes = [decode_tuple(idx, fam.level) for idx in spec.excluded]
+            nodes.sort()
+        paths = []
+        for _ in range(fam.level):
+            if not nodes:
+                break
+            named = []
+            parents = []
+            expect = None  # the next child of the open run, the run's least absent child
+            for node in nodes:
+                if node == expect:
+                    m += 1
+                    expect = parent + (m,)
+                elif node[-1] == 1:
+                    if expect is not None:
+                        named.append(expect)
+                        parents.append(parent)
+                    parent, m = node[:-1], 2
+                    expect = parent + (2,)
+            if expect is not None:
+                named.append(expect)
+                parents.append(parent)
+            paths[:0] = named  # lower levels go first
+            nodes = parents
+        key = tuple(paths) if nodes else ((1,), *paths)
+    return key
+
+
+def reference_cofinite_intersection_one_pass(fam, spec):
+    """`cofinite_intersection` as it was with the one-pass walk above: the
+    family's table under its keys, each key materialized deepest level first
+    and base last."""
+    key = reference_walk_key_one_pass(fam, spec)
     hit = fam._intersections.get(key)
     if hit is None:
-        # a stable sort by decreasing length is the walk's order, base last
         sets = {path: fam.tree.set_at(path) for path in sorted(key, key=len, reverse=True)}
         parts = tuple(sets[path] for path in key)
         hit = fam._intersections[key] = parts[0] if len(parts) == 1 else FiniteIntersection(parts=parts)
     return hit
+
+
+def filed_key(fam, got):
+    """The one key under which the family's table holds `got`."""
+    (key,) = [k for k, v in fam._intersections.items() if v is got]
+    return key
+
+
+def members(s, points):
+    return [member(s, p) for p in points]
 
 
 def same_expression(a, b):
@@ -346,32 +393,58 @@ def walk_trees():
     return named + [normalize_strategy(deterministic_strategy(inst), inst.space)]
 
 
-def test_one_pass_walk_matches_the_run_walk_on_the_grid():
-    """Every grid spec at levels 1-4: the same key, and the same expression
-    as the run walk builds in a family of its own."""
+def checked_points(tree):
+    """Every point of a finite model, and the first 20 of a countable one."""
+    return tree.space.all_points() if tree.space.is_finite else tree.space.points(20)
+
+
+def test_pruned_walk_matches_the_one_pass_walk_on_the_grid():
+    """Every grid spec at levels 1-4: the pruned parts are among the one-pass
+    walk's parts, and the two expressions have the same members on every
+    tested point (checked once per distinct pair of keys)."""
     assert len(GRID_SPECS) == 2626
     for tree in walk_trees():
+        points = checked_points(tree)
         for level in (1, 2, 3, 4):
             fam, ref_fam = level_family(tree, level), level_family(tree, level)
+            compared = set()
             for excluded in GRID_SPECS:
                 spec = CofiniteSpec(excluded)
                 got = cofinite_intersection(fam, spec)
-                assert fam._intersections[reference_walk_key_by_runs(fam, spec)] is got
-                assert same_expression(got, reference_cofinite_intersection_by_runs(ref_fam, spec))
-            assert set(fam._intersections) == set(ref_fam._intersections)
+                key, ref_key = filed_key(fam, got), reference_walk_key_one_pass(ref_fam, spec)
+                assert set(key) <= set(ref_key)
+                if (key, ref_key) not in compared:
+                    compared.add((key, ref_key))
+                    ref = reference_cofinite_intersection_one_pass(ref_fam, spec)
+                    assert members(got, points) == members(ref, points), (level, sorted(excluded))
+
+
+def test_the_grid_reduces_to_4_8_14_17_distinct_intersections():
+    """The 2,626 grid specs name 4, 8, 14 and 17 distinct part sets at levels
+    1-4, in every family (the one-pass walk named 4, 111, 954 and 2,349)."""
+    for tree in walk_trees():
+        for level, distinct in zip((1, 2, 3, 4), (4, 8, 14, 17)):
+            fam = level_family(tree, level)
+            for excluded in GRID_SPECS:
+                cofinite_intersection(fam, CofiniteSpec(excluded))
+            assert len(fam._intersections) == distinct
 
 
 def check_walk(fam, spec, by_key):
-    """The walk's expression is describe-equal to the fresh walk's, is filed
-    under the key of both reference walks, and is the one object of every
-    spec with that key."""
+    """The pruned walk's expression has the members of the one-pass walk's
+    fresh expression on the first 20 points; its parts are among the
+    one-pass walk's, on which every earlier reference walk agrees; and it is
+    the one object filed under its key."""
     got = cofinite_intersection(fam, spec)
-    key = reference_walk_key(fam, spec)
-    assert reference_walk_key_by_sets(fam, spec) == key
-    assert reference_walk_key_by_runs(fam, spec) == key
-    assert fam._intersections[key] is got
+    key = filed_key(fam, got)
+    ref_key = reference_walk_key(fam, spec)
+    assert reference_walk_key_by_sets(fam, spec) == ref_key
+    assert reference_walk_key_by_runs(fam, spec) == ref_key
+    assert reference_walk_key_one_pass(fam, spec) == ref_key
+    assert set(key) <= set(ref_key)
     assert by_key.setdefault(key, got) is got
-    assert describe(got) == describe(reference_cofinite_intersection_fresh(fam, spec))
+    points = fam.tree.space.points(20)
+    assert members(got, points) == members(reference_cofinite_intersection_fresh(fam, spec), points)
 
 
 def test_level_walk_matches_the_reference_on_small_specs():
@@ -436,14 +509,52 @@ def test_level_walk_matches_both_references_on_sibling_runs(drawn):
         check_walk(fam, CofiniteSpec(excluded), by_key)
 
 
+def omitting_codes(tree, level, p):
+    """The codes of every depth-`level` node whose set omits p, by scanning
+    each omitting node's children by membership until one holds p (the
+    children of a normalized node grow, so the rest hold it too)."""
+    frontier = [()]
+    for _ in range(level):
+        below = []
+        for node in frontier:
+            m = 1
+            while not member(tree.set_at(node + (m,)), p):
+                below.append(node + (m,))
+                m += 1
+        frontier = below
+    return {encode_tuple(node) for node in frontier}
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=run_heavy_specs(), wide=st.frozensets(st.integers(1, 10**6), max_size=3))
+@example(drawn=(5, frozenset(encode_tuple(node) for node in [(1,) * 5, (1, 1, 1, 1, 2), (1, 2, 1, 1, 1)])), wide=frozenset())
+@example(drawn=(2, frozenset({1, 3, 6})), wide=frozenset({10**6}))
+def test_pruned_walk_is_exact_on_valley_game(drawn, wide):
+    """On every point of valley_game's normalized tree, a point lies in the
+    intersection exactly when every node omitting it is excluded; the
+    handed-off sorted nodes file the same expression."""
+    level, excluded = drawn
+    excluded |= wide
+    inst = bundled_instances()["valley_game"]
+    tree = normalize_strategy(deterministic_strategy(inst), inst.space)
+    fam = level_family(tree, level)
+    spec = CofiniteSpec(excluded)
+    got = cofinite_intersection(fam, spec)
+    assert cofinite_intersection(fam, spec, sorted(decode_tuple(idx, level) for idx in excluded)) is got
+    for p in inst.space.all_points():
+        assert member(got, p) == (omitting_codes(tree, level, p) <= excluded)
+
+
 def small_specs():
     specs = [frozenset(c) for k in range(4) for c in itertools.combinations(range(1, 9), k)]
     return specs + [frozenset({1, 5, 13}), frozenset({2, 3, 4}), frozenset({7, 20, 26})]
 
 
 def test_flat_cofinite_intersection_matches_the_level_recursion():
-    """The shared flat intersection against both references: the nested level
-    recursion and the flat walk that built a fresh expression per spec."""
+    """The pruned flat intersection against both references, the nested
+    level recursion and the flat walk that built a fresh expression per
+    spec: its parts are node sets among the fresh walk's, and all three have
+    the same members."""
     inst = bundled_instances()["valley_game"]
     trees = [(seg_tree(), N.points(50)), (normalize_strategy(named_strategies(N)["shifted_seg"], N), N.points(50))]
     trees.append((normalize_strategy(deterministic_strategy(inst), inst.space), inst.space.all_points()))
@@ -454,12 +565,10 @@ def test_flat_cofinite_intersection_matches_the_level_recursion():
                 flat = cofinite_intersection(fam, CofiniteSpec(excluded))
                 nested = reference_cofinite_intersection(fam, CofiniteSpec(excluded))
                 fresh = reference_cofinite_intersection_fresh(fam, CofiniteSpec(excluded))
-                # the same tree nodes in the same order, so the same short circuits
-                assert [id(x) for x in unnested_parts(flat)] == [id(x) for x in unnested_parts(nested)]
-                assert [id(x) for x in unnested_parts(flat)] == [id(x) for x in unnested_parts(fresh)]
-                assert type(flat) is type(fresh)
+                # the references name the same tree nodes in the same order
+                assert [id(x) for x in unnested_parts(nested)] == [id(x) for x in unnested_parts(fresh)]
+                assert {id(x) for x in unnested_parts(flat)} <= {id(x) for x in unnested_parts(fresh)}
                 assert all(not isinstance(part, FiniteIntersection) for part in getattr(flat, "parts", ()))
-                assert describe(flat) == describe(fresh)
                 for p in pts:
                     assert member(flat, p) == member(nested, p) == member(fresh, p)
             assert len(fam._intersections) < len(small_specs())  # specs that reduce alike share
@@ -467,14 +576,19 @@ def test_flat_cofinite_intersection_matches_the_level_recursion():
 
 def test_equal_reductions_share_one_expression():
     fam = level_family(seg_tree(), 2)
-    # {1} excludes node (1, 1), and {1, 5} also (2, 2), whose parent keeps
-    # child 1: both reduce to base (2,) and part (1, 2); {1, 3} also
-    # excludes (1, 2), so its part is (1, 3)
+    # {1} excludes node (1, 1): parts (1, 2) and (2,). {1, 5} also excludes
+    # (2, 2) and {1, 4} also (3, 1), but (2, 1) survives, so no set under a
+    # child from 2 on can bind: both reduce alike, where the one-pass walk
+    # named (3, 2) for {1, 4}. {1, 3} also excludes (1, 2): part (1, 3).
     one = cofinite_intersection(fam, CofiniteSpec(frozenset({1})))
+    assert filed_key(fam, one) == ((1, 2), (2,))
     assert cofinite_intersection(fam, CofiniteSpec(frozenset({1, 5}))) is one
+    assert cofinite_intersection(fam, CofiniteSpec(frozenset({1, 4}))) is one
+    assert reference_walk_key_one_pass(fam, CofiniteSpec(frozenset({1, 4}))) == ((2,), (1, 2), (3, 2))
     assert cofinite_intersection(fam, CofiniteSpec(frozenset({1}))) is one
     other = cofinite_intersection(fam, CofiniteSpec(frozenset({1, 3})))
     assert other is not one
+    assert filed_key(fam, other) == ((1, 3), (2,))
     assert describe(other) != describe(one)
     # the same reduction in another family of the same tree is its own expression
     again = level_family(fam.tree, 2)
@@ -484,7 +598,7 @@ def test_equal_reductions_share_one_expression():
 def test_intersection_table_is_freed_with_its_family():
     tree = seg_tree()
     fam = level_family(tree, 2)
-    specs = [CofiniteSpec(frozenset({1})), CofiniteSpec(frozenset({1, 5}))]
+    specs = [CofiniteSpec(frozenset({1})), CofiniteSpec(frozenset({1, 4}))]
     out = cofinite_intersection(fam, specs[0])
     assert isinstance(out, FiniteIntersection)
     ref = weakref.ref(out)
@@ -511,30 +625,33 @@ def raising_tree():
     return TreeStrategy(space=N, cover_at_raw=cover_at, label="raising")
 
 
-def test_materialization_errors_match_the_fresh_walk():
+def test_materialization_errors_raise_at_the_first_part_of_the_pruned_key():
+    """A raising tree raises at the parent of the first part below the root
+    in the pruned key, read off the same spec's key in a family of the tree
+    it wraps; a key of one root child builds. A raise files nothing."""
     raised = 0
     for level in (1, 2, 3):
-        fam = level_family(raising_tree(), level)
-        ref_fam = level_family(raising_tree(), level)
+        fam, twin = level_family(raising_tree(), level), level_family(seg_tree(), level)
         for excluded in small_specs():
             spec = CofiniteSpec(excluded)
-            try:
-                expect = ("ok", describe(reference_cofinite_intersection_fresh(ref_fam, spec)))
-            except FiniteWinFound as exc:
-                expect = ("raise", exc.path)
-            for _ in range(2):  # a raise leaves nothing in the table
+            key = filed_key(twin, cofinite_intersection(twin, spec))
+            deep = [path for path in key if len(path) > 1]
+            expect = ("raise", deep[0][:-1]) if deep else ("ok", describe(twin._intersections[key]))
+            for _ in range(2):
                 try:
                     got = ("ok", describe(cofinite_intersection(fam, spec)))
                 except FiniteWinFound as exc:
                     got = ("raise", exc.path)
                 assert got == expect, (level, sorted(excluded))
             raised += expect[0] == "raise"
-    assert raised > 100
-    # a level-3 spec with parts at levels 2 and 3 raises at the deeper node first
+        assert len(fam._intersections) == len({k for k in twin._intersections if len(k) == 1})
+    # a spec raises exactly when it excludes the all-ones node, index 1: 30 specs at levels 2 and 3
+    assert raised == 60
+    # the key of {1, 2, 4} at level 3 starts with (1, 1, 2), the deepest part under child 1
     fam = level_family(raising_tree(), 3)
     with pytest.raises(FiniteWinFound) as exc:
         cofinite_intersection(fam, CofiniteSpec(frozenset({1, 2, 4})))
-    assert len(exc.value.path) == 2
+    assert exc.value.path == (1, 1)
 
 
 class TestTailDerivedCover:
@@ -642,7 +759,8 @@ def test_a_handoff_is_read_only_at_its_own_index():
 
 def test_level_one_and_empty_handoffs_take_the_least_surviving_index(monkeypatch):
     """A handed-off spec at level 1, or with nothing excluded, is keyed by
-    its least surviving index, as a decoded one is, not by a node walk."""
+    its least surviving index, as a decoded one is, not by a node walk; so
+    is a decoded spec that keeps the all-ones node, index 1 at every level."""
     calls = []
     least = CofiniteSpec.min_surviving
     monkeypatch.setattr(CofiniteSpec, "min_surviving", lambda spec: calls.append(spec) or least(spec))
@@ -655,6 +773,10 @@ def test_level_one_and_empty_handoffs_take_the_least_surviving_index(monkeypatch
         calls.clear()
         assert member(cover.sets(j), p)
         assert calls == [CofiniteSpec(excluded_set_from_index(j))]
+    calls.clear()
+    kept = CofiniteSpec(frozenset({2, 5}))
+    assert cofinite_intersection(level_family(tree, 3), kept) is tree.set_at((1,))
+    assert calls == [kept]
 
 
 class TestExclusionOracle:

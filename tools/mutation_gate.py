@@ -208,22 +208,35 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # tail-cover witnesses hand their nodes to the member at their index
     Mutant(
-        "handoff-nodes-reversed", "hurewicz.py", "tail_derived_cover.witness",
-        "oracle.nodes", "oracle.nodes[::-1]",
-        (HW + "test_handed_off_members_are_the_decoded_members", HW + "test_a_handoff_is_read_only_at_its_own_index"),
-        "a handoff with its sorted nodes reversed",
-    ),
-    Mutant(
-        "sibling-run-scan-dropped", "hurewicz.py", "cofinite_intersection",
-        "node == expect", "False",
-        (HW + "test_one_pass_walk_matches_the_run_walk_on_the_grid",),
-        "the one-pass walk never extends a parent's run of excluded children",
+        "handoff-misses-its-least-node", "hurewicz.py", "tail_derived_cover.witness",
+        "oracle.nodes", "oracle.nodes[1:]",
+        (HW + "test_handed_off_members_are_the_decoded_members",),
+        "a handoff without its first sorted node, the all-ones node that omits the point first",
     ),
     Mutant(
         "level-one-handoff-walked", "hurewicz.py", "cofinite_intersection",
-        "fam.level == 1 or not spec.excluded", "False",
+        "fam.level == 1 or 1 not in spec.excluded", "False",
         (HW + "test_level_one_and_empty_handoffs_take_the_least_surviving_index",),
-        "a level-1 or empty spec keyed by the node walk instead of min_surviving",
+        "a level-1 spec, or one keeping the all-ones node, keyed by the node walk instead of min_surviving",
+    ),
+    # cofinite intersections keep only the parts that can bind
+    Mutant(
+        "all-ones-check-dropped", "hurewicz.py", "_named_parts",
+        "node + (j,) + ones in excluded", "any((x[:len(node) + 1] == node + (j,) for x in excluded))",
+        (HW + "test_the_grid_reduces_to_4_8_14_17_distinct_intersections",),
+        "the walk enters every child with an excluded descendant: the same sets, less pruned",
+    ),
+    Mutant(
+        "part-one-past-the-stopping-child", "hurewicz.py", "_named_parts",
+        "parts.append(node + (j,))", "parts.append(node + (j + 1,))",
+        (HW + "test_level_walk_matches_the_reference_on_small_specs",),
+        "the part named one child past the first child whose all-ones node survives",
+    ),
+    Mutant(
+        "recursion-stops-a-level-early", "hurewicz.py", "_named_parts",
+        "below > 1", "below > 2",
+        (HW + "test_level_walk_matches_the_reference_on_small_specs",),
+        "children one level above the leaves are not walked into",
     ),
     Mutant(
         "handoff-read-at-any-index", "hurewicz.py", "tail_derived_cover.sets",
